@@ -67,11 +67,8 @@ class RunConfigFile:
     init_mode: str = "standard"
     k_max: int | None = None
     tol: float | None = None
-    max_iter: int = 50_000
-    step0: float | None = None
-    grow: float = 1.2
-    shrink: float = 0.5
-    precondition: str = "off"
+    max_iter: int = 100
+    precondition: str = "off"        # accepted for older configs; no effect
     # output
     snapshot_stride: int = 10
 
@@ -80,14 +77,14 @@ class RunConfigFile:
 
 
 PRESETS = {
-    # shrinking circular interface, radially reduced
+    # circular interface collapsing under its curvature, radially reduced
     "gl_interface": dict(
         geometry="radial", dim=2, x_min=0.0, x_max=1.0, n_cells=400,
         dirichlet_left=None, dirichlet_right=-1.0,
         s=1.0, T=0.45, n_steps=900,
         potential="double_well", gl_eps=0.05,
         u0_kind="tanh_front", u0_r0=0.4, v0_kind="zero",
-        precondition="spectral", snapshot_stride=10,
+        snapshot_stride=10,
     ),
     # single Dirichlet eigenmode on the unit interval
     "eigenmode": dict(
@@ -95,7 +92,6 @@ PRESETS = {
         dirichlet_left=0.0, dirichlet_right=0.0,
         s=1.0, T=1.0, n_steps=256,
         potential="zero", u0_kind="modes", u0_modes="1:1.0", v0_kind="zero",
-        precondition="spectral",
     ),
     # string swung down onto a flat obstacle
     "obstacle_wave": dict(
@@ -104,7 +100,6 @@ PRESETS = {
         s=1.0, T=1.0, n_steps=256,
         potential="zero", u0_kind="zero", v0_kind="sine", v0_amp=-4.0,
         obstacle_kind="constant", obstacle_value=-0.5,
-        precondition="off",
     ),
 }
 
@@ -112,9 +107,9 @@ _FIELDS = {f.name: f for f in dataclasses.fields(RunConfigFile)}
 _INT_KEYS = {"dim", "n_cells", "n_steps", "k_max", "max_iter", "snapshot_stride"}
 _FLOAT_KEYS = {"x_min", "x_max", "dirichlet_left", "dirichlet_right", "s", "T",
                "quadratic_c", "gl_eps", "u0_r0", "u0_width", "u0_amp", "v0_amp",
-               "obstacle_value", "tol", "step0", "grow", "shrink"}
+               "obstacle_value", "tol"}
 _OPTIONAL_KEYS = {"preset", "dirichlet_left", "dirichlet_right", "gl_eps",
-                  "u0_r0", "u0_width", "k_max", "tol", "step0"}
+                  "u0_r0", "u0_width", "k_max", "tol"}
 
 
 def _coerce(key: str, value):
@@ -188,6 +183,8 @@ def _validate_config(cfg: RunConfigFile):
         raise ConfigurationError(f"key 'obstacle_kind' has unknown value '{cfg.obstacle_kind}'")
     if cfg.init_mode not in ("standard", "smoothed"):
         raise ConfigurationError(f"key 'init_mode' has unknown value '{cfg.init_mode}'")
+    if cfg.precondition not in ("off", "spectral"):
+        raise ConfigurationError(f"key 'precondition' has unknown value '{cfg.precondition}'")
     if cfg.snapshot_stride < 1:
         raise ConfigurationError("key 'snapshot_stride' must be >= 1")
     if cfg.u0_kind == "tanh_front":
@@ -195,7 +192,7 @@ def _validate_config(cfg: RunConfigFile):
             raise ConfigurationError("key 'u0_r0' is required for a tanh front")
         if cfg.u0_width is None and cfg.gl_eps is None:
             raise ConfigurationError("key 'u0_width' is required without 'gl_eps'")
-    # SolverParams re-checks tol/max_iter/grow/shrink/precondition.
+    # SolverParams re-checks tol/max_iter.
 
 
 def _parse_modes(spec: str, key: str):
@@ -259,9 +256,7 @@ def build_problem(cfg: RunConfigFile) -> SchemeConfig:
     if cfg.obstacle_kind == "constant":
         obstacle = np.full(ops.n_free, cfg.obstacle_value)
 
-    solver = SolverParams(tol=cfg.tol, max_iter=cfg.max_iter, step0=cfg.step0,
-                          grow=cfg.grow, shrink=cfg.shrink,
-                          precondition=cfg.precondition)
+    solver = SolverParams(tol=cfg.tol, max_iter=cfg.max_iter)
     scheme = SchemeConfig(T=cfg.T, n_steps=cfg.n_steps, ops=ops, potential=pot,
                           u0=u0, v0=v0, obstacle=obstacle,
                           init_mode=cfg.init_mode, k_max=cfg.k_max, solver=solver)
@@ -311,7 +306,7 @@ def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
         energy_rows.append((i, i * traj.tau, kin, frac, pot, total, resid, iters))
     epath = out_dir / "energy.csv"
     _write_csv(epath, ["step", "t", "kinetic", "fractional", "potential",
-                       "total", "residual", "pg_iters"], energy_rows)
+                       "total", "residual", "iterations"], energy_rows)
     written["energy"] = epath
 
     snap_steps = list(range(0, n + 1, cfg.snapshot_stride))

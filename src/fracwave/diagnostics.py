@@ -221,7 +221,7 @@ def interface_radius(mesh: Mesh1D, u: np.ndarray):
 
 
 def cosine_reference(R0: float, t: float) -> float:
-    """Shrinking-interface reference radius R0 * cos(t / R0), defined while
+    """Collapsing-interface reference radius R0 * cos(t / R0), defined while
     the interface exists (0 <= t < R0 * pi / 2)."""
     if R0 <= 0:
         raise ConfigurationError("R0 must be positive")
@@ -269,8 +269,6 @@ def _require_gl(traj: Trajectory, eps: float, ops: OperatorSet):
     pot = traj.config.potential
     if pot.kind != "gl_scaled":
         raise ConfigurationError("needs an eps-scaled potential")
-    if pot.m != 1:
-        raise ConfigurationError("interface accounting is one-component only")
     if ops.s != 1.0:
         raise ConfigurationError("interface accounting assumes s = 1")
     if abs(eps - pot.eps) > 1e-12 * pot.eps:

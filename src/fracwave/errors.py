@@ -11,7 +11,8 @@ class NumericError(RuntimeError):
 
 
 class SolverFailure(RuntimeError):
-    """The inner minimization hit its iteration cap before reaching tolerance.
+    """The inner minimization hit its iteration cap before reaching tolerance,
+    or its Newton system was not positive definite.
 
     Carries the best iterate found so the caller can inspect or report it.
     """

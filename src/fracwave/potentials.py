@@ -1,10 +1,9 @@
-"""Reaction potentials: pointwise energy density W, exact gradient, and a
-Lipschitz certificate for the gradient.
+"""Reaction potentials: pointwise energy density W with its exact first and
+second derivatives.
 
-All densities are non-negative.  Inputs are scalars or arrays; for two
-components the trailing axis holds the components.  The Lipschitz constant
-is certified on |u| <= 2, which covers every state the solver produces for
-the scenarios of interest (runs warn if a nodal value ever leaves that box).
+All densities are non-negative and act nodewise on scalars or arrays.  The
+second derivative (`curvature`) enters the Newton system of each time step,
+whose functional stays convex while 1/tau^2 dominates max(-W'').
 """
 
 from __future__ import annotations
@@ -13,28 +12,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-LIPSCHITZ_RANGE = 2.0
-_LIPSCHITZ_SAMPLES = 100_000
-_LIPSCHITZ_SAFETY = 1.1
-
 
 class Potential:
-    """Base class: components count m and the value/gradient/bound contract."""
+    """Base class: the value/gradient/curvature contract."""
 
     kind = "abstract"
-
-    def __init__(self, m: int = 1):
-        if m not in (1, 2):
-            raise ConfigurationError("component count m must be 1 or 2")
-        self.m = m
-
-    def _sq(self, u):
-        u = np.asarray(u, dtype=float)
-        if self.m == 1:
-            return u, u * u
-        if u.shape[-1:] != (2,):
-            raise ConfigurationError("two-component potential expects trailing axis 2")
-        return u, np.sum(u * u, axis=-1)
 
     def value(self, u):
         raise NotImplementedError
@@ -42,7 +24,7 @@ class Potential:
     def gradient(self, u):
         raise NotImplementedError
 
-    def lipschitz_bound(self) -> float:
+    def curvature(self, u):
         raise NotImplementedError
 
 
@@ -50,70 +32,56 @@ class ZeroPotential(Potential):
     kind = "zero"
 
     def value(self, u):
-        u, q = self._sq(u)
-        return np.zeros_like(q)
+        return np.zeros_like(np.asarray(u, dtype=float))
 
     def gradient(self, u):
-        u, _ = self._sq(u)
-        return np.zeros_like(u)
+        return np.zeros_like(np.asarray(u, dtype=float))
 
-    def lipschitz_bound(self) -> float:
-        return 0.0
+    def curvature(self, u):
+        return np.zeros_like(np.asarray(u, dtype=float))
 
 
 class QuadraticPotential(Potential):
-    """W(u) = c |u|^2 / 2 with c >= 0."""
+    """W(u) = c u^2 / 2 with c >= 0."""
 
     kind = "quadratic"
 
-    def __init__(self, c: float, m: int = 1):
-        super().__init__(m)
+    def __init__(self, c: float):
         if c < 0:
             raise ConfigurationError("quadratic coefficient must be >= 0")
         self.c = float(c)
 
     def value(self, u):
-        _, q = self._sq(u)
-        return 0.5 * self.c * q
+        return 0.5 * self.c * np.asarray(u, dtype=float) ** 2
 
     def gradient(self, u):
-        u, _ = self._sq(u)
-        return self.c * u
+        return self.c * np.asarray(u, dtype=float)
 
-    def lipschitz_bound(self) -> float:
-        return self.c
+    def curvature(self, u):
+        return np.full_like(np.asarray(u, dtype=float), self.c)
 
 
 class DoubleWellPotential(Potential):
-    """Balanced rational double well W(u) = (1 - |u|^2)^2 / (1 + |u|^2).
+    """Balanced rational double well W(u) = (1 - u^2)^2 / (1 + u^2).
 
     Vanishes exactly on |u| = 1, equals 1 at the origin, and has globally
-    bounded curvature, so the gradient is Lipschitz without truncation.
+    bounded curvature (W'' >= -6, attained at the origin).
     """
 
     kind = "double_well_rational"
 
     def value(self, u):
-        _, q = self._sq(u)
+        q = np.asarray(u, dtype=float) ** 2
         return (1.0 - q) ** 2 / (1.0 + q)
 
     def gradient(self, u):
-        u, q = self._sq(u)
-        coef = -2.0 * (1.0 - q) * (3.0 + q) / (1.0 + q) ** 2
-        if self.m == 1:
-            return coef * u
-        return coef[..., None] * u
+        u = np.asarray(u, dtype=float)
+        q = u * u
+        return -2.0 * (1.0 - q) * (3.0 + q) / (1.0 + q) ** 2 * u
 
-    @staticmethod
-    def _profile_curvature(x):
-        # second derivative of the one-component profile
-        q = np.asarray(x, dtype=float) ** 2
+    def curvature(self, u):
+        q = np.asarray(u, dtype=float) ** 2
         return (2.0 * q**3 + 6.0 * q**2 + 30.0 * q - 6.0) / (1.0 + q) ** 3
-
-    def lipschitz_bound(self) -> float:
-        # curvature of the radial profile dominates the full Hessian norm
-        x = np.linspace(-LIPSCHITZ_RANGE, LIPSCHITZ_RANGE, _LIPSCHITZ_SAMPLES)
-        return _LIPSCHITZ_SAFETY * float(np.max(np.abs(self._profile_curvature(x))))
 
 
 class ScaledPotential(Potential):
@@ -126,7 +94,6 @@ class ScaledPotential(Potential):
     kind = "gl_scaled"
 
     def __init__(self, inner: Potential, eps: float):
-        super().__init__(inner.m)
         if eps <= 0:
             raise ConfigurationError("eps must be positive")
         if inner.kind == "gl_scaled":
@@ -140,20 +107,20 @@ class ScaledPotential(Potential):
     def gradient(self, u):
         return self.inner.gradient(u) / self.eps**2
 
-    def lipschitz_bound(self) -> float:
-        return self.inner.lipschitz_bound() / self.eps**2
+    def curvature(self, u):
+        return self.inner.curvature(u) / self.eps**2
 
 
-def zero_potential(m: int = 1) -> ZeroPotential:
-    return ZeroPotential(m)
+def zero_potential() -> ZeroPotential:
+    return ZeroPotential()
 
 
-def quadratic(c: float, m: int = 1) -> QuadraticPotential:
-    return QuadraticPotential(c, m)
+def quadratic(c: float) -> QuadraticPotential:
+    return QuadraticPotential(c)
 
 
-def double_well(m: int = 1) -> DoubleWellPotential:
-    return DoubleWellPotential(m)
+def double_well() -> DoubleWellPotential:
+    return DoubleWellPotential()
 
 
 def gl_scaled(inner: Potential, eps: float) -> ScaledPotential:

@@ -7,12 +7,22 @@ Each step minimizes the functional
 
 over the free nodes, optionally restricted to the set {u >= g} for a nodal
 obstacle g.  The potential integral uses lumped-mass quadrature (row sums
-m_j of M), which keeps its gradient diagonal and makes the nodal max with g
-the exact projection in the lumped metric.  Minimization is projected
-gradient descent with multiplicative step adaptation: grow the step on
-decrease, shrink and retry otherwise.  An optional spectral preconditioner
-(obstacle-free only) rescales eigencomponents by 1/(1/tau^2 + lambda^s),
-which is the exact inverse Hessian of the quadratic part.
+m_j of M), which keeps its gradient and Hessian diagonal and makes the
+nodal max with g the exact projection in the lumped metric.
+
+Minimization uses one semismooth-Newton method, the primal-dual active-set
+iteration, for both admissible sets (Hintermueller, Ito & Kunisch, SIAM J.
+Optim. 13 (2002) 865-888).  Each iteration takes the Hessian
+
+    H = M / tau^2 + A_s + diag(m_j W''(u_j))
+
+at the current iterate, pins the active nodes (those the linearized
+gradient pushes below g) to g, and solves the Newton system on the other
+nodes with a dense Cholesky factorization.  Without an obstacle the active
+set is empty and the iteration is plain Newton.  The time loop starts each
+step from the inertial extrapolation 2 u_prev - u_prevprev projected onto
+u >= g.  H is positive definite whenever 1/tau^2 outweighs max(-W''); when
+it is not, the step raises SolverFailure.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
@@ -21,52 +31,38 @@ smoothed initialization is selected.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .errors import BlowupError, ConfigurationError, SolverFailure
 from .operators import OperatorSet
-from .potentials import LIPSCHITZ_RANGE, Potential
+from .potentials import Potential
 
 _AUTO_TOL_SCALE = 1e-9
-_DEFAULT_MAX_ITER = 50_000
-# Near the minimizer the true decrease of J drops below what double precision
-# resolves in a value of size |J|, while the gradient residual still carries
-# signal.  Proposals whose J ties within this slack are therefore accepted
-# when they also reduce the residual; without the tie rule the descent stalls
-# several orders of magnitude above tolerance.
-_TIE_SLACK = 1e-13
+_DEFAULT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    """Inner projected-gradient solver controls.
+    """Inner semismooth-Newton solver controls.
 
-    tol: absolute stopping threshold on the mass-weighted projected-gradient
-        norm; None resolves per step to 1e-9 * (1 + residual at warm start).
-    step0: initial step size; None resolves to tau^2 (plain gradient) or
-        1.0 (spectral preconditioning, where the natural step is unit).
-    precondition: "off" or "spectral"; spectral requires an obstacle-free run.
+    tol: absolute stopping threshold on the stationarity measure (the
+        mass-weighted projected-gradient norm, plus the dual-sign and
+        complementarity terms under an obstacle); None resolves per step to
+        1e-9 * (1 + residual at the first iterate).
+    max_iter: cap on Newton iterations per step.
     """
 
     tol: float | None = None
     max_iter: int = _DEFAULT_MAX_ITER
-    step0: float | None = None
-    grow: float = 1.2
-    shrink: float = 0.5
-    precondition: str = "off"
 
     def __post_init__(self):
         if self.tol is not None and not self.tol > 0:
             raise ConfigurationError("tol must be positive")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
-        if not (self.grow > 1.0 > self.shrink > 0.0):
-            raise ConfigurationError("need grow > 1 > shrink > 0")
-        if self.precondition not in ("off", "spectral"):
-            raise ConfigurationError(f"unknown preconditioner {self.precondition!r}")
 
 
 @dataclass
@@ -96,16 +92,10 @@ class SchemeConfig:
         if self.init_mode not in ("standard", "smoothed"):
             raise ConfigurationError(f"unknown init_mode {self.init_mode!r}")
         if self.obstacle is not None:
-            if self.potential.m != 1:
-                raise ConfigurationError("obstacle runs require a one-component potential")
             if np.shape(self.obstacle) != (nf,):
                 raise ConfigurationError(f"obstacle must have length {nf}")
             if np.any(self.u0 < self.obstacle):
                 raise ConfigurationError("u0 must satisfy u0 >= g at every node")
-            if self.solver.precondition != "off":
-                raise ConfigurationError(
-                    "spectral preconditioning and obstacle projection do not commute"
-                )
 
 
 class Trajectory:
@@ -148,7 +138,7 @@ class StepResult:
     iterations: int
     residual: float
     tol: float
-    j_path: tuple  # functional values along accepted iterates
+    j_path: tuple  # functional values at the Newton iterates
 
 
 def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
@@ -188,10 +178,17 @@ def _stationarity(ops, u, grad, obstacle) -> float:
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
                   warm_start=None) -> StepResult:
-    """Minimize the step functional from a feasible warm start.
+    """Minimize the step functional by semismooth Newton from a feasible
+    warm start (default u1).
 
-    Raises SolverFailure (carrying the best iterate) if max_iter is reached
-    above tolerance, and BlowupError on NaN in the functional or gradient.
+    Under an obstacle, a node is active when the linearized gradient would
+    push it below g, i.e. tau^2 * grad_j / m_j > u_j - g_j; active nodes are
+    pinned to g and the Newton system is solved on the rest.  Iterates are
+    projected onto u >= g, so every iterate is feasible.
+
+    Raises SolverFailure (carrying the iterate of least residual) if max_iter
+    is reached above tolerance or the Hessian on the inactive nodes is not
+    positive definite, and BlowupError on NaN in the functional or gradient.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
@@ -199,43 +196,52 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     if obstacle is not None and np.any(u < obstacle):
         raise ConfigurationError("warm start is infeasible for the obstacle")
 
-    j_cur, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
-    if not (np.isfinite(j_cur) and np.all(np.isfinite(grad))):
+    j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
+    if not (np.isfinite(j) and np.all(np.isfinite(grad))):
         raise BlowupError("non-finite functional or gradient at warm start")
     res = _stationarity(ops, u, grad, obstacle)
     tol = solver.tol if solver.tol is not None else _AUTO_TOL_SCALE * (1.0 + res)
 
-    spectral = solver.precondition == "spectral"
-    if spectral and obstacle is not None:
-        raise ConfigurationError("spectral preconditioning requires an obstacle-free step")
-    alpha = solver.step0 if solver.step0 is not None else (1.0 if spectral else tau**2)
-    scale = (1.0 / (1.0 / tau**2 + np.maximum(ops.lam, 0.0) ** ops.s)
-             if spectral else None)
-
+    best, best_res = u, res
     iters = 0
-    j_path = [j_cur]
+    j_path = [j]
     while res > tol:
         if iters >= solver.max_iter:
             raise SolverFailure(
                 f"no convergence in {solver.max_iter} iterations "
-                f"(residual {res:.3e} > tol {tol:.3e})",
-                best=u, residual=res, iterations=iters)
-        direction = ops.Phi @ (scale * (ops.Phi.T @ grad)) if spectral else grad
-        candidate = u - alpha * direction
+                f"(residual {best_res:.3e} > tol {tol:.3e})",
+                best=best, residual=best_res, iterations=iters)
+        hess = ops.M / tau**2 + ops.A_s
+        hess[np.diag_indices_from(hess)] += ops.lumps * potential.curvature(u)
+        rhs = -grad
         if obstacle is not None:
-            candidate = np.maximum(candidate, obstacle)
-        j_new, grad_new = _grad_and_value(ops, potential, candidate, u1, u2, tau)
-        if not (np.isfinite(j_new) and np.all(np.isfinite(grad_new))):
-            raise BlowupError("non-finite functional or gradient during descent")
+            # pin the active nodes to g: their rows and columns become identity
+            active = tau**2 * grad / ops.lumps > u - obstacle
+            pinned = obstacle[active] - u[active]
+            rhs -= hess[:, active] @ pinned
+            rhs[active] = pinned
+            hess[active] = 0.0
+            hess[:, active] = 0.0
+            hess[active, active] = 1.0
+        try:
+            factor = scipy.linalg.cho_factor(hess, overwrite_a=True,
+                                             check_finite=False)
+        except scipy.linalg.LinAlgError as exc:
+            raise SolverFailure(
+                "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
+                "definite; more time steps make the step functional convex",
+                best=best, residual=best_res, iterations=iters) from exc
+        u = u + scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        if obstacle is not None:
+            u = np.maximum(u, obstacle)
+        j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
+        if not (np.isfinite(j) and np.all(np.isfinite(grad))):
+            raise BlowupError("non-finite functional or gradient during Newton iteration")
         iters += 1
-        res_new = _stationarity(ops, candidate, grad_new, obstacle)
-        tie = j_new <= j_cur + _TIE_SLACK * (1.0 + abs(j_cur))
-        if j_new < j_cur or (tie and res_new <= res):
-            u, j_cur, grad, res = candidate, j_new, grad_new, res_new
-            alpha *= solver.grow
-            j_path.append(j_cur)
-        else:
-            alpha *= solver.shrink
+        res = _stationarity(ops, u, grad, obstacle)
+        j_path.append(j)
+        if res < best_res:
+            best, best_res = u, res
     return StepResult(u=u, iterations=iters, residual=res, tol=tol,
                       j_path=tuple(j_path))
 
@@ -281,13 +287,14 @@ def run(config: SchemeConfig) -> Trajectory:
     residuals = np.zeros(n)
     tols = np.zeros(n)
 
-    range_warned = False
     for i in range(1, n + 1):
+        start = 2.0 * states[i] - states[i - 1]
+        if config.obstacle is not None:
+            start = np.maximum(start, config.obstacle)
         try:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
-                obstacle=config.obstacle, solver=config.solver,
-                warm_start=states[i])
+                obstacle=config.obstacle, solver=config.solver, warm_start=start)
         except SolverFailure as exc:
             raise SolverFailure(f"step {i}: {exc}", best=exc.best,
                                 residual=exc.residual, iterations=exc.iterations,
@@ -298,12 +305,6 @@ def run(config: SchemeConfig) -> Trajectory:
         iterations[i - 1] = result.iterations
         residuals[i - 1] = result.residual
         tols[i - 1] = result.tol
-        if not range_warned and np.max(np.abs(result.u)) > LIPSCHITZ_RANGE:
-            warnings.warn(
-                "nodal values left [-2, 2]; the Lipschitz certificate of the "
-                "potential gradient no longer covers the iterates",
-                RuntimeWarning, stacklevel=2)
-            range_warned = True
     return Trajectory(config, tau, states, iterations, residuals, tols)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracwave import SchemeConfig, SolverParams, build_mesh, build_operators
+from fracwave import SchemeConfig, build_mesh, build_operators
 from fracwave.potentials import zero_potential
 
 
@@ -24,9 +24,7 @@ def eigenmode_config(ops, k=1, amp=1.0, T=1.0, n_steps=128, potential=None,
     return SchemeConfig(
         T=T, n_steps=n_steps, ops=ops,
         potential=potential if potential is not None else zero_potential(),
-        u0=u0, v0=v0,
-        solver=kwargs.pop("solver", SolverParams(precondition="spectral")),
-        **kwargs)
+        u0=u0, v0=v0, **kwargs)
 
 
 @pytest.fixture(scope="session")

@@ -8,8 +8,8 @@ import json
 import numpy as np
 import pytest
 
-from fracwave import (SchemeConfig, SolverParams, build_mesh, build_operators,
-                      run, seminorm_s, vi_residuals)
+from fracwave import (SchemeConfig, build_mesh, build_operators, run,
+                      seminorm_s, vi_residuals)
 from fracwave.cli import cmd_run, parse_config
 from fracwave.diagnostics import (check_gronwall_sequence, convergence_study,
                                   energy_drift, gl_energy_accounting,
@@ -50,11 +50,13 @@ def test_criterion_01_cosine_law(tmp_path):
     written = cmd_run(cfg, tmp_path / "out")
     rows = [line.split(",") for line in
             written["interface"].read_text().strip().splitlines()[1:]]
-    sampled = [(float(t), float(err)) for t, _, _, err in rows
-               if float(t) <= 0.3 + 1e-12]
-    worst = max(err for _, err in sampled)
-    report("01 cosine-law", len(sampled) >= 30 and worst <= 0.10,
-           f"{len(sampled)} samples on [0, 0.3], max |R - R0 cos(t/R0)|/R0 = {worst:.4f}")
+    errs = np.array([float(err) for t, _, _, err in rows if float(t) <= 0.3 + 1e-12])
+    # a sample without a crossing reads nan: the interface was lost there
+    lost = int(np.count_nonzero(~np.isfinite(errs)))
+    worst = float(np.max(errs))
+    report("01 cosine-law", errs.size >= 30 and lost == 0 and worst <= 0.10,
+           f"{errs.size} samples on [0, 0.3], {lost} without a crossing, "
+           f"max |R - R0 cos(t/R0)|/R0 = {worst:.4f}")
 
 
 def write_preset(tmp_path, payload):
@@ -100,8 +102,7 @@ def test_criterion_03_energy_conservation():
     deviations = {}
     for n in (128, 256, 512):
         cfg = SchemeConfig(T=1.0, n_steps=n, ops=ops, potential=double_well(),
-                           u0=u0.copy(), v0=v0.copy(), init_mode="smoothed",
-                           solver=SolverParams(precondition="spectral"))
+                           u0=u0.copy(), v0=v0.copy(), init_mode="smoothed")
         traj = run(cfg)
         deviations[n] = float(np.max(np.abs(traj.energies[:, 3]
                                             - traj.energies[0, 3])))
@@ -133,8 +134,7 @@ def test_criterion_05_oracle_semilinear():
     ops = make_line_ops(64, s=1.0)
     u0 = ops.Phi[:, 0] + 0.3 * ops.Phi[:, 2]
     cfg = SchemeConfig(T=1.0, n_steps=128, ops=ops, potential=double_well(),
-                       u0=u0, v0=np.zeros(ops.n_free),
-                       solver=SolverParams(precondition="spectral"))
+                       u0=u0, v0=np.zeros(ops.n_free))
     rep = convergence_study(cfg, [128, 256, 512])
     errs = rep.errors()
     report("05 oracle-semilinear",
@@ -229,8 +229,7 @@ def test_criterion_09_gl_energy_scaling():
         cfg = SchemeConfig(T=0.45, n_steps=900, ops=ops,
                            potential=gl_scaled(double_well(), eps),
                            u0=np.tanh((r0 - r) / (2 * eps)),
-                           v0=np.zeros(ops.n_free),
-                           solver=SolverParams(precondition="spectral"))
+                           v0=np.zeros(ops.n_free))
         traj = run(cfg)
         scaled, mm = gl_energy_accounting(traj, eps, ops)
         scaled0.append(float(scaled[0]))

@@ -127,7 +127,7 @@ class TestCmdRun:
         written = cmd_run(parse_config(path), tmp_path / "out")
         header, rows = read_csv(written["energy"])
         assert header == ["step", "t", "kinetic", "fractional", "potential",
-                          "total", "residual", "pg_iters"]
+                          "total", "residual", "iterations"]
         totals = {row[5] for row in rows}
         assert totals == {"0"}
 
@@ -174,6 +174,14 @@ class TestCmdRun:
         assert header == ["t", "measured_radius", "reference_radius", "rel_error"]
         assert float(rows[0][2]) == pytest.approx(0.4)
         assert all(float(r[3]) < 0.5 for r in rows)
+
+    def test_obstacle_preset_needs_few_newton_iterations(self, tmp_path):
+        path = write_config(tmp_path, {"preset": "obstacle_wave"})
+        written = cmd_run(parse_config(path), tmp_path / "out")
+        header, rows = read_csv(written["energy"])
+        iterations = [int(r[header.index("iterations")]) for r in rows[1:]]
+        assert len(iterations) == 256
+        assert max(iterations) <= 5
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, {"preset": "obstacle_wave", "n_steps": 16,
@@ -270,9 +278,20 @@ class TestMainExitCodes:
     def test_solver_failure_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": "eigenmode", "n_steps": 8,
                                        "n_cells": 8, "max_iter": 1,
+                                       "potential": "double_well",
                                        "precondition": "off"})
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "step 1" in capsys.readouterr().err
+
+    def test_non_convex_step_is_3(self, tmp_path, capsys):
+        path = write_config(tmp_path, {
+            "preset": "eigenmode", "n_cells": 8, "T": 1.0, "n_steps": 2,
+            "potential": "double_well", "gl_eps": 0.05, "u0_kind": "sine",
+            "u0_amp": 0.01})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "step 1" in err and "more time steps" in err
+        assert "Traceback" not in err
 
     def test_bad_n_list_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": "eigenmode"})

@@ -29,12 +29,6 @@ class TestValues:
         assert np.all(w.value(u) == 0.0)
         assert np.all(w.gradient(u) == 0.0)
 
-    def test_two_component_well_circle(self):
-        w = double_well(m=2)
-        theta = np.linspace(0, 2 * np.pi, 9)
-        pts = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        assert np.max(np.abs(w.value(pts))) < 1e-14
-
 
 class TestGradient:
     @pytest.mark.parametrize("pot", [zero_potential(), quadratic(2.5), double_well(),
@@ -52,18 +46,24 @@ class TestGradient:
         assert float(w.gradient(1.0)) == pytest.approx(0.0, abs=1e-15)
         assert float(w.gradient(-1.0)) == pytest.approx(0.0, abs=1e-15)
 
-    def test_two_component_matches_difference_quotients(self):
-        w = double_well(m=2)
-        rng = np.random.default_rng(1)
+
+class TestCurvature:
+    @pytest.mark.parametrize("pot", [zero_potential(), quadratic(2.5), double_well(),
+                                     gl_scaled(double_well(), 0.2)])
+    def test_matches_central_difference_of_gradient(self, pot):
+        rng = np.random.default_rng(43)
+        u = rng.uniform(-2, 2, 1000)
         h = 1e-6
-        for _ in range(200):
-            u = rng.uniform(-2, 2, 2)
-            grad = w.gradient(u)
-            for axis in range(2):
-                e = np.zeros(2)
-                e[axis] = h
-                fd = (w.value(u + e) - w.value(u - e)) / (2 * h)
-                assert abs(grad[axis] - fd) <= 1e-6 * (1 + abs(grad[axis]))
+        curv = pot.curvature(u)
+        fd = (pot.gradient(u + h) - pot.gradient(u - h)) / (2 * h)
+        assert curv.shape == u.shape
+        assert np.all(np.abs(curv - fd) <= 1e-6 * (1 + np.abs(curv)))
+
+    def test_double_well_minimum_at_origin(self):
+        # the bound 1/tau^2 > 6/eps^2 for a convex step rests on W'' >= -6
+        w = double_well()
+        assert w.curvature(0.0) == -6.0
+        assert np.all(w.curvature(np.linspace(-3, 3, 10001)) >= -6.0)
 
 
 class TestNonnegativityAndSymmetry:
@@ -80,47 +80,6 @@ class TestNonnegativityAndSymmetry:
         assert np.allclose(w.value(u), w.value(-u))
         assert np.allclose(np.abs(w.gradient(u)), np.abs(w.gradient(-u)))
 
-    def test_rotation_invariance_two_components(self):
-        w = double_well(m=2)
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            u = rng.uniform(-2, 2, 2)
-            ang = rng.uniform(0, 2 * np.pi)
-            rot = np.array([[np.cos(ang), -np.sin(ang)],
-                            [np.sin(ang), np.cos(ang)]])
-            assert w.value(rot @ u) == pytest.approx(w.value(u), rel=1e-12, abs=1e-13)
-            assert np.linalg.norm(w.gradient(rot @ u)) == pytest.approx(
-                np.linalg.norm(w.gradient(u)), rel=1e-12, abs=1e-13)
-
-
-class TestLipschitz:
-    def test_zero_and_quadratic_constants(self):
-        assert zero_potential().lipschitz_bound() == 0.0
-        assert quadratic(3.7).lipschitz_bound() == 3.7
-
-    def test_double_well_matches_sampled_curvature(self):
-        # independent oracle: difference quotients of the gradient on a fine grid
-        w = double_well()
-        x = np.linspace(-2, 2, 100_000)
-        h = 1e-5
-        curv = np.abs(w.gradient(x + h) - w.gradient(x - h)) / (2 * h)
-        assert w.lipschitz_bound() == pytest.approx(1.1 * curv.max(), rel=1e-4)
-
-    def test_scaling_divides_by_eps_squared(self):
-        w = double_well()
-        s = gl_scaled(w, 0.5)
-        assert s.lipschitz_bound() == pytest.approx(w.lipschitz_bound() / 0.25, rel=1e-14)
-
-    @pytest.mark.parametrize("pot", [quadratic(2.0), double_well(),
-                                     gl_scaled(double_well(), 0.3)])
-    def test_difference_quotients_never_exceed_bound(self, pot):
-        rng = np.random.default_rng(8)
-        bound = pot.lipschitz_bound()
-        x = rng.uniform(-2, 2, 1000)
-        y = rng.uniform(-2, 2, 1000)
-        quotient = np.abs(pot.gradient(x) - pot.gradient(y)) / np.maximum(np.abs(x - y), 1e-12)
-        assert np.all(quotient <= bound * (1 + 1e-9))
-
 
 class TestConstruction:
     def test_negative_quadratic_rejected(self):
@@ -134,12 +93,3 @@ class TestConstruction:
     def test_nested_scaling_rejected(self):
         with pytest.raises(ConfigurationError):
             gl_scaled(gl_scaled(double_well(), 0.1), 0.1)
-
-    def test_bad_component_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            double_well(m=3)
-
-    def test_component_shape_checked(self):
-        w = double_well(m=2)
-        with pytest.raises(ConfigurationError):
-            w.value(np.zeros(3))

@@ -5,7 +5,7 @@ from fracwave import (BlowupError, ConfigurationError, SchemeConfig,
                       SolverFailure, SolverParams, el_residual, energy,
                       eval_interpolants, minimize_step, run, step_functional,
                       vi_residuals)
-from fracwave.potentials import double_well, zero_potential
+from fracwave.potentials import double_well, gl_scaled, zero_potential
 from fracwave.stepper import effective_v0
 
 from conftest import eigenmode_config, make_line_ops
@@ -17,12 +17,6 @@ class TestSolverParams:
             SolverParams(tol=0.0)
         with pytest.raises(ConfigurationError):
             SolverParams(max_iter=0)
-        with pytest.raises(ConfigurationError):
-            SolverParams(grow=0.9)
-        with pytest.raises(ConfigurationError):
-            SolverParams(shrink=1.5)
-        with pytest.raises(ConfigurationError):
-            SolverParams(precondition="magic")
 
 
 class TestStepFunctional:
@@ -70,8 +64,7 @@ class TestMinimizeStep:
         a0, a1 = 0.4, 0.9
         u2 = a0 * ops.Phi[:, k - 1]
         u1 = a1 * ops.Phi[:, k - 1]
-        res = minimize_step(ops, zero_potential(), u1, u2, tau,
-                            solver=SolverParams(precondition="spectral"))
+        res = minimize_step(ops, zero_potential(), u1, u2, tau)
         expected = (2 * a1 - a0) / (1 + tau**2 * ops.lam[k - 1]**s)
         coeff = ops.Phi[:, k - 1] @ (ops.M @ res.u)
         assert abs(coeff - expected) <= 10 * res.tol
@@ -92,7 +85,7 @@ class TestMinimizeStep:
         z = np.zeros(ops64.n_free)
         u1 = ops64.Phi[:, 0]
         with pytest.raises(SolverFailure) as exc_info:
-            minimize_step(ops64, zero_potential(), u1, z, 0.01,
+            minimize_step(ops64, double_well(), u1, z, 0.01,
                           solver=SolverParams(max_iter=1))
         failure = exc_info.value
         assert failure.best is not None
@@ -186,13 +179,9 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(SchemeConfig(T=1.0, n_steps=8, ops=ops64, potential=zero_potential(),
                              u0=-np.ones(ops64.n_free), v0=z, obstacle=g))
-        with pytest.raises(ConfigurationError):
-            run(SchemeConfig(T=1.0, n_steps=8, ops=ops64, potential=zero_potential(),
-                             u0=np.ones(ops64.n_free), v0=z, obstacle=g,
-                             solver=SolverParams(precondition="spectral")))
 
     def test_solver_failure_reports_step(self, ops64):
-        cfg = eigenmode_config(ops64, k=1, n_steps=8,
+        cfg = eigenmode_config(ops64, k=1, n_steps=8, potential=double_well(),
                                solver=SolverParams(max_iter=1))
         with pytest.raises(SolverFailure) as exc_info:
             run(cfg)
@@ -208,11 +197,20 @@ class TestRun:
             run(cfg)
         assert exc_info.value.step == 1
 
-    def test_range_warning_once(self, ops64):
-        cfg = eigenmode_config(ops64, k=1, amp=2.5, n_steps=8,
-                               potential=double_well())
-        with pytest.warns(RuntimeWarning, match="Lipschitz"):
+    def test_non_convex_step_reports_step_and_best_iterate(self):
+        # tau = 1/2 against eps = 0.05: M/tau^2 cannot outweigh W''(0)/eps^2
+        ops = make_line_ops(8)
+        x = ops.mesh.nodes[ops.mesh.free]
+        cfg = SchemeConfig(T=1.0, n_steps=2, ops=ops,
+                           potential=gl_scaled(double_well(), 0.05),
+                           u0=0.01 * np.sin(np.pi * x), v0=np.zeros(ops.n_free))
+        with pytest.raises(SolverFailure, match="more time steps") as exc_info:
             run(cfg)
+        failure = exc_info.value
+        assert failure.step == 1
+        assert "step 1" in str(failure)
+        assert failure.best is not None
+        assert failure.best.shape == (ops.n_free,)
 
 
 class TestSmoothedInit:
@@ -342,7 +340,7 @@ class TestResiduals:
         z = np.zeros(ops64.n_free)
         u1 = ops64.Phi[:, 0]
         try:
-            minimize_step(ops64, zero_potential(), u1, z, 0.01,
+            minimize_step(ops64, double_well(), u1, z, 0.01,
                           solver=SolverParams(max_iter=1), warm_start=z)
         except SolverFailure as failure:
             assert failure.residual > 1e-9 * (1 + failure.residual)
@@ -365,7 +363,7 @@ class TestResiduals:
 
     def test_explicit_tolerance_respected(self, ops64):
         cfg = eigenmode_config(ops64, k=1, n_steps=16,
-                               solver=SolverParams(tol=1e-6, precondition="spectral"))
+                               solver=SolverParams(tol=1e-6))
         traj = run(cfg)
         assert np.all(traj.tols == 1e-6)
         assert np.all(traj.residuals <= 1e-6)
