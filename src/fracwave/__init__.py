@@ -7,9 +7,9 @@ instruments (`diagnostics`), and a batch CLI (`cli`).
 """
 
 from .errors import BlowupError, ConfigurationError, NumericError, SolverFailure
-from .operators import (Mesh1D, OperatorSet, assemble_forms, build_mesh,
-                        build_operators, fractional_apply, poincare_constant,
-                        seminorm_s, spectral_decompose)
+from .operators import (Mesh1D, OperatorSet, build_mesh, build_operators,
+                        fractional_apply, poincare_constant, seminorm_s,
+                        spectral_decompose)
 from .potentials import (DoubleWellPotential, Potential, QuadraticPotential,
                          ScaledPotential, ZeroPotential, double_well,
                          gl_scaled, quadratic, zero_potential)

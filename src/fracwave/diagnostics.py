@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .operators import Mesh1D, OperatorSet
-from .stepper import (SchemeConfig, Trajectory, _el_residual_vector,
-                      effective_v0, run)
+from .stepper import (SchemeConfig, Trajectory, _grad_and_value, effective_v0,
+                      run)
 
 _GRONWALL_SLACK = 1e-12
 
@@ -324,7 +324,8 @@ def no_contact_check(traj: Trajectory, g: np.ndarray, delta: float):
         return mask, 0.0
     worst = 0.0
     for i in range(1, traj.n_steps + 1):
-        r = _el_residual_vector(ops, traj.config.potential, traj, i)
+        r = _grad_and_value(ops, traj.config.potential, traj.u(i), traj.u(i - 1),
+                            traj.u(i - 2), traj.tau)[1]
         val = float(np.sqrt(np.sum(r[mask] ** 2 / ops.lumps[mask])))
         worst = max(worst, val)
     return mask, worst

@@ -4,22 +4,22 @@ Piecewise-linear elements on an interval, optionally carrying the radial
 volume weight r**(d-1) so that radially symmetric problems in d ambient
 dimensions reduce to one dimension.  Mass and stiffness forms are assembled
 over the unconstrained ("free") nodes; fixed endpoint values enter through a
-precomputed load offset.  Fractional powers of the operator are spectral:
-with the generalized eigenpairs K phi = lambda M phi (M-orthonormal), the
-order-s stiffness is A_s = (M Phi) Lambda**s (M Phi)^T, which reproduces
-A_0 = M and A_1 = K exactly up to round-off.
+precomputed load offset.  The order-s stiffness A_s is the assembled form
+itself at the endpoints, A_0 = M and A_1 = K.  Between them it is spectral:
+with the generalized eigenpairs K phi = lambda M phi (M-orthonormal),
+A_s = (M Phi) Lambda**s (M Phi)^T, which reproduces both endpoints up to
+round-off.  The eigenpairs are computed only where something reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import ConfigurationError, NumericError
-
-_EIG_RESIDUAL_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -117,36 +117,29 @@ def build_mesh(a, b, n_cells, geometry="line", dim=1,
 def _assemble_all_nodes(mesh: Mesh1D):
     """Mass and stiffness over all nodes, Gauss quadrature exact for the
     polynomial weight against piecewise-linear products."""
-    n = mesh.nodes.size
-    mass = np.zeros((n, n))
-    stiff = np.zeros((n, n))
-    npts = max(2, (mesh.dim + 3) // 2)
-    gx, gw = np.polynomial.legendre.leggauss(npts)
-    for c in range(n - 1):
-        xl, xr = mesh.nodes[c], mesh.nodes[c + 1]
-        h = xr - xl
-        x = 0.5 * (xl + xr) + 0.5 * h * gx
-        w = 0.5 * h * gw * mesh.weight(x)
-        wsum = w.sum()
-        phi0 = (xr - x) / h
-        phi1 = (x - xl) / h
-        mass[c, c] += w @ (phi0 * phi0)
-        mass[c + 1, c + 1] += w @ (phi1 * phi1)
-        cross = w @ (phi0 * phi1)
-        mass[c, c + 1] += cross
-        mass[c + 1, c] += cross
-        stiff[c, c] += wsum / h**2
-        stiff[c + 1, c + 1] += wsum / h**2
-        stiff[c, c + 1] -= wsum / h**2
-        stiff[c + 1, c] -= wsum / h**2
-    return mass, stiff
+    gx, gw = np.polynomial.legendre.leggauss(max(2, (mesh.dim + 3) // 2))
+    xl, xr = mesh.nodes[:-1, None], mesh.nodes[1:, None]
+    h = xr - xl
+    x = 0.5 * (xl + xr) + 0.5 * h * gx          # (cells, points)
+    w = 0.5 * h * gw * mesh.weight(x)
+    phi0 = (xr - x) / h
+    phi1 = (x - xl) / h
+    mass = _tridiagonal(np.sum(w * (phi0 * phi0), axis=1),
+                        np.sum(w * (phi0 * phi1), axis=1),
+                        np.sum(w * (phi1 * phi1), axis=1))
+    k = np.sum(w, axis=1) / h[:, 0] ** 2
+    return mass, _tridiagonal(k, -k, k)
 
 
-def assemble_forms(mesh: Mesh1D):
-    """Free-node mass and stiffness forms (tridiagonal, symmetric)."""
-    mass, stiff = _assemble_all_nodes(mesh)
-    free = mesh.free
-    return mass[np.ix_(free, free)], stiff[np.ix_(free, free)]
+def _tridiagonal(left, cross, right):
+    """Sum of the cell blocks [[left, cross], [cross, right]] at nodes c, c+1."""
+    c = np.arange(left.size)
+    out = np.zeros((c.size + 1, c.size + 1))
+    out[c, c] += left
+    out[c + 1, c + 1] += right
+    out[c, c + 1] = cross
+    out[c + 1, c] = cross
+    return out
 
 
 def spectral_decompose(M: np.ndarray, K: np.ndarray):
@@ -155,6 +148,23 @@ def spectral_decompose(M: np.ndarray, K: np.ndarray):
     Returns (lam, Phi) with lam ascending and Phi^T M Phi = identity.
     Eigenvector signs are fixed so the largest-magnitude entry is positive,
     which keeps runs reproducible across invocations.
+
+    Every pair must satisfy the backward-error bound
+
+        |K phi_k - lam_k M phi_k| <= n u (|K|_1 + |lam_k| |M|_1) |phi_k|,
+
+    with u the unit round-off and n the order.  eigh reduces the pencil by
+    the Cholesky factor of M and solves the reduced symmetric problem by
+    orthogonal transformations, both backward stable: each computed pair is
+    an exact pair of a nearby pencil (K + E, M + F) with |E| <= p(n) u |K|
+    and |F| <= p(n) u |M|, p a modest function of n (LAPACK Users' Guide,
+    sec. 4.10).  The residual then equals -E phi + lam F phi, at most
+    p(n) u (|K| + |lam| |M|) |phi|; the 2-norm of a symmetric matrix is at
+    most its 1-norm, and the rounding of the tridiagonal products that form
+    the residual is of the same order.  The check takes p(n) = n and
+    u = 2**-53; measured worst residuals sit 8x (line, 100 cells) to 300x
+    (radial, 2,400 cells) below it, while a corrupted pair exceeds it by
+    orders of magnitude.
     """
     try:
         lam, phi = scipy.linalg.eigh(K, M)
@@ -164,34 +174,34 @@ def spectral_decompose(M: np.ndarray, K: np.ndarray):
         j = int(np.argmax(np.abs(phi[:, k])))
         if phi[j, k] < 0:
             phi[:, k] = -phi[:, k]
-    resid = K @ phi - (M @ phi) * lam
-    scale = (np.linalg.norm(K @ phi, axis=0)
-             + (1.0 + np.abs(lam)) * np.linalg.norm(M @ phi, axis=0))
-    worst = float(np.max(np.linalg.norm(resid, axis=0) / scale))
-    if worst > _EIG_RESIDUAL_TOL:
+    resid = np.linalg.norm(K @ phi - (M @ phi) * lam, axis=0)
+    bound = (lam.size * np.finfo(float).eps / 2.0
+             * (np.linalg.norm(K, 1) + np.abs(lam) * np.linalg.norm(M, 1))
+             * np.linalg.norm(phi, axis=0))
+    worst = float(np.max(resid / bound))
+    if worst > 1.0:
         raise NumericError(
-            f"eigenpair residual {worst:.3e} exceeds {_EIG_RESIDUAL_TOL:.1e}"
-        )
+            f"eigenpair residual is {worst:.3e} times its backward-error bound")
     return lam, phi
 
 
 @dataclass(frozen=True)
 class OperatorSet:
-    """Assembled forms, spectrum, and fractional stiffness for one mesh.
+    """Assembled forms and order-s stiffness for one mesh.
 
-    Immutable after construction; shared freely across runs.  lift_load and
-    lift_const carry the coupling of free nodes to fixed endpoint values
-    (both zero when the Dirichlet data vanish); they use the local (order-1)
-    stiffness and are only exercised with s = 1 in practice.
+    Immutable after construction; shared freely across runs.  A_s is K at
+    s = 1 and M at s = 0, with no eigensolve; at fractional s,
+    build_operators forms it from the spectrum.  The spectrum (lam, Phi) is
+    computed on first use and kept.  lift_load and lift_const carry the
+    coupling of free nodes to fixed endpoint values through the order-1
+    stiffness, so build_operators admits nonzero Dirichlet data only at
+    s = 1; both are zero when the data vanish.
     """
 
     mesh: Mesh1D
     M: np.ndarray
     K: np.ndarray
-    lam: np.ndarray
-    Phi: np.ndarray
     s: float
-    A_s: np.ndarray
     lumps: np.ndarray
     lift_load: np.ndarray
     lift_const: float
@@ -200,6 +210,29 @@ class OperatorSet:
     @property
     def n_free(self) -> int:
         return self.M.shape[0]
+
+    @cached_property
+    def _spectrum(self):
+        return spectral_decompose(self.M, self.K)
+
+    @property
+    def lam(self) -> np.ndarray:
+        """Generalized eigenvalues of (K, M), ascending."""
+        return self._spectrum[0]
+
+    @property
+    def Phi(self) -> np.ndarray:
+        """M-orthonormal eigenvectors, one per column of lam's order."""
+        return self._spectrum[1]
+
+    @cached_property
+    def A_s(self) -> np.ndarray:
+        """Order-s stiffness: K at s = 1, M at s = 0, else the spectral power."""
+        if self.s in (0.0, 1.0):
+            return self.K if self.s else self.M
+        mphi = self.M @ self.Phi
+        a_s = (mphi * np.maximum(self.lam, 0.0) ** self.s) @ mphi.T
+        return 0.5 * (a_s + a_s.T)
 
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
         """M^{-1} r via the cached Cholesky factor.
@@ -211,8 +244,14 @@ class OperatorSet:
 
 
 def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
+    """Forms, lift and A_s for order s.  Nonzero Dirichlet data need s = 1,
+    the only order whose lift the order-1 stiffness gives."""
     if s < 0:
         raise ConfigurationError("fractional order s must be >= 0")
+    if s != 1 and any(g not in (None, 0.0) for g in mesh.dirichlet):
+        raise ConfigurationError(
+            f"Dirichlet data {mesh.dirichlet} need s = 1, got s = {s}: the "
+            "lift of nonzero boundary values uses the order-1 stiffness")
     mass_all, stiff_all = _assemble_all_nodes(mesh)
     free = mesh.free
     constrained = np.setdiff1d(np.arange(mesh.nodes.size), free)
@@ -228,18 +267,15 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     else:
         lift_load = np.zeros(free.size)
         lift_const = 0.0
-    lam, phi = spectral_decompose(M, K)
-    mphi = M @ phi
-    a_s = (mphi * np.maximum(lam, 0.0) ** s) @ mphi.T
-    a_s = 0.5 * (a_s + a_s.T)
     # nodal quadrature weights: the full hat integrals int phi_j w dx, so the
     # lumped measure equals the domain measure minus the constrained-node lumps
     lumps = mass_all.sum(axis=1)[free]
-    return OperatorSet(
-        mesh=mesh, M=M, K=K, lam=lam, Phi=phi, s=float(s), A_s=a_s,
-        lumps=lumps, lift_load=lift_load, lift_const=float(lift_const),
-        mass_chol=scipy.linalg.cho_factor(M),
+    ops = OperatorSet(
+        mesh=mesh, M=M, K=K, s=float(s), lumps=lumps, lift_load=lift_load,
+        lift_const=float(lift_const), mass_chol=scipy.linalg.cho_factor(M),
     )
+    ops.A_s   # fractional s: the eigensolve belongs to setup, not to the first step
+    return ops
 
 
 def fractional_apply(ops: OperatorSet, u: np.ndarray) -> np.ndarray:

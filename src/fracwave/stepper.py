@@ -40,7 +40,8 @@ from .errors import BlowupError, ConfigurationError, SolverFailure
 from .operators import OperatorSet
 from .potentials import Potential
 
-_AUTO_TOL_SCALE = 1e-9
+_AUTO_TOL_FLOOR = 1e-9
+_AUTO_TOL_ROUNDOFF = 2.0 * np.finfo(float).eps
 _DEFAULT_MAX_ITER = 100
 
 
@@ -51,7 +52,11 @@ class SolverParams:
     tol: absolute stopping threshold on the stationarity measure (the
         mass-weighted projected-gradient norm, plus the dual-sign and
         complementarity terms under an obstacle); None resolves per step to
-        1e-9 * (1 + residual at the first iterate).
+        1e-9 + 2 eps |2 u_prev - u_prevprev|_M / tau^2, with eps the
+        machine epsilon.  The second term is twice the round-off floor of
+        the residual, whose inertial part M (u - 2 u_prev + u_prevprev) /
+        tau^2 cancels terms of that size; neither term depends on the warm
+        start, so every start of a step is held to the same tolerance.
     max_iter: cap on Newton iterations per step.
     """
 
@@ -175,16 +180,28 @@ def _stationarity(ops, u, grad, obstacle) -> float:
     return max(pg_norm, dual_violation, compl)
 
 
+def _newton_matrices(ops: OperatorSet, tau: float):
+    """(M / tau^2 + A_s, buffer): the loop-invariant part of the step
+    Hessian, and a Fortran-ordered buffer in which each Newton matrix is
+    built and factored in place.  Reusing both across a run keeps the time
+    loop from allocating, and page-faulting in, an n x n array per
+    iteration; Fortran order lets Cholesky factor without a copy."""
+    base = np.asfortranarray(ops.M / tau**2 + ops.A_s)
+    return base, np.empty_like(base)
+
+
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
-                  warm_start=None) -> StepResult:
+                  warm_start=None, newton: tuple | None = None) -> StepResult:
     """Minimize the step functional by semismooth Newton from a feasible
     warm start (default u1).
 
     Under an obstacle, a node is active when the linearized gradient would
     push it below g, i.e. tau^2 * grad_j / m_j > u_j - g_j; active nodes are
     pinned to g and the Newton system is solved on the rest.  Iterates are
-    projected onto u >= g, so every iterate is feasible.
+    projected onto u >= g, so every iterate is feasible.  `newton` is the
+    pair from _newton_matrices that run shares across steps; formed here
+    when None.
 
     Raises SolverFailure (carrying the iterate of least residual) if max_iter
     is reached above tolerance or the Hessian on the inactive nodes is not
@@ -195,12 +212,17 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
     if obstacle is not None and np.any(u < obstacle):
         raise ConfigurationError("warm start is infeasible for the obstacle")
+    base, hess = newton if newton is not None else _newton_matrices(ops, tau)
 
     j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
     if not (np.isfinite(j) and np.all(np.isfinite(grad))):
         raise BlowupError("non-finite functional or gradient at warm start")
     res = _stationarity(ops, u, grad, obstacle)
-    tol = solver.tol if solver.tol is not None else _AUTO_TOL_SCALE * (1.0 + res)
+    tol = solver.tol
+    if tol is None:
+        inertia = 2.0 * u1 - u2
+        tol = (_AUTO_TOL_FLOOR + _AUTO_TOL_ROUNDOFF / tau**2
+               * float(np.sqrt(max(inertia @ (ops.M @ inertia), 0.0))))
 
     best, best_res = u, res
     iters = 0
@@ -211,15 +233,17 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                 f"no convergence in {solver.max_iter} iterations "
                 f"(residual {best_res:.3e} > tol {tol:.3e})",
                 best=best, residual=best_res, iterations=iters)
-        hess = ops.M / tau**2 + ops.A_s
+        np.copyto(hess, base)
         hess[np.diag_indices_from(hess)] += ops.lumps * potential.curvature(u)
         rhs = -grad
         if obstacle is not None:
-            # pin the active nodes to g: their rows and columns become identity
+            # pin the active nodes to g: their rows and columns become identity;
+            # a full matvec moves the pinned columns to the right-hand side
+            # without gathering them into a new n x k array
             active = tau**2 * grad / ops.lumps > u - obstacle
-            pinned = obstacle[active] - u[active]
-            rhs -= hess[:, active] @ pinned
-            rhs[active] = pinned
+            pinned = np.where(active, obstacle - u, 0.0)
+            rhs -= hess @ pinned
+            rhs[active] = pinned[active]
             hess[active] = 0.0
             hess[:, active] = 0.0
             hess[active, active] = 1.0
@@ -286,6 +310,7 @@ def run(config: SchemeConfig) -> Trajectory:
     iterations = np.zeros(n, dtype=int)
     residuals = np.zeros(n)
     tols = np.zeros(n)
+    newton = _newton_matrices(ops, tau)
 
     for i in range(1, n + 1):
         start = 2.0 * states[i] - states[i - 1]
@@ -294,7 +319,8 @@ def run(config: SchemeConfig) -> Trajectory:
         try:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
-                obstacle=config.obstacle, solver=config.solver, warm_start=start)
+                obstacle=config.obstacle, solver=config.solver, warm_start=start,
+                newton=newton)
         except SolverFailure as exc:
             raise SolverFailure(f"step {i}: {exc}", best=exc.best,
                                 residual=exc.residual, iterations=exc.iterations,
@@ -341,12 +367,6 @@ def eval_interpolants(traj: Trajectory, t: float):
     return u_bar, u_lin, traj.v(i)
 
 
-def _el_residual_vector(ops, potential, traj, i):
-    u, u1, u2 = traj.u(i), traj.u(i - 1), traj.u(i - 2)
-    return (ops.M @ (u - 2.0 * u1 + u2) / traj.tau**2
-            + ops.A_s @ u + ops.lift_load + ops.lumps * potential.gradient(u))
-
-
 def el_residual(ops: OperatorSet, potential: Potential, traj: Trajectory,
                 i: int) -> float:
     """Mass-weighted norm of the discrete Euler-Lagrange residual at step i.
@@ -355,7 +375,8 @@ def el_residual(ops: OperatorSet, potential: Potential, traj: Trajectory,
     """
     if not 1 <= i <= traj.n_steps:
         raise ConfigurationError(f"step index {i} out of range")
-    r = _el_residual_vector(ops, potential, traj, i)
+    r = _grad_and_value(ops, potential, traj.u(i), traj.u(i - 1), traj.u(i - 2),
+                        traj.tau)[1]
     return float(np.sqrt(max(r @ ops.solve_mass(r), 0.0)))
 
 
@@ -369,7 +390,8 @@ def vi_residuals(ops: OperatorSet, potential: Potential, traj: Trajectory,
     """
     if not 1 <= i <= traj.n_steps:
         raise ConfigurationError(f"step index {i} out of range")
-    r = _el_residual_vector(ops, potential, traj, i)
+    r = _grad_and_value(ops, potential, traj.u(i), traj.u(i - 1), traj.u(i - 2),
+                        traj.tau)[1]
     min_dual = float(np.min(r / ops.lumps))
     complementarity = abs(float(r @ (traj.u(i) - g)))
     return min_dual, complementarity

@@ -244,12 +244,16 @@ def test_criterion_09_gl_energy_scaling():
 def test_criterion_10_operator_identities():
     checks = []
     for n in (8, 64):
-        ops1 = make_line_ops(n, s=1.0)
-        checks.append(np.max(np.abs(ops1.A_s - ops1.K))
-                      <= 1e-10 * np.max(np.abs(ops1.K)))
-        ops0 = make_line_ops(n, s=0.0)
-        checks.append(np.max(np.abs(ops0.A_s - ops0.M))
-                      <= 1e-10 * np.max(np.abs(ops0.M)))
+        # A_s is the assembled form at s in {0, 1}; the spectral power of the
+        # same pair must reproduce it
+        for s, form in ((1.0, "K"), (0.0, "M")):
+            ops = make_line_ops(n, s=s)
+            target = getattr(ops, form)
+            mphi = ops.M @ ops.Phi
+            power = (mphi * ops.lam**s) @ mphi.T
+            checks.append(ops.A_s is target)
+            checks.append(np.max(np.abs(power - target))
+                          <= 1e-10 * np.max(np.abs(target)))
         oph = make_line_ops(n, s=0.5)
         comp = oph.A_s @ np.linalg.solve(oph.M, oph.A_s)
         checks.append(np.max(np.abs(comp - oph.K)) <= 1e-10 * np.max(np.abs(oph.K)))

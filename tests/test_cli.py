@@ -275,6 +275,12 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    def test_dirichlet_data_at_fractional_order_is_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"preset": "gl_interface", "s": 0.5})
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "s = 0.5" in err and "Dirichlet" in err
+
     def test_solver_failure_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": "eigenmode", "n_steps": 8,
                                        "n_cells": 8, "max_iter": 1,

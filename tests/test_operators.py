@@ -1,11 +1,45 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fracwave import (ConfigurationError, assemble_forms, build_mesh,
-                      build_operators, fractional_apply, poincare_constant,
-                      seminorm_s, spectral_decompose)
+from fracwave import (ConfigurationError, Mesh1D, NumericError, SchemeConfig,
+                      build_mesh, build_operators, fractional_apply,
+                      poincare_constant, run, seminorm_s, spectral_decompose)
+from fracwave import operators
+from fracwave.potentials import zero_potential
 
 from conftest import make_line_ops, make_radial_ops
+
+
+def forms(mesh):
+    ops = build_operators(mesh, 1.0)
+    return ops.M, ops.K
+
+
+def cell_loop_forms(mesh):
+    """Reference assembly, one cell at a time."""
+    n = mesh.nodes.size
+    mass = np.zeros((n, n))
+    stiff = np.zeros((n, n))
+    gx, gw = np.polynomial.legendre.leggauss(max(2, (mesh.dim + 3) // 2))
+    for c in range(n - 1):
+        xl, xr = mesh.nodes[c], mesh.nodes[c + 1]
+        h = xr - xl
+        x = 0.5 * (xl + xr) + 0.5 * h * gx
+        w = 0.5 * h * gw * mesh.weight(x)
+        phi0 = (xr - x) / h
+        phi1 = (x - xl) / h
+        block = np.array([[w @ (phi0 * phi0), w @ (phi0 * phi1)],
+                          [w @ (phi0 * phi1), w @ (phi1 * phi1)]])
+        mass[c:c + 2, c:c + 2] += block
+        stiff[c:c + 2, c:c + 2] += w.sum() / h**2 * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    return mass, stiff
+
+
+def spectral_power(ops, s):
+    """(M Phi) Lambda^s (M Phi)^T from the operator set's own spectrum."""
+    mphi = ops.M @ ops.Phi
+    return (mphi * np.maximum(ops.lam, 0.0) ** s) @ mphi.T
 
 
 class TestBuildMesh:
@@ -63,7 +97,7 @@ class TestAssembleForms:
         # hand integration: K = (1/h) tridiag(-1, 2, -1), M = (h/6) tridiag(1, 4, 1)
         h = 0.25
         mesh = build_mesh(0, 1, 4, dirichlet=(0.0, 0.0))
-        M, K = assemble_forms(mesh)
+        M, K = forms(mesh)
         assert np.allclose(np.diag(K), 2.0 / h)
         assert np.allclose(np.diag(K, 1), -1.0 / h)
         assert np.allclose(np.diag(M), 4.0 * h / 6.0)
@@ -73,20 +107,29 @@ class TestAssembleForms:
         # partition of unity: sum_ij M_ij = int_0^R r dr = R^2 / 2
         for rbar in (1.0, 2.5):
             mesh = build_mesh(0, rbar, 16, geometry="radial", dim=2)
-            M, _ = assemble_forms(mesh)
+            M, _ = forms(mesh)
             assert M.sum() == pytest.approx(rbar**2 / 2.0, rel=1e-13)
 
     def test_stiffness_annihilates_constants_without_constraints(self):
         mesh = build_mesh(0, 1, 8)
-        _, K = assemble_forms(mesh)
+        _, K = forms(mesh)
         assert np.max(np.abs(K @ np.ones(9))) < 1e-13
 
     def test_forms_tridiagonal_and_symmetric(self):
         mesh = build_mesh(0, 1, 8, geometry="radial", dim=3)
-        M, K = assemble_forms(mesh)
+        M, K = forms(mesh)
         for A in (M, K):
             assert np.allclose(A, A.T)
             assert np.max(np.abs(np.triu(A, 2))) == 0.0
+
+    @pytest.mark.parametrize("geometry,dim", [("line", 1), ("radial", 2), ("radial", 3)])
+    def test_matches_cell_loop(self, geometry, dim):
+        # the vectorized pass sums each cell's quadrature points in another
+        # order than the loop's dot products: a few ulps of the largest entry
+        nodes = np.concatenate(([0.0], np.sort(np.random.default_rng(4).uniform(0, 2, 40)), [2.0]))
+        mesh = Mesh1D(nodes=nodes, geometry=geometry, dim=dim)
+        for got, ref in zip(forms(mesh), cell_loop_forms(mesh)):
+            assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
 class TestSpectralDecompose:
@@ -121,7 +164,7 @@ class TestSpectralDecompose:
 
     def test_standalone_call_on_assembled_forms(self):
         mesh = build_mesh(0, 1, 12, dirichlet=(0.0, 0.0))
-        M, K = assemble_forms(mesh)
+        M, K = forms(mesh)
         lam, phi = spectral_decompose(M, K)
         assert lam.shape == (11,)
         assert np.allclose(phi.T @ M @ phi, np.eye(11), atol=1e-12)
@@ -129,14 +172,70 @@ class TestSpectralDecompose:
         for k in range(11):
             assert phi[np.argmax(np.abs(phi[:, k])), k] > 0
 
+    def test_large_line_mesh_passes_the_backward_error_bound(self):
+        # a fixed 1e-10 relative bound rejected this mesh (residual 3.13e-10)
+        ops = make_line_ops(1000, s=0.5)
+        assert ops.lam.size == 999
+        assert np.allclose(ops.A_s, ops.A_s.T)
+
+    def test_corrupted_eigenpair_rejected(self, monkeypatch):
+        eigh = scipy.linalg.eigh
+
+        def corrupted(K, M):
+            lam, phi = eigh(K, M)
+            phi[:, 3] += 1e-9 * phi[:, 4]
+            return lam, phi
+
+        monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
+        mesh = build_mesh(0, 1, 32, dirichlet=(0.0, 0.0))
+        with pytest.raises(NumericError, match="backward-error bound"):
+            build_operators(mesh, 0.5)
+
+    def test_spectrum_is_the_decomposition_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(M, K):
+            calls.append(1)
+            return spectral_decompose(M, K)
+
+        monkeypatch.setattr(operators, "spectral_decompose", counted)
+        for s, builds in ((1.0, 0), (0.0, 0), (0.5, 1)):
+            calls.clear()
+            ops = make_line_ops(16, s=s)
+            assert len(calls) == builds
+            lam, phi = spectral_decompose(ops.M, ops.K)
+            assert np.array_equal(ops.lam, lam) and np.array_equal(ops.Phi, phi)
+            assert len(calls) == 1
+
+    def test_no_eigensolve_at_s_one(self, monkeypatch):
+        # this mesh is past the size where a fixed 1e-10 eigen-residual bound
+        # failed; at s = 1 nothing reads the spectrum, so none is computed
+        def refuse(M, K):
+            raise AssertionError("spectral_decompose called at s = 1")
+
+        monkeypatch.setattr(operators, "spectral_decompose", refuse)
+        ops = make_radial_ops(2000, s=1.0)
+        assert ops.A_s is ops.K
+        r = ops.mesh.nodes[ops.mesh.free]
+        cfg = SchemeConfig(T=0.003, n_steps=3, ops=ops, potential=zero_potential(),
+                           u0=np.tanh((0.4 - r) / 0.1), v0=np.zeros(ops.n_free))
+        traj = run(cfg)
+        assert np.all(np.isfinite(traj.states))
+
 
 class TestFractionalOperator:
     def test_endpoint_identities(self):
-        for maker in (make_line_ops, make_radial_ops):
+        # A_s is the assembled form at s in {0, 1}; the spectral power must
+        # reproduce it
+        for maker in (make_line_ops, lambda n, s: make_radial_ops(n, s=s, right=0.0)):
             ops1 = maker(16, s=1.0)
-            assert np.allclose(ops1.A_s, ops1.K, rtol=1e-10, atol=1e-10 * np.abs(ops1.K).max())
+            assert ops1.A_s is ops1.K
+            assert np.allclose(spectral_power(ops1, 1.0), ops1.K, rtol=1e-10,
+                               atol=1e-10 * np.abs(ops1.K).max())
             ops0 = maker(16, s=0.0)
-            assert np.allclose(ops0.A_s, ops0.M, rtol=1e-10, atol=1e-10 * np.abs(ops0.M).max())
+            assert ops0.A_s is ops0.M
+            assert np.allclose(spectral_power(ops0, 0.0), ops0.M, rtol=1e-10,
+                               atol=1e-10 * np.abs(ops0.M).max())
 
     def test_endpoint_apply(self):
         ops1 = make_line_ops(16, s=1.0)
@@ -237,6 +336,16 @@ class TestPoincare:
 
 
 class TestLift:
+    @pytest.mark.parametrize("s", [0.0, 0.5])
+    def test_nonzero_data_rejected_off_order_one(self, s):
+        # the lift uses the order-1 stiffness, which models no other order
+        for data in ((None, -1.0), (0.5, 0.0)):
+            geometry = "radial" if data[0] is None else "line"
+            mesh = build_mesh(0, 1, 8, geometry=geometry, dim=2, dirichlet=data)
+            with pytest.raises(ConfigurationError, match=f"s = {s}"):
+                build_operators(mesh, s)
+        assert build_operators(build_mesh(0, 1, 8, dirichlet=(0.0, None)), s).s == s
+
     def test_zero_for_homogeneous_data(self):
         ops = make_line_ops(8)
         assert np.all(ops.lift_load == 0)

@@ -91,6 +91,17 @@ class TestMinimizeStep:
         assert failure.best is not None
         assert failure.residual > 0
 
+    def test_tolerance_does_not_depend_on_the_warm_start(self, ops64):
+        # the automatic tolerance follows the problem (u1, u2, tau), not the
+        # residual of wherever the iteration starts
+        u1 = 0.5 * ops64.Phi[:, 0]
+        u2 = 0.4 * ops64.Phi[:, 0]
+        g = np.full(ops64.n_free, -0.2)
+        tols = [minimize_step(ops64, double_well(), u1, u2, 0.05, obstacle=g,
+                              warm_start=start).tol
+                for start in (u1, 2.0 * u1 - u2, np.maximum(-u1, g))]
+        assert tols[0] == tols[1] == tols[2]
+
     def test_infeasible_warm_start_rejected(self, ops64):
         z = np.zeros(ops64.n_free)
         g = np.full(ops64.n_free, 0.5)
