@@ -142,6 +142,14 @@ def _tridiagonal(left, cross, right):
     return out
 
 
+def _upper_band(a: np.ndarray, kd: int) -> np.ndarray:
+    """LAPACK upper band storage of symmetric a: row kd - k holds diagonal k."""
+    ab = np.zeros((kd + 1, a.shape[0]), order="F")
+    for k in range(kd + 1):
+        ab[kd - k, k:] = np.diagonal(a, k)
+    return ab
+
+
 def spectral_decompose(M: np.ndarray, K: np.ndarray):
     """Generalized symmetric eigenpairs K phi = lambda M phi.
 
@@ -170,10 +178,8 @@ def spectral_decompose(M: np.ndarray, K: np.ndarray):
         lam, phi = scipy.linalg.eigh(K, M)
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"generalized eigendecomposition failed: {exc}") from exc
-    for k in range(phi.shape[1]):
-        j = int(np.argmax(np.abs(phi[:, k])))
-        if phi[j, k] < 0:
-            phi[:, k] = -phi[:, k]
+    j = np.argmax(np.abs(phi), axis=0)
+    phi *= np.where(phi[j, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
     resid = np.linalg.norm(K @ phi - (M @ phi) * lam, axis=0)
     bound = (lam.size * np.finfo(float).eps / 2.0
              * (np.linalg.norm(K, 1) + np.abs(lam) * np.linalg.norm(M, 1))
@@ -191,11 +197,12 @@ class OperatorSet:
 
     Immutable after construction; shared freely across runs.  A_s is K at
     s = 1 and M at s = 0, with no eigensolve; at fractional s,
-    build_operators forms it from the spectrum.  The spectrum (lam, Phi) is
-    computed on first use and kept.  lift_load and lift_const carry the
-    coupling of free nodes to fixed endpoint values through the order-1
-    stiffness, so build_operators admits nonzero Dirichlet data only at
-    s = 1; both are zero when the data vanish.
+    build_operators forms it from the spectrum.  A_band holds A_s in LAPACK
+    upper band storage and mass_chol the banded Cholesky factor of M.  The
+    spectrum (lam, Phi) is computed on first use and kept.  lift_load and
+    lift_const carry the coupling of free nodes to fixed endpoint values
+    through the order-1 stiffness, so build_operators admits nonzero
+    Dirichlet data only at s = 1; both are zero when the data vanish.
     """
 
     mesh: Mesh1D
@@ -234,13 +241,19 @@ class OperatorSet:
         a_s = (mphi * np.maximum(self.lam, 0.0) ** self.s) @ mphi.T
         return 0.5 * (a_s + a_s.T)
 
+    @cached_property
+    def A_band(self) -> np.ndarray:
+        """A_s with kd = 1 superdiagonal at s in {0, 1}, all n - 1 otherwise."""
+        kd = 1 if self.s in (0.0, 1.0) and self.n_free > 1 else self.n_free - 1
+        return _upper_band(self.A_s, kd)
+
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
-        """M^{-1} r via the cached Cholesky factor.
+        """M^{-1} r via the cached banded Cholesky factor.
 
         Skips the finiteness check: blowup detection is the caller's job and
         this sits on the solver's hot path.
         """
-        return scipy.linalg.cho_solve(self.mass_chol, r, check_finite=False)
+        return scipy.linalg.cho_solve_banded(self.mass_chol, r, check_finite=False)
 
 
 def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
@@ -272,9 +285,10 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     lumps = mass_all.sum(axis=1)[free]
     ops = OperatorSet(
         mesh=mesh, M=M, K=K, s=float(s), lumps=lumps, lift_load=lift_load,
-        lift_const=float(lift_const), mass_chol=scipy.linalg.cho_factor(M),
+        lift_const=float(lift_const),
+        mass_chol=(scipy.linalg.cholesky_banded(_upper_band(M, 1)), False),
     )
-    ops.A_s   # fractional s: the eigensolve belongs to setup, not to the first step
+    ops.A_band   # fractional s: the eigensolve belongs to setup, not to the first step
     return ops
 
 

@@ -18,11 +18,11 @@ Optim. 13 (2002) 865-888).  Each iteration takes the Hessian
 
 at the current iterate, pins the active nodes (those the linearized
 gradient pushes below g) to g, and solves the Newton system on the other
-nodes with a dense Cholesky factorization.  Without an obstacle the active
-set is empty and the iteration is plain Newton.  The time loop starts each
-step from the inertial extrapolation 2 u_prev - u_prevprev projected onto
-u >= g.  H is positive definite whenever 1/tau^2 outweighs max(-W''); when
-it is not, the step raises SolverFailure.
+nodes by banded Cholesky at the bandwidth of A_s.  Without an obstacle the
+active set is empty and the iteration is plain Newton.  The time loop
+starts each step from the inertial extrapolation 2 u_prev - u_prevprev
+projected onto u >= g.  H is positive definite whenever 1/tau^2 outweighs
+max(-W''); when it is not, the step raises SolverFailure.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
@@ -180,28 +180,16 @@ def _stationarity(ops, u, grad, obstacle) -> float:
     return max(pg_norm, dual_violation, compl)
 
 
-def _newton_matrices(ops: OperatorSet, tau: float):
-    """(M / tau^2 + A_s, buffer): the loop-invariant part of the step
-    Hessian, and a Fortran-ordered buffer in which each Newton matrix is
-    built and factored in place.  Reusing both across a run keeps the time
-    loop from allocating, and page-faulting in, an n x n array per
-    iteration; Fortran order lets Cholesky factor without a copy."""
-    base = np.asfortranarray(ops.M / tau**2 + ops.A_s)
-    return base, np.empty_like(base)
-
-
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
-                  warm_start=None, newton: tuple | None = None) -> StepResult:
+                  warm_start=None) -> StepResult:
     """Minimize the step functional by semismooth Newton from a feasible
     warm start (default u1).
 
     Under an obstacle, a node is active when the linearized gradient would
     push it below g, i.e. tau^2 * grad_j / m_j > u_j - g_j; active nodes are
     pinned to g and the Newton system is solved on the rest.  Iterates are
-    projected onto u >= g, so every iterate is feasible.  `newton` is the
-    pair from _newton_matrices that run shares across steps; formed here
-    when None.
+    projected onto u >= g, so every iterate is feasible.
 
     Raises SolverFailure (carrying the iterate of least residual) if max_iter
     is reached above tolerance or the Hessian on the inactive nodes is not
@@ -212,7 +200,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
     if obstacle is not None and np.any(u < obstacle):
         raise ConfigurationError("warm start is infeasible for the obstacle")
-    base, hess = newton if newton is not None else _newton_matrices(ops, tau)
+    kd = ops.A_band.shape[0] - 1
 
     j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
     if not (np.isfinite(j) and np.all(np.isfinite(grad))):
@@ -233,29 +221,29 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                 f"no convergence in {solver.max_iter} iterations "
                 f"(residual {best_res:.3e} > tol {tol:.3e})",
                 best=best, residual=best_res, iterations=iters)
-        np.copyto(hess, base)
-        hess[np.diag_indices_from(hess)] += ops.lumps * potential.curvature(u)
+        hess = ops.A_band.copy(order="F")
+        hess[kd] += np.diagonal(ops.M) / tau**2 + ops.lumps * potential.curvature(u)
+        hess[kd - 1, 1:] += np.diagonal(ops.M, 1) / tau**2
         rhs = -grad
         if obstacle is not None:
-            # pin the active nodes to g: their rows and columns become identity;
-            # a full matvec moves the pinned columns to the right-hand side
-            # without gathering them into a new n x k array
+            # pin the active nodes to g: their columns move to the right-hand
+            # side, their band rows and columns become those of the identity
             active = tau**2 * grad / ops.lumps > u - obstacle
             pinned = np.where(active, obstacle - u, 0.0)
-            rhs -= hess @ pinned
+            rhs -= scipy.linalg.blas.dsbmv(kd, 1.0, hess, pinned)
             rhs[active] = pinned[active]
-            hess[active] = 0.0
-            hess[:, active] = 0.0
-            hess[active, active] = 1.0
+            rows = np.lib.stride_tricks.sliding_window_view(
+                np.r_[np.zeros(kd, bool), active], kd + 1).T
+            hess[rows | active] = 0.0
+            hess[kd, active] = 1.0
         try:
-            factor = scipy.linalg.cho_factor(hess, overwrite_a=True,
-                                             check_finite=False)
+            u = u + scipy.linalg.solveh_banded(hess, rhs, overwrite_ab=True,
+                                               check_finite=False)
         except scipy.linalg.LinAlgError as exc:
             raise SolverFailure(
                 "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
                 "definite; more time steps make the step functional convex",
                 best=best, residual=best_res, iterations=iters) from exc
-        u = u + scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         if obstacle is not None:
             u = np.maximum(u, obstacle)
         j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
@@ -310,7 +298,6 @@ def run(config: SchemeConfig) -> Trajectory:
     iterations = np.zeros(n, dtype=int)
     residuals = np.zeros(n)
     tols = np.zeros(n)
-    newton = _newton_matrices(ops, tau)
 
     for i in range(1, n + 1):
         start = 2.0 * states[i] - states[i - 1]
@@ -319,8 +306,7 @@ def run(config: SchemeConfig) -> Trajectory:
         try:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
-                obstacle=config.obstacle, solver=config.solver, warm_start=start,
-                newton=newton)
+                obstacle=config.obstacle, solver=config.solver, warm_start=start)
         except SolverFailure as exc:
             raise SolverFailure(f"step {i}: {exc}", best=exc.best,
                                 residual=exc.residual, iterations=exc.iterations,

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracwave
 from fracwave import ConfigurationError
 from fracwave.cli import (build_problem, cmd_converge, cmd_run, cmd_sweep_eps,
                           main, parse_config)
@@ -191,6 +196,24 @@ class TestCmdRun:
         b = cmd_run(cfg, tmp_path / "b")
         for key in a:
             assert a[key].read_bytes() == b[key].read_bytes()
+
+    def test_byte_identical_across_blas_thread_counts(self, tmp_path):
+        # at s = 1 the outputs must not depend on the BLAS thread count; each
+        # run sets its count in its own process, before numpy loads BLAS
+        path = write_config(tmp_path, {"preset": "gl_interface", "T": 0.02,
+                                       "n_steps": 40})
+        src = str(Path(fracwave.__file__).resolve().parents[1])
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads,
+                       OPENBLAS_NUM_THREADS=threads, PYTHONPATH=pythonpath)
+            outs.append(tmp_path / f"threads_{threads}")
+            subprocess.run([sys.executable, "-m", "fracwave.cli", "run",
+                            "--config", str(path), "--out", str(outs[-1])],
+                           env=env, check=True, capture_output=True)
+        for name in ("energy.csv", "snapshots.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 class TestCmdConverge:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,16 @@ class TestMinimizeStep:
             minimize_step(ops64, zero_potential(), np.ones_like(z), np.ones_like(z),
                           0.1, obstacle=g, warm_start=z)
 
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_single_free_node(self, s):
+        # two cells with both ends fixed leave one free node, where the step
+        # is the scalar minimizer (2 u1 - u2) m / (m + tau^2 a)
+        ops = make_line_ops(2, s=s)
+        m, a = ops.M[0, 0], ops.A_s[0, 0]
+        res = minimize_step(ops, zero_potential(), np.array([0.3]),
+                            np.array([0.1]), 0.1)
+        assert res.u[0] == pytest.approx(0.5 * m / (m + 0.01 * a), rel=1e-12)
+
     def test_obstacle_projection_exact(self, ops64):
         # pull toward a deep negative state; iterates must respect the bound
         g = np.full(ops64.n_free, -0.1)
@@ -208,9 +220,11 @@ class TestRun:
             run(cfg)
         assert exc_info.value.step == 1
 
-    def test_non_convex_step_reports_step_and_best_iterate(self):
-        # tau = 1/2 against eps = 0.05: M/tau^2 cannot outweigh W''(0)/eps^2
-        ops = make_line_ops(8)
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_non_convex_step_reports_step_and_best_iterate(self, s):
+        # tau = 1/2 against eps = 0.05: M/tau^2 cannot outweigh W''(0)/eps^2;
+        # s = 0.5 factors the full band, s = 1 the tridiagonal one
+        ops = make_line_ops(8, s=s)
         x = ops.mesh.nodes[ops.mesh.free]
         cfg = SchemeConfig(T=1.0, n_steps=2, ops=ops,
                            potential=gl_scaled(double_well(), 0.05),
@@ -222,6 +236,24 @@ class TestRun:
         assert "step 1" in str(failure)
         assert failure.best is not None
         assert failure.best.shape == (ops.n_free,)
+
+    def test_loop_holds_no_dense_matrix_at_order_one(self):
+        # A_s = K is tridiagonal, so every Newton system is banded: the time
+        # loop, obstacle contact included, allocates O(n), never n x n
+        ops = make_line_ops(2000)
+        x = ops.mesh.nodes[ops.mesh.free]
+        g = np.full(ops.n_free, -0.05)
+        cfg = SchemeConfig(T=0.03, n_steps=3, ops=ops, potential=double_well(),
+                           u0=np.zeros(ops.n_free), v0=-10.0 * np.sin(np.pi * x),
+                           obstacle=g)
+        tracemalloc.start()
+        try:
+            traj = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.any(traj.u(3) == g)
+        assert peak < ops.n_free**2 * 8 / 8   # an eighth of one n x n array
 
 
 class TestSmoothedInit:
