@@ -1,0 +1,141 @@
+"""Write a BENCH_*.json file: the benchmark's end-to-end medians of a parent
+checkout against this one, and a mesh-size ladder at s = 1.
+
+    python3 scripts/bench.py --parent DIR --seconds 40 --out BENCH_6.json
+
+DIR is a checkout of the commit to compare against (`git clone . DIR` and
+`git -C DIR checkout REV`).  For each workload and seed, perfbench/run.py
+--trace 0 runs once in each checkout, alternating which runs first, so that
+a drift in machine speed does not favour one side.  Each metric records
+both sides' medians and quartiles and the number of seed pairs in which the
+change reads lower: a gain needs at least 9 of 10 pairs, and a median
+difference larger than the parent's interquartile range.
+
+The ladder runs the gl_interface preset (radial, s = 1) with n_steps = 20
+and T = 0.001 at each mesh size, one fresh process per size, so that the
+peak RSS is that size's own.  The parent's ladder stops at PARENT_LADDER_MAX
+cells.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("gl_interface", "obstacle_wave", "frac_line")
+METRICS = ("wall_s", "setup_s", "solve_s", "peak_rss_mb", "ref_err")
+LADDER = (400, 1600, 6400, 25600, 102400)
+# the parent's dense M, K, A_s and Newton matrix take 32 n^2 bytes: 1.3 GB
+# at 6,400 cells
+PARENT_LADDER_MAX = 1600
+LADDER_RUN = {"preset": "gl_interface", "n_steps": 20, "T": 0.001}
+
+
+def ladder_point(root: Path, n_cells: int) -> dict:
+    """One ladder size, run in this process with fracwave from root/src."""
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[var] = "1"
+    sys.path.insert(0, str(root / "src"))
+    import resource
+    from time import perf_counter
+
+    from fracwave import cli, run
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(dict(LADDER_RUN, n_cells=n_cells)))
+        t0 = perf_counter()
+        scheme = cli.build_problem(cli.parse_config(path))
+        t1 = perf_counter()
+        traj = run(scheme)
+        t2 = perf_counter()
+    return {"n_cells": n_cells, "setup_s": round(t1 - t0, 4),
+            "solve_s": round(t2 - t1, 4),
+            "newton_iters": int(traj.iterations.sum()),
+            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                 / 1024, 1)}
+
+
+def subprocess_json(args) -> dict:
+    out = subprocess.run([sys.executable, *map(str, args)], capture_output=True,
+                         text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    result = subprocess_json([root / "perfbench" / "run.py", "--workload", workload,
+                              "--seed", seed, "--seconds", seconds, "--trace", 0])
+    if not result["correct"]:
+        sys.exit(f"{root}: {workload} seed {seed} failed its checks")
+    return {m: result["metrics"][m]["value"] for m in METRICS}
+
+
+def summary(parent: list, change: list) -> dict:
+    """Per-seed values, median and quartiles of each side, and in how many
+    seed pairs the change reads lower than the parent."""
+    out = {side: {"per_seed": v, "median": statistics.median(v),
+                  "quartiles": statistics.quantiles(v, n=4)}
+           for side, v in (("parent", parent), ("change", change))}
+    out["change_lower_pairs"] = sum(c < p for p, c in zip(parent, change))
+    return out
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path)
+    p.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
+    p.add_argument("--seconds", type=float, default=40.0)
+    p.add_argument("--out", type=Path)
+    p.add_argument("--ladder-point", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.ladder_point:
+        print(json.dumps(ladder_point(args.root, args.ladder_point)))
+        return
+    if args.parent is None or args.out is None:
+        p.error("--parent and --out are required")
+
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    seeds = [int(s) for s in args.seeds.split(",")]
+    bench = {}
+    for workload in WORKLOADS:
+        runs = {side: [] for side in sides}
+        for i, seed in enumerate(seeds):
+            for side in sorted(sides, reverse=bool(i % 2)):
+                runs[side].append(perfbench(sides[side], workload, seed, args.seconds))
+                print(workload, seed, side, runs[side][-1], file=sys.stderr)
+        bench[workload] = {metric: summary([r[metric] for r in runs["parent"]],
+                                           [r[metric] for r in runs["change"]])
+                           for metric in METRICS}
+
+    ladder = {side: [subprocess_json([__file__, "--root", root, "--ladder-point", n])
+                     for n in LADDER
+                     if side == "change" or n <= PARENT_LADDER_MAX]
+              for side, root in sides.items()}
+    rev = subprocess.run(["git", "-C", sides["parent"], "rev-parse", "--short", "HEAD"],
+                         capture_output=True, text=True, check=True).stdout.strip()
+    command = ["python3", "scripts/bench.py", "--parent", f"<checkout of {rev}>",
+               "--seeds", args.seeds, "--seconds", f"{args.seconds:g}",
+               "--out", args.out.name]
+    record = {
+        "command": " ".join(command),
+        "parent": rev,
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
+                    "platform": platform.platform(), "blas_threads": 1},
+        "perfbench": {"seeds": seeds, "seconds_per_run": args.seconds,
+                      "order": "parent and change alternate first per seed",
+                      "workloads": bench},
+        "ladder": {"config": LADDER_RUN, "sizes": list(LADDER),
+                   "parent_max_cells": PARENT_LADDER_MAX, **ladder},
+    }
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -3,9 +3,10 @@
 Piecewise-linear elements on an interval, optionally carrying the radial
 volume weight r**(d-1) so that radially symmetric problems in d ambient
 dimensions reduce to one dimension.  Mass and stiffness forms are assembled
-over the unconstrained ("free") nodes; fixed endpoint values enter through a
-precomputed load offset.  The order-s stiffness A_s is the assembled form
-itself at the endpoints, A_0 = M and A_1 = K.  Between them it is spectral:
+over the unconstrained ("free") nodes as sparse tridiagonal arrays; fixed
+endpoint values enter through a precomputed load offset.  The order-s
+stiffness A_s is the assembled form itself at the endpoints, A_0 = M and
+A_1 = K.  Between them it is spectral, and dense:
 with the generalized eigenpairs K phi = lambda M phi (M-orthonormal),
 A_s = (M Phi) Lambda**s (M Phi)^T, which reproduces both endpoints up to
 round-off.  The eigenpairs are computed only where something reads them.
@@ -18,8 +19,12 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import ConfigurationError, NumericError
+
+# entries of A_s per row block of OperatorSet.abs_apply at fractional s (512 KB)
+_ABS_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -115,8 +120,10 @@ def build_mesh(a, b, n_cells, geometry="line", dim=1,
 
 
 def _assemble_all_nodes(mesh: Mesh1D):
-    """Mass and stiffness over all nodes, Gauss quadrature exact for the
-    polynomial weight against piecewise-linear products."""
+    """Cell integrals over all cells, Gauss quadrature exact for the
+    polynomial weight against piecewise-linear products: the mass blocks
+    [[left, cross], [cross, right]] as (left, cross, right), and the
+    stiffness coefficients k of the blocks k [[1, -1], [-1, 1]]."""
     gx, gw = np.polynomial.legendre.leggauss(max(2, (mesh.dim + 3) // 2))
     xl, xr = mesh.nodes[:-1, None], mesh.nodes[1:, None]
     h = xr - xl
@@ -124,29 +131,26 @@ def _assemble_all_nodes(mesh: Mesh1D):
     w = 0.5 * h * gw * mesh.weight(x)
     phi0 = (xr - x) / h
     phi1 = (x - xl) / h
-    mass = _tridiagonal(np.sum(w * (phi0 * phi0), axis=1),
-                        np.sum(w * (phi0 * phi1), axis=1),
-                        np.sum(w * (phi1 * phi1), axis=1))
-    k = np.sum(w, axis=1) / h[:, 0] ** 2
-    return mass, _tridiagonal(k, -k, k)
+    mass = (np.sum(w * (phi0 * phi0), axis=1), np.sum(w * (phi0 * phi1), axis=1),
+            np.sum(w * (phi1 * phi1), axis=1))
+    return mass, np.sum(w, axis=1) / h[:, 0] ** 2
 
 
-def _tridiagonal(left, cross, right):
-    """Sum of the cell blocks [[left, cross], [cross, right]] at nodes c, c+1."""
-    c = np.arange(left.size)
-    out = np.zeros((c.size + 1, c.size + 1))
-    out[c, c] += left
-    out[c + 1, c + 1] += right
-    out[c, c + 1] = cross
-    out[c + 1, c] = cross
-    return out
+def _tridiagonal(left, cross, right, lo, hi):
+    """Sum of the cell blocks [[left, cross], [cross, right]] at nodes c, c+1,
+    restricted to the node range lo:hi, as a sparse tridiagonal array."""
+    main = (np.r_[left, 0.0] + np.r_[0.0, right])[lo:hi]
+    off = cross[lo:hi - 1]
+    return scipy.sparse.diags_array([off, main, off], offsets=[-1, 0, 1],
+                                    format="csr")
 
 
-def _upper_band(a: np.ndarray, kd: int) -> np.ndarray:
-    """LAPACK upper band storage of symmetric a: row kd - k holds diagonal k."""
+def _upper_band(a, kd: int) -> np.ndarray:
+    """LAPACK upper band storage of symmetric a (dense or sparse): row
+    kd - k holds diagonal k."""
     ab = np.zeros((kd + 1, a.shape[0]), order="F")
     for k in range(kd + 1):
-        ab[kd - k, k:] = np.diagonal(a, k)
+        ab[kd - k, k:] = a.diagonal(k)
     return ab
 
 
@@ -195,19 +199,22 @@ def spectral_decompose(M: np.ndarray, K: np.ndarray):
 class OperatorSet:
     """Assembled forms and order-s stiffness for one mesh.
 
-    Immutable after construction; shared freely across runs.  A_s is K at
-    s = 1 and M at s = 0, with no eigensolve; at fractional s,
-    build_operators forms it from the spectrum.  A_band holds A_s in LAPACK
+    Immutable after construction; shared freely across runs.  M and K are
+    sparse tridiagonal arrays (scipy.sparse, csr format), so products with
+    them cost O(n).  A_s is the same sparse object as K at s = 1 and as M at
+    s = 0, with no eigensolve; at fractional s, build_operators forms it
+    from the spectrum as a dense n x n array.  A_band holds A_s in LAPACK
     upper band storage and mass_chol the banded Cholesky factor of M.  The
-    spectrum (lam, Phi) is computed on first use and kept.  lift_load and
-    lift_const carry the coupling of free nodes to fixed endpoint values
-    through the order-1 stiffness, so build_operators admits nonzero
-    Dirichlet data only at s = 1; both are zero when the data vanish.
+    spectrum (lam, Phi) is computed on first use from dense copies of M
+    and K, and kept.  lift_load and lift_const carry the coupling of free
+    nodes to fixed endpoint values through the order-1 stiffness, so
+    build_operators admits nonzero Dirichlet data only at s = 1; both are
+    zero when the data vanish.
     """
 
     mesh: Mesh1D
-    M: np.ndarray
-    K: np.ndarray
+    M: scipy.sparse.csr_array
+    K: scipy.sparse.csr_array
     s: float
     lumps: np.ndarray
     lift_load: np.ndarray
@@ -218,9 +225,14 @@ class OperatorSet:
     def n_free(self) -> int:
         return self.M.shape[0]
 
+    @property
+    def tridiagonal(self) -> bool:
+        """Whether A_s is the sparse K or M (s in {0, 1})."""
+        return self.s in (0.0, 1.0)
+
     @cached_property
     def _spectrum(self):
-        return spectral_decompose(self.M, self.K)
+        return spectral_decompose(self.M.toarray(), self.K.toarray())
 
     @property
     def lam(self) -> np.ndarray:
@@ -233,9 +245,10 @@ class OperatorSet:
         return self._spectrum[1]
 
     @cached_property
-    def A_s(self) -> np.ndarray:
-        """Order-s stiffness: K at s = 1, M at s = 0, else the spectral power."""
-        if self.s in (0.0, 1.0):
+    def A_s(self):
+        """Order-s stiffness: K at s = 1, M at s = 0 (both sparse), else the
+        dense spectral power."""
+        if self.tridiagonal:
             return self.K if self.s else self.M
         mphi = self.M @ self.Phi
         a_s = (mphi * np.maximum(self.lam, 0.0) ** self.s) @ mphi.T
@@ -244,45 +257,71 @@ class OperatorSet:
     @cached_property
     def A_band(self) -> np.ndarray:
         """A_s with kd = 1 superdiagonal at s in {0, 1}, all n - 1 otherwise."""
-        kd = 1 if self.s in (0.0, 1.0) and self.n_free > 1 else self.n_free - 1
+        kd = 1 if self.tridiagonal and self.n_free > 1 else self.n_free - 1
         return _upper_band(self.A_s, kd)
+
+    @cached_property
+    def _abs_A_s(self):
+        # the entrywise |A_s|, cached where it is sparse (s in {0, 1})
+        return abs(self.A_s)
+
+    def abs_apply(self, w: np.ndarray) -> np.ndarray:
+        """|A_s| w, with |A_s| the entrywise absolute value.  At s in {0, 1}
+        it uses the cached sparse |K| or M, in O(n).  At fractional s it
+        reads the dense A_s in row blocks of about _ABS_BLOCK entries: O(n^2)
+        time like one product with A_s, and no second n x n array held."""
+        if self.tridiagonal:
+            return self._abs_A_s @ w
+        rows = max(1, _ABS_BLOCK // self.n_free)
+        return np.concatenate([np.abs(self.A_s[i:i + rows]) @ w
+                               for i in range(0, self.n_free, rows)])
 
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
         """M^{-1} r via the cached banded Cholesky factor.
 
-        Skips the finiteness check: blowup detection is the caller's job and
-        this sits on the solver's hot path.
+        Calls LAPACK's pbtrs directly, with no finiteness check: blowup
+        detection is the caller's job, and this sits on the solver's hot
+        path, where cho_solve_banded's argument handling costs twice the
+        solve at a few hundred nodes.
         """
-        return scipy.linalg.cho_solve_banded(self.mass_chol, r, check_finite=False)
+        factor, lower = self.mass_chol
+        x, info = scipy.linalg.lapack.dpbtrs(factor, r, lower=lower)
+        if info:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+        return x
 
 
 def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     """Forms, lift and A_s for order s.  Nonzero Dirichlet data need s = 1,
-    the only order whose lift the order-1 stiffness gives."""
+    the only order whose lift the order-1 stiffness gives.
+
+    M and K are assembled as their three diagonals on the free nodes, which
+    form one contiguous range, so setup costs O(n) time and memory at
+    s in {0, 1}; a fractional s adds the dense eigensolve and A_s.
+    """
     if s < 0:
         raise ConfigurationError("fractional order s must be >= 0")
     if s != 1 and any(g not in (None, 0.0) for g in mesh.dirichlet):
         raise ConfigurationError(
             f"Dirichlet data {mesh.dirichlet} need s = 1, got s = {s}: the "
             "lift of nonzero boundary values uses the order-1 stiffness")
-    mass_all, stiff_all = _assemble_all_nodes(mesh)
+    (left, cross, right), k = _assemble_all_nodes(mesh)
     free = mesh.free
-    constrained = np.setdiff1d(np.arange(mesh.nodes.size), free)
-    M = mass_all[np.ix_(free, free)]
-    K = stiff_all[np.ix_(free, free)]
-    if constrained.size:
-        gvals = np.array([
-            mesh.dirichlet[0] if j == 0 else mesh.dirichlet[1]
-            for j in constrained
-        ], dtype=float)
-        lift_load = stiff_all[np.ix_(free, constrained)] @ gvals
-        lift_const = 0.5 * gvals @ stiff_all[np.ix_(constrained, constrained)] @ gvals
-    else:
-        lift_load = np.zeros(free.size)
-        lift_const = 0.0
-    # nodal quadrature weights: the full hat integrals int phi_j w dx, so the
-    # lumped measure equals the domain measure minus the constrained-node lumps
-    lumps = mass_all.sum(axis=1)[free]
+    lo, hi = int(free[0]), int(free[-1]) + 1
+    M = _tridiagonal(left, cross, right, lo, hi)
+    K = _tridiagonal(k, -k, k, lo, hi)
+    # an end node's data couple to its one free neighbour through the end
+    # cell, and to nothing else: a mesh has at least two cells
+    lift_load = np.zeros(free.size)
+    lift_const = 0.0
+    for g, end in ((mesh.dirichlet[0], 0), (mesh.dirichlet[1], -1)):
+        if g is not None:
+            lift_load[end] -= k[end] * g
+            lift_const += 0.5 * k[end] * g * g
+    # nodal quadrature weights: the full hat integrals int phi_j w dx (row
+    # sums over all nodes), so the lumped measure equals the domain measure
+    # minus the constrained-node lumps
+    lumps = (np.r_[left + cross, 0.0] + np.r_[0.0, right + cross])[lo:hi]
     ops = OperatorSet(
         mesh=mesh, M=M, K=K, s=float(s), lumps=lumps, lift_load=lift_load,
         lift_const=float(lift_const),

@@ -52,11 +52,9 @@ class SolverParams:
     tol: absolute stopping threshold on the stationarity measure (the
         mass-weighted projected-gradient norm, plus the dual-sign and
         complementarity terms under an obstacle); None resolves per step to
-        1e-9 + 2 eps |2 u_prev - u_prevprev|_M / tau^2, with eps the
-        machine epsilon.  The second term is twice the round-off floor of
-        the residual, whose inertial part M (u - 2 u_prev + u_prevprev) /
-        tau^2 cancels terms of that size; neither term depends on the warm
-        start, so every start of a step is held to the same tolerance.
+        1e-9 plus the round-off floor of the residual (_roundoff_floor).
+        Neither term depends on the warm start, so every start of a step is
+        held to the same tolerance.
     max_iter: cap on Newton iterations per step.
     """
 
@@ -180,6 +178,38 @@ def _stationarity(ops, u, grad, obstacle) -> float:
     return max(pg_norm, dual_violation, compl)
 
 
+def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
+    """c eps |t|_{M^-1}: the level of round-off in the computed residual.
+
+    With w = 2 u1 - u2 the inertial extrapolation, near which the step's
+    minimizer u lies,
+
+        t = M (2|u1| + |u2|) / tau^2 + |A_s| |w| + |lift_load| + m |W'(w)|
+
+    sums the magnitudes of the gradient's terms (M is entrywise
+    nonnegative).  Each term is formed with a few roundings, each of at
+    most u = eps/2 relative to the magnitudes it combines (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3): the second
+    difference (u - 2 u1) + u2 errs by at most u (|u| + 2|u1|) <=
+    eps (2|u1| + |u2|), which M / tau^2 carries; a three-term row of A_s w
+    errs by gamma_3 ~ 1.5 eps relative to |A_s| |w|; and summing the four
+    terms adds up to 1.5 eps of t.  The worst case is thus 2.5 to 3 eps
+    times t per entry, which roundings of either sign seldom reach; c = 2
+    sits just below it.  Measured at s = 1, Newton's residual stalls 6 to 8
+    times below the floor (3.7e-9 against 3.0e-8 on 4,800 radial cells with
+    the eps-scaled well, 1.0e-6 against 6.6e-6 on 102,400 line cells).
+    The floor is O(n) at s in {0, 1}, where |A_s| is the cached sparse |K|
+    or M.  At fractional s, OperatorSet.abs_apply forms |A_s| |w| exactly
+    from row blocks of the dense A_s: O(n^2), the cost of one Newton
+    product, with no second dense array held.
+    """
+    w = 2.0 * u1 - u2
+    t = (ops.M @ (2.0 * np.abs(u1) + np.abs(u2)) / tau**2
+         + ops.abs_apply(np.abs(w)) + np.abs(ops.lift_load)
+         + ops.lumps * np.abs(potential.gradient(w)))
+    return _AUTO_TOL_ROUNDOFF * float(np.sqrt(max(t @ ops.solve_mass(t), 0.0)))
+
+
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
                   warm_start=None) -> StepResult:
@@ -201,6 +231,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     if obstacle is not None and np.any(u < obstacle):
         raise ConfigurationError("warm start is infeasible for the obstacle")
     kd = ops.A_band.shape[0] - 1
+    m_diag, m_off = ops.M.diagonal() / tau**2, ops.M.diagonal(1) / tau**2
 
     j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
     if not (np.isfinite(j) and np.all(np.isfinite(grad))):
@@ -208,9 +239,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     res = _stationarity(ops, u, grad, obstacle)
     tol = solver.tol
     if tol is None:
-        inertia = 2.0 * u1 - u2
-        tol = (_AUTO_TOL_FLOOR + _AUTO_TOL_ROUNDOFF / tau**2
-               * float(np.sqrt(max(inertia @ (ops.M @ inertia), 0.0))))
+        tol = _AUTO_TOL_FLOOR + _roundoff_floor(ops, potential, u1, u2, tau)
 
     best, best_res = u, res
     iters = 0
@@ -222,8 +251,8 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                 f"(residual {best_res:.3e} > tol {tol:.3e})",
                 best=best, residual=best_res, iterations=iters)
         hess = ops.A_band.copy(order="F")
-        hess[kd] += np.diagonal(ops.M) / tau**2 + ops.lumps * potential.curvature(u)
-        hess[kd - 1, 1:] += np.diagonal(ops.M, 1) / tau**2
+        hess[kd] += m_diag + ops.lumps * potential.curvature(u)
+        hess[kd - 1, 1:] += m_off
         rhs = -grad
         if obstacle is not None:
             # pin the active nodes to g: their columns move to the right-hand
@@ -236,14 +265,18 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                 np.r_[np.zeros(kd, bool), active], kd + 1).T
             hess[rows | active] = 0.0
             hess[kd, active] = 1.0
-        try:
-            u = u + scipy.linalg.solveh_banded(hess, rhs, overwrite_ab=True,
-                                               check_finite=False)
-        except scipy.linalg.LinAlgError as exc:
+        # LAPACK's pbsv directly: solveh_banded's argument handling costs
+        # more than the O(n) solve at a few hundred nodes
+        step, info = scipy.linalg.lapack.dpbsv(hess, rhs, overwrite_ab=1,
+                                               overwrite_b=1)[1:]
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbsv")
+        if info > 0:
             raise SolverFailure(
                 "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
                 "definite; more time steps make the step functional convex",
-                best=best, residual=best_res, iterations=iters) from exc
+                best=best, residual=best_res, iterations=iters)
+        u = u + step
         if obstacle is not None:
             u = np.maximum(u, obstacle)
         j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave import (ConfigurationError, Mesh1D, NumericError, SchemeConfig,
                       build_mesh, build_operators, fractional_apply,
@@ -12,8 +16,9 @@ from conftest import make_line_ops, make_radial_ops
 
 
 def forms(mesh):
+    """Dense copies of the sparse M and K."""
     ops = build_operators(mesh, 1.0)
-    return ops.M, ops.K
+    return ops.M.toarray(), ops.K.toarray()
 
 
 def cell_loop_forms(mesh):
@@ -132,6 +137,74 @@ class TestAssembleForms:
             assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
+@st.composite
+def meshes(draw):
+    """Strictly increasing meshes of 2-40 cells, line or radial, dim 1-3,
+    with every Dirichlet pattern the geometry admits."""
+    geometry = draw(st.sampled_from(["line", "radial"]))
+    widths = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40))
+    start = 0.0 if geometry == "radial" else draw(st.floats(-1.0, 1.0))
+    data = st.one_of(st.none(), st.floats(-2.0, 2.0))
+    left = None if geometry == "radial" else draw(data)
+    return Mesh1D(nodes=start + np.concatenate(([0.0], np.cumsum(widths))),
+                  geometry=geometry, dim=draw(st.integers(1, 3)),
+                  dirichlet=(left, draw(data)))
+
+
+class TestSparseFormsAgainstDenseReference:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_forms_lift_and_band(self, mesh, seed):
+        mass, stiff = cell_loop_forms(mesh)
+        free = mesh.free
+        fixed = np.setdiff1d(np.arange(mesh.nodes.size), free)
+        g = np.array([mesh.dirichlet[0] if j == 0 else mesh.dirichlet[1]
+                      for j in fixed])
+        ref_M, ref_K = mass[np.ix_(free, free)], stiff[np.ix_(free, free)]
+
+        def close(got, ref):
+            # the reference sums each cell's quadrature points in another
+            # order: a few ulps of the largest entry
+            scale = max(np.max(np.abs(ref)), np.finfo(float).tiny)
+            return np.max(np.abs(got - ref), initial=0.0) <= 4 * np.finfo(float).eps * scale
+
+        ops1 = build_operators(mesh, 1.0)
+        zero_data = tuple(None if d is None else 0.0 for d in mesh.dirichlet)
+        ops0 = build_operators(dataclasses.replace(mesh, dirichlet=zero_data), 0.0)
+        assert ops1.A_s is ops1.K and ops0.A_s is ops0.M
+        assert close(ops1.M.toarray(), ref_M) and close(ops1.K.toarray(), ref_K)
+        assert close(ops0.A_s.toarray(), ref_M)
+        assert close(ops1.lumps, mass.sum(axis=1)[free])
+        assert close(ops1.lift_load, stiff[np.ix_(free, fixed)] @ g)
+        assert close(np.array([ops1.lift_const]),
+                     np.array([0.5 * g @ stiff[np.ix_(fixed, fixed)] @ g]))
+        u = np.random.default_rng(seed).standard_normal(ops1.n_free)
+        for ops, ref in ((ops1, ref_K), (ops0, ref_M)):
+            A = ops.A_s.toarray()
+            assert np.array_equal(A, A.T)
+            # nonnegative up to the round-off of the quadratic form's terms
+            terms = np.abs(u) @ np.abs(A) @ np.abs(u)
+            assert u @ (ops.A_s @ u) >= -8 * np.finfo(float).eps * terms
+            kd = ops.A_band.shape[0] - 1
+            assert close(ops.A_band, operators._upper_band(ref, kd))
+
+
+class TestAbsApply:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
+    def test_matches_the_entrywise_product(self, s, monkeypatch):
+        # a block of 100 entries is 3 rows of A_s: 11 row blocks, the last
+        # one short
+        monkeypatch.setattr(operators, "_ABS_BLOCK", 100)
+        ops = make_line_ops(32, s=s)
+        A = ops.A_s.toarray() if ops.tridiagonal else ops.A_s
+        w = np.abs(np.random.default_rng(9).standard_normal(ops.n_free))
+        # sums of k nonnegative terms, in either order, agree to k eps; a
+        # row of A_s has 3 nonzero terms at s in {0, 1}, n otherwise
+        terms = 3 if ops.tridiagonal else ops.n_free
+        assert np.allclose(ops.abs_apply(w), np.abs(A) @ w,
+                           rtol=terms * np.finfo(float).eps, atol=0.0)
+
+
 class TestSpectralDecompose:
     def test_uniform_dispersion_closed_form(self):
         # closed-form eigenvalues of the uniform pair on [0, 1], both ends fixed
@@ -203,7 +276,7 @@ class TestSpectralDecompose:
             calls.clear()
             ops = make_line_ops(16, s=s)
             assert len(calls) == builds
-            lam, phi = spectral_decompose(ops.M, ops.K)
+            lam, phi = spectral_decompose(ops.M.toarray(), ops.K.toarray())
             assert np.array_equal(ops.lam, lam) and np.array_equal(ops.Phi, phi)
             assert len(calls) == 1
 
@@ -230,12 +303,14 @@ class TestFractionalOperator:
         for maker in (make_line_ops, lambda n, s: make_radial_ops(n, s=s, right=0.0)):
             ops1 = maker(16, s=1.0)
             assert ops1.A_s is ops1.K
-            assert np.allclose(spectral_power(ops1, 1.0), ops1.K, rtol=1e-10,
-                               atol=1e-10 * np.abs(ops1.K).max())
+            K = ops1.K.toarray()
+            assert np.allclose(spectral_power(ops1, 1.0), K, rtol=1e-10,
+                               atol=1e-10 * np.abs(K).max())
             ops0 = maker(16, s=0.0)
             assert ops0.A_s is ops0.M
-            assert np.allclose(spectral_power(ops0, 0.0), ops0.M, rtol=1e-10,
-                               atol=1e-10 * np.abs(ops0.M).max())
+            M = ops0.M.toarray()
+            assert np.allclose(spectral_power(ops0, 0.0), M, rtol=1e-10,
+                               atol=1e-10 * np.abs(M).max())
 
     def test_endpoint_apply(self):
         ops1 = make_line_ops(16, s=1.0)
@@ -247,15 +322,16 @@ class TestFractionalOperator:
 
     def test_semigroup_half_powers(self):
         ops = make_line_ops(8, s=0.5)
-        comp = ops.A_s @ np.linalg.solve(ops.M, ops.A_s)
-        assert np.max(np.abs(comp - ops.K)) <= 1e-10 * np.max(np.abs(ops.K))
+        comp = ops.A_s @ np.linalg.solve(ops.M.toarray(), ops.A_s)
+        K = ops.K.toarray()
+        assert np.max(np.abs(comp - K)) <= 1e-10 * np.max(np.abs(K))
 
     def test_brute_force_small_matrix(self):
         # independent route: eigenpairs of M^{-1/2} K M^{-1/2}, entrywise build
         ops = make_line_ops(8, s=0.7)
-        w, V = np.linalg.eigh(ops.M)
+        w, V = np.linalg.eigh(ops.M.toarray())
         m_half_inv = V @ np.diag(w**-0.5) @ V.T
-        mu, Q = np.linalg.eigh(m_half_inv @ ops.K @ m_half_inv)
+        mu, Q = np.linalg.eigh(m_half_inv @ ops.K.toarray() @ m_half_inv)
         phi = m_half_inv @ Q
         a_ref = np.zeros_like(ops.A_s)
         for k in range(ops.n_free):
@@ -267,7 +343,8 @@ class TestFractionalOperator:
         rng = np.random.default_rng(11)
         for s in (0.0, 0.3, 0.5, 1.0):
             ops = make_line_ops(16, s=s)
-            assert np.allclose(ops.A_s, ops.A_s.T)
+            A = ops.A_s.toarray() if ops.tridiagonal else ops.A_s
+            assert np.allclose(A, A.T)
             for _ in range(20):
                 u = rng.standard_normal(ops.n_free)
                 assert u @ (ops.A_s @ u) >= -1e-12

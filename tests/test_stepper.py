@@ -10,7 +10,7 @@ from fracwave import (BlowupError, ConfigurationError, SchemeConfig,
 from fracwave.potentials import double_well, gl_scaled, zero_potential
 from fracwave.stepper import effective_v0
 
-from conftest import eigenmode_config, make_line_ops
+from conftest import eigenmode_config, make_line_ops, make_radial_ops
 
 
 class TestSolverParams:
@@ -238,22 +238,65 @@ class TestRun:
         assert failure.best.shape == (ops.n_free,)
 
     def test_loop_holds_no_dense_matrix_at_order_one(self):
-        # A_s = K is tridiagonal, so every Newton system is banded: the time
-        # loop, obstacle contact included, allocates O(n), never n x n
-        ops = make_line_ops(2000)
-        x = ops.mesh.nodes[ops.mesh.free]
-        g = np.full(ops.n_free, -0.05)
-        cfg = SchemeConfig(T=0.03, n_steps=3, ops=ops, potential=double_well(),
-                           u0=np.zeros(ops.n_free), v0=-10.0 * np.sin(np.pi * x),
-                           obstacle=g)
+        # M and A_s = K are sparse tridiagonal and every Newton system is
+        # banded: building the operators and the time loop, obstacle contact
+        # included, allocate O(n), never n x n
         tracemalloc.start()
         try:
+            ops = make_line_ops(2000)
+            x = ops.mesh.nodes[ops.mesh.free]
+            g = np.full(ops.n_free, -0.05)
+            cfg = SchemeConfig(T=0.03, n_steps=3, ops=ops, potential=double_well(),
+                               u0=np.zeros(ops.n_free), v0=-10.0 * np.sin(np.pi * x),
+                               obstacle=g)
             traj = run(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.any(traj.u(3) == g)
         assert peak < ops.n_free**2 * 8 / 8   # an eighth of one n x n array
+
+    def test_large_line_run_memory_is_linear(self):
+        # 102,400 cells at s = 1: one n x n array would take 84 GB.  Build and
+        # run stay within 64 doubles per node (measured: 45; the trajectory
+        # alone holds 5 states)
+        tracemalloc.start()
+        try:
+            ops = make_line_ops(102400)
+            x = ops.mesh.nodes[ops.mesh.free]
+            cfg = SchemeConfig(T=0.003, n_steps=3, ops=ops, potential=double_well(),
+                               u0=0.5 * np.sin(np.pi * x), v0=np.zeros(ops.n_free))
+            traj = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(traj.states))
+        assert peak <= 64 * 8 * ops.n_free
+
+
+def gl_front_config(n_cells, n_steps):
+    """The gl_interface preset (radial, d = 2, eps = 0.05, tanh front at
+    0.4) at n_cells and the preset's time step tau = 5e-4."""
+    ops = make_radial_ops(n_cells)
+    r = ops.mesh.nodes[ops.mesh.free]
+    return SchemeConfig(T=5e-4 * n_steps, n_steps=n_steps, ops=ops,
+                        potential=gl_scaled(double_well(), 0.05),
+                        u0=np.tanh((0.4 - r) / 0.1), v0=np.zeros(ops.n_free))
+
+
+class TestAutoTolerance:
+    # the round-off of A_s u and of the stiff well grows with the mesh; a
+    # tolerance below it leaves Newton wandering at the floor until max_iter
+    # (a floor of the inertial term alone, 2.2e-9 here, did: 100 iterations
+    # at 4,800 cells, 5.9 per step and up to 17 at 3,200)
+
+    def test_fine_mesh_first_step_converges(self):
+        traj = run(gl_front_config(4800, 2))
+        assert traj.iterations[0] <= 3
+
+    def test_iterations_per_step_do_not_grow_with_the_mesh(self):
+        traj = run(gl_front_config(3200, 40))
+        assert traj.iterations.mean() <= 2.2
 
 
 class TestSmoothedInit:
