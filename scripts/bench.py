@@ -1,7 +1,7 @@
 """Write a BENCH_*.json file: the benchmark's end-to-end medians of a parent
-checkout against this one, and a mesh-size ladder at s = 1.
+checkout against this one, and mesh-size ladders at s = 1 and s = 1/2.
 
-    python3 scripts/bench.py --parent DIR --seconds 40 --out BENCH_6.json
+    python3 scripts/bench.py --parent DIR --seconds 40 --out BENCH_7.json
 
 DIR is a checkout of the commit to compare against (`git clone . DIR` and
 `git -C DIR checkout REV`).  For each workload and seed, perfbench/run.py
@@ -11,10 +11,13 @@ both sides' medians and quartiles and the number of seed pairs in which the
 change reads lower: a gain needs at least 9 of 10 pairs, and a median
 difference larger than the parent's interquartile range.
 
-The ladder runs the gl_interface preset (radial, s = 1) with n_steps = 20
-and T = 0.001 at each mesh size, one fresh process per size, so that the
-peak RSS is that size's own.  The parent's ladder stops at PARENT_LADDER_MAX
-cells.
+Each ladder runs one config at each of its mesh sizes, in both checkouts,
+one fresh process per size, so that the peak RSS is that size's own, and
+records setup (parse and build) and solve (the time loop) apart.  The s = 1
+ladder is the gl_interface preset (radial) with n_steps = 20 and T = 0.001.
+The s = 1/2 ladder is frac_line's config (uniform line, double well) with
+n_steps = 20 at the time step of frac_line; its setup holds the O(n^3)
+dense eigensolve, its solve the time loop.
 """
 
 import argparse
@@ -30,15 +33,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gl_interface", "obstacle_wave", "frac_line")
 METRICS = ("wall_s", "setup_s", "solve_s", "peak_rss_mb", "ref_err")
-LADDER = (400, 1600, 6400, 25600, 102400)
-# the parent's dense M, K, A_s and Newton matrix take 32 n^2 bytes: 1.3 GB
-# at 6,400 cells
-PARENT_LADDER_MAX = 1600
-LADDER_RUN = {"preset": "gl_interface", "n_steps": 20, "T": 0.001}
+LADDERS = {
+    "gl_interface": ({"preset": "gl_interface", "n_steps": 20, "T": 0.001},
+                     (400, 1600, 6400, 25600, 102400)),
+    "frac_line": ({"preset": "eigenmode", "s": 0.5, "n_steps": 20, "T": 0.75 * 20 / 768,
+                   "potential": "double_well", "u0_kind": "sine", "u0_amp": 0.5,
+                   "v0_kind": "sine", "v0_amp": 1.0},
+                  (400, 800, 1600)),
+}
 
 
-def ladder_point(root: Path, n_cells: int) -> dict:
-    """One ladder size, run in this process with fracwave from root/src."""
+def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
+    """One size of a ladder, run in this process with fracwave from
+    root/src."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(root / "src"))
@@ -49,7 +56,7 @@ def ladder_point(root: Path, n_cells: int) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(dict(LADDER_RUN, n_cells=n_cells)))
+        path.write_text(json.dumps(dict(LADDERS[ladder][0], n_cells=n_cells)))
         t0 = perf_counter()
         scheme = cli.build_problem(cli.parse_config(path))
         t1 = perf_counter()
@@ -92,11 +99,12 @@ def main(argv=None):
     p.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", type=Path)
-    p.add_argument("--ladder-point", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--ladder-point", nargs=2, help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.ladder_point:
-        print(json.dumps(ladder_point(args.root, args.ladder_point)))
+        ladder, n_cells = args.ladder_point
+        print(json.dumps(ladder_point(args.root, ladder, int(n_cells))))
         return
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required")
@@ -114,10 +122,12 @@ def main(argv=None):
                                            [r[metric] for r in runs["change"]])
                            for metric in METRICS}
 
-    ladder = {side: [subprocess_json([__file__, "--root", root, "--ladder-point", n])
-                     for n in LADDER
-                     if side == "change" or n <= PARENT_LADDER_MAX]
-              for side, root in sides.items()}
+    ladders = {name: {"config": config, "sizes": list(sizes),
+                      **{side: [subprocess_json([__file__, "--root", root,
+                                                 "--ladder-point", name, n])
+                                for n in sizes]
+                         for side, root in sides.items()}}
+               for name, (config, sizes) in LADDERS.items()}
     rev = subprocess.run(["git", "-C", sides["parent"], "rev-parse", "--short", "HEAD"],
                          capture_output=True, text=True, check=True).stdout.strip()
     command = ["python3", "scripts/bench.py", "--parent", f"<checkout of {rev}>",
@@ -131,8 +141,7 @@ def main(argv=None):
         "perfbench": {"seeds": seeds, "seconds_per_run": args.seconds,
                       "order": "parent and change alternate first per seed",
                       "workloads": bench},
-        "ladder": {"config": LADDER_RUN, "sizes": list(LADDER),
-                   "parent_max_cells": PARENT_LADDER_MAX, **ladder},
+        "ladders": ladders,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 

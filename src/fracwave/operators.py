@@ -203,8 +203,10 @@ class OperatorSet:
     sparse tridiagonal arrays (scipy.sparse, csr format), so products with
     them cost O(n).  A_s is the same sparse object as K at s = 1 and as M at
     s = 0, with no eigensolve; at fractional s, build_operators forms it
-    from the spectrum as a dense n x n array.  A_band holds A_s in LAPACK
-    upper band storage and mass_chol the banded Cholesky factor of M.  The
+    from the spectrum as a dense n x n array.  A_band holds the tridiagonal
+    part of A_s that the Newton preconditioner uses (all of A_s at
+    s in {0, 1}, its diagonal otherwise), rest_apply the remainder, and
+    mass_chol the banded Cholesky factor of M.  The
     spectrum (lam, Phi) is computed on first use from dense copies of M
     and K, and kept.  lift_load and lift_const carry the coupling of free
     nodes to fixed endpoint values through the order-1 stiffness, so
@@ -256,9 +258,23 @@ class OperatorSet:
 
     @cached_property
     def A_band(self) -> np.ndarray:
-        """A_s with kd = 1 superdiagonal at s in {0, 1}, all n - 1 otherwise."""
-        kd = 1 if self.tridiagonal and self.n_free > 1 else self.n_free - 1
-        return _upper_band(self.A_s, kd)
+        """The band part B of A_s = B + R, in LAPACK upper band storage with
+        one superdiagonal (kd = 1) at every s: A_s itself at s in {0, 1},
+        where R = 0, and the diagonal of A_s with a zero superdiagonal at
+        fractional s."""
+        if self.tridiagonal:
+            return _upper_band(self.A_s, 1)
+        band = np.zeros((2, self.n_free), order="F")
+        band[1] = np.diagonal(self.A_s)
+        return band
+
+    def rest_apply(self, x: np.ndarray) -> np.ndarray:
+        """R x = A_s x - B x, the part of A_s outside its band part B
+        (A_band): zero at s in {0, 1}, and at fractional s one product with
+        the dense A_s, O(n^2), with no n x n temporary."""
+        if self.tridiagonal:
+            return np.zeros_like(x)
+        return self.A_s @ x - self.A_band[1] * x
 
     @cached_property
     def _abs_A_s(self):

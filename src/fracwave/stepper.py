@@ -18,11 +18,17 @@ Optim. 13 (2002) 865-888).  Each iteration takes the Hessian
 
 at the current iterate, pins the active nodes (those the linearized
 gradient pushes below g) to g, and solves the Newton system on the other
-nodes by banded Cholesky at the bandwidth of A_s.  Without an obstacle the
-active set is empty and the iteration is plain Newton.  The time loop
-starts each step from the inertial extrapolation 2 u_prev - u_prevprev
-projected onto u >= g.  H is positive definite whenever 1/tau^2 outweighs
-max(-W''); when it is not, the step raises SolverFailure.
+nodes.  Split A_s = B + R into its band part B (OperatorSet.A_band) and the
+rest R.  The tridiagonal P = M / tau^2 + B + diag(m_j W''(u_j)) is factored
+by banded Cholesky, which solves the system outright at s in {0, 1}, where
+B = A_s and R = 0.  At fractional s, B is the diagonal of A_s, and
+conjugate gradients preconditioned by P finish the solve in a few products
+with the dense A_s, O(n^2) each: no n x n array is factored or copied.
+Without an obstacle the active set is empty and the iteration is plain
+Newton.  The time loop starts each step from the inertial extrapolation
+2 u_prev - u_prevprev projected onto u >= g.  H is positive definite
+whenever 1/tau^2 outweighs max(-W''); when P does not factor or CG meets a
+direction of non-positive curvature, the step raises SolverFailure.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
@@ -43,6 +49,13 @@ from .potentials import Potential
 _AUTO_TOL_FLOOR = 1e-9
 _AUTO_TOL_ROUNDOFF = 2.0 * np.finfo(float).eps
 _DEFAULT_MAX_ITER = 100
+# CG on a Newton system stops once its residual, which is the linearized
+# gradient at the new iterate, is at most this fraction of the step's tol in
+# the M^-1 norm of the stationarity test.  The inexact solve then moves the
+# M^-1 norm of the next gradient by at most a tenth of the budget, so Newton
+# takes the iterations an exact solve would, except where a residual lies
+# within that margin of tol; the stationarity test alone decides convergence.
+_CG_TOL_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -230,7 +243,6 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
     if obstacle is not None and np.any(u < obstacle):
         raise ConfigurationError("warm start is infeasible for the obstacle")
-    kd = ops.A_band.shape[0] - 1
     m_diag, m_off = ops.M.diagonal() / tau**2, ops.M.diagonal(1) / tau**2
 
     j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
@@ -244,34 +256,46 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     best, best_res = u, res
     iters = 0
     j_path = [j]
+    active = np.zeros(ops.n_free, dtype=bool)
     while res > tol:
         if iters >= solver.max_iter:
-            raise SolverFailure(
-                f"no convergence in {solver.max_iter} iterations "
-                f"(residual {best_res:.3e} > tol {tol:.3e})",
-                best=best, residual=best_res, iterations=iters)
-        hess = ops.A_band.copy(order="F")
-        hess[kd] += m_diag + ops.lumps * potential.curvature(u)
-        hess[kd - 1, 1:] += m_off
+            message = (f"no convergence in {solver.max_iter} iterations "
+                       f"(residual {best_res:.3e} > tol {tol:.3e})")
+            if solver.tol is not None:
+                floor = _roundoff_floor(ops, potential, u1, u2, tau)
+                message += f"; this step's round-off floor is {floor:.3e}"
+                if tol < floor:
+                    message += (", above the explicit tol: the residual cannot "
+                                "be resolved below it; raise tol or leave it unset")
+            raise SolverFailure(message, best=best, residual=best_res,
+                                iterations=iters)
+        # the preconditioner P = M/tau^2 + B + diag(m W''), tridiagonal
+        curv = ops.lumps * potential.curvature(u)
+        band = ops.A_band.copy(order="F")
+        band[1] += m_diag + curv
+        band[0, 1:] += m_off
         rhs = -grad
         if obstacle is not None:
-            # pin the active nodes to g: their columns move to the right-hand
-            # side, their band rows and columns become those of the identity
+            # pin the active nodes to g: their columns of H = P + R move to the
+            # right-hand side, their band rows and columns become those of
+            # the identity
             active = tau**2 * grad / ops.lumps > u - obstacle
             pinned = np.where(active, obstacle - u, 0.0)
-            rhs -= scipy.linalg.blas.dsbmv(kd, 1.0, hess, pinned)
+            rhs -= scipy.linalg.blas.dsbmv(1, 1.0, band, pinned)
+            rhs -= ops.rest_apply(pinned)
             rhs[active] = pinned[active]
-            rows = np.lib.stride_tricks.sliding_window_view(
-                np.r_[np.zeros(kd, bool), active], kd + 1).T
-            hess[rows | active] = 0.0
-            hess[kd, active] = 1.0
+            band[0, 1:][active[1:] | active[:-1]] = 0.0
+            band[1, active] = 1.0
         # LAPACK's pbsv directly: solveh_banded's argument handling costs
         # more than the O(n) solve at a few hundred nodes
-        step, info = scipy.linalg.lapack.dpbsv(hess, rhs, overwrite_ab=1,
-                                               overwrite_b=1)[1:]
+        factor, step, info = scipy.linalg.lapack.dpbsv(band, rhs, overwrite_ab=1,
+                                                       overwrite_b=1)
         if info < 0:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpbsv")
-        if info > 0:
+        if info == 0 and not ops.tridiagonal:
+            # at s in {0, 1}, where R = 0, the factor's solution is exact
+            step = _pcg(ops, factor, step, ~active, curv, tau, _CG_TOL_FRACTION * tol)
+        if info > 0 or step is None:
             raise SolverFailure(
                 "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
                 "definite; more time steps make the step functional convex",
@@ -289,6 +313,34 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
             best, best_res = u, res
     return StepResult(u=u, iterations=iters, residual=res, tol=tol,
                       j_path=tuple(j_path))
+
+
+def _pcg(ops, factor, x, free, curv, tau, stop):
+    """Solve H_FF x_F = b_F on the inactive nodes F (mask free) by conjugate
+    gradients preconditioned with P_FF, starting from x = P^-1 b, the solve
+    by the factor of P with the active nodes pinned.
+
+    H = P + R, so the first residual is r = b - H x = -R_FF x_F; it vanishes
+    at s in {0, 1}, where R = 0, and the caller skips the call there.  Stops
+    once |r|_{M^-1} <= stop, or after |F| iterations, where CG terminates in
+    exact arithmetic.  Every vector is zero off F.  Returns None at a
+    direction p with p^T H p <= 0: there H_FF is not positive definite.
+    """
+    r = np.where(free, -ops.rest_apply(np.where(free, x, 0.0)), 0.0)
+    p = rz = None
+    for _ in range(np.count_nonzero(free)):
+        if r @ ops.solve_mass(r) <= stop**2:
+            break
+        z = scipy.linalg.lapack.dpbtrs(factor, r)[0]
+        rz, rz_old = r @ z, rz
+        p = z if p is None else z + (rz / rz_old) * p
+        hp = np.where(free, ops.M @ p / tau**2 + ops.A_s @ p + curv * p, 0.0)
+        php = p @ hp
+        if not php > 0:
+            return None
+        x = x + (rz / php) * p
+        r = r - (rz / php) * hp
+    return x
 
 
 def effective_v0(config: SchemeConfig) -> np.ndarray:

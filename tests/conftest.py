@@ -35,3 +35,8 @@ def ops64():
 @pytest.fixture(scope="session")
 def ops64_half():
     return make_line_ops(64, 0.5)
+
+
+@pytest.fixture(scope="session")
+def ops1000_half():
+    return make_line_ops(1000, 0.5)

@@ -19,6 +19,9 @@ from fracwave.potentials import double_well, gl_scaled, zero_potential
 from conftest import eigenmode_config, make_line_ops
 
 DRIFT_FLOOR = 1e-10
+# criteria 06 and 07 hold the paper's fractional obstacle problem and the
+# classical one to the same budgets
+OBSTACLE_ORDERS = (0.5, 1.0)
 
 
 def report(criterion, ok, detail):
@@ -29,18 +32,21 @@ def report(criterion, ok, detail):
 @pytest.fixture(scope="module")
 def obstacle_trajectories():
     """Shared scenario for criteria 6 and 7: flat obstacle under a string
-    swung downward."""
+    swung downward, at the fractional order s = 1/2 and at s = 1."""
     mesh = build_mesh(0, 1, 128, dirichlet=(0.0, 0.0))
-    ops = build_operators(mesh, 1.0)
     x = mesh.nodes[mesh.free]
-    g = np.full(ops.n_free, -0.5)
     out = {}
-    for n in (128, 256, 512):
-        cfg = SchemeConfig(T=1.0, n_steps=n, ops=ops, potential=zero_potential(),
-                           u0=np.zeros(ops.n_free), v0=-4.0 * np.sin(np.pi * x),
-                           obstacle=g)
-        out[n] = (cfg, run(cfg))
-    return ops, g, out
+    for s in OBSTACLE_ORDERS:
+        ops = build_operators(mesh, s)
+        g = np.full(ops.n_free, -0.5)
+        runs = {}
+        for n in (128, 256, 512):
+            cfg = SchemeConfig(T=1.0, n_steps=n, ops=ops, potential=zero_potential(),
+                               u0=np.zeros(ops.n_free), v0=-4.0 * np.sin(np.pi * x),
+                               obstacle=g)
+            runs[n] = (cfg, run(cfg))
+        out[s] = (ops, g, runs)
+    return out
 
 
 def test_criterion_01_cosine_law(tmp_path):
@@ -143,46 +149,46 @@ def test_criterion_05_oracle_semilinear():
 
 
 def test_criterion_06_obstacle_contract(obstacle_trajectories):
-    ops, g, runs = obstacle_trajectories
-    feasible = True
-    worst_dual = 0.0   # in units of 10*tol
-    worst_compl = 0.0
-    drifts, taus = {}, {}
-    for n, (cfg, traj) in runs.items():
-        for i in range(1, n + 1):
-            if np.any(traj.u(i) < g):
-                feasible = False
-            min_dual, compl = vi_residuals(ops, cfg.potential, traj, i, g)
-            tol = traj.tols[i - 1]
-            slack = traj.u(i) - g
-            norm = np.sqrt(slack @ (ops.M @ slack))
-            worst_dual = max(worst_dual, -min_dual / (10 * tol))
-            worst_compl = max(worst_compl, compl / (10 * tol * (1 + norm)))
-        max_drift, _ = energy_drift(traj)
-        drifts[n], taus[n] = max_drift, traj.tau
-    e0 = runs[128][1].energies[0, 3]
-    floor = DRIFT_FLOOR * (1 + e0)
-    c_fit = 2.0 * max(drifts[512], floor) / taus[512]
-    energy_ok = all(drifts[n] <= c_fit * taus[n] + floor for n in (128, 256))
-    report("06 obstacle-contract",
-           feasible and worst_dual <= 1.0 and worst_compl <= 1.0 and energy_ok,
-           f"feasible={feasible}, dual {worst_dual:.2f} and complementarity "
-           f"{worst_compl:.2f} of the 10*tol budget, max excess "
-           f"{max(drifts.values()):.2e} <= C*tau with C={c_fit:.3e}")
+    for s, (ops, g, runs) in obstacle_trajectories.items():
+        feasible = True
+        worst_dual = 0.0   # in units of 10*tol
+        worst_compl = 0.0
+        drifts, taus = {}, {}
+        for n, (cfg, traj) in runs.items():
+            for i in range(1, n + 1):
+                if np.any(traj.u(i) < g):
+                    feasible = False
+                min_dual, compl = vi_residuals(ops, cfg.potential, traj, i, g)
+                tol = traj.tols[i - 1]
+                slack = traj.u(i) - g
+                norm = np.sqrt(slack @ (ops.M @ slack))
+                worst_dual = max(worst_dual, -min_dual / (10 * tol))
+                worst_compl = max(worst_compl, compl / (10 * tol * (1 + norm)))
+            max_drift, _ = energy_drift(traj)
+            drifts[n], taus[n] = max_drift, traj.tau
+        e0 = runs[128][1].energies[0, 3]
+        floor = DRIFT_FLOOR * (1 + e0)
+        c_fit = 2.0 * max(drifts[512], floor) / taus[512]
+        energy_ok = all(drifts[n] <= c_fit * taus[n] + floor for n in (128, 256))
+        report(f"06 obstacle-contract s={s:g}",
+               feasible and worst_dual <= 1.0 and worst_compl <= 1.0 and energy_ok,
+               f"feasible={feasible}, dual {worst_dual:.2f} and complementarity "
+               f"{worst_compl:.2f} of the 10*tol budget, max excess "
+               f"{max(drifts.values()):.2e} <= C*tau with C={c_fit:.3e}")
 
 
 def test_criterion_07_no_contact(obstacle_trajectories):
-    ops, g, runs = obstacle_trajectories
-    worst = 0.0
-    masked = None
-    for n, (cfg, traj) in runs.items():
-        mask, resid = no_contact_check(traj, g, 0.1)
-        if n == 512:
-            masked = int(mask.sum())
-        worst = max(worst, resid / (10 * traj.tols.max()))
-    report("07 no-contact", masked and masked > 0 and worst <= 1.0,
-           f"mask {masked}/{ops.n_free} nodes at n=512, worst masked residual "
-           f"{worst:.2e} of the 10*tol budget")
+    for s, (ops, g, runs) in obstacle_trajectories.items():
+        worst = 0.0
+        masked = None
+        for n, (cfg, traj) in runs.items():
+            mask, resid = no_contact_check(traj, g, 0.1)
+            if n == 512:
+                masked = int(mask.sum())
+            worst = max(worst, resid / (10 * traj.tols.max()))
+        report(f"07 no-contact s={s:g}", masked and masked > 0 and worst <= 1.0,
+               f"mask {masked}/{ops.n_free} nodes at n=512, worst masked residual "
+               f"{worst:.2e} of the 10*tol budget")
 
 
 def test_criterion_08_appendix_suite():

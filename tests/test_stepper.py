@@ -6,7 +6,7 @@ import pytest
 from fracwave import (BlowupError, ConfigurationError, SchemeConfig,
                       SolverFailure, SolverParams, el_residual, energy,
                       eval_interpolants, minimize_step, run, step_functional,
-                      vi_residuals)
+                      stepper, vi_residuals)
 from fracwave.potentials import double_well, gl_scaled, zero_potential
 from fracwave.stepper import effective_v0
 
@@ -121,6 +121,74 @@ class TestMinimizeStep:
                             np.array([0.1]), 0.1)
         assert res.u[0] == pytest.approx(0.5 * m / (m + 0.01 * a), rel=1e-12)
 
+    @pytest.mark.parametrize("contact", [False, True])
+    @pytest.mark.parametrize("s", [0.25, 0.5])
+    def test_pcg_matches_dense_newton(self, s, contact):
+        # the same active-set Newton iteration with each restricted system
+        # solved by np.linalg.solve: CG, stopped at a tenth of tol, takes the
+        # same iterations, with the same functional values, to the same state
+        # (measured: 1e-13 relative; 15 of 63 nodes in contact)
+        ops = make_line_ops(64, s=s)
+        x = ops.mesh.nodes[ops.mesh.free]
+        tau = 0.02
+        u1 = 0.5 * np.sin(np.pi * x)
+        u2 = u1 + 0.4 * np.sin(np.pi * x)
+        g = 0.2 * np.exp(-((x - 0.5) / 0.2) ** 2) - 0.05 if contact else None
+        u = np.random.default_rng(7).uniform(-0.5, 0.5, ops.n_free)
+        if contact:
+            u = np.maximum(u, g)
+        res = minimize_step(ops, double_well(), u1, u2, tau, obstacle=g, warm_start=u)
+
+        hess0 = ops.M.toarray() / tau**2 + ops.A_s
+        j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)
+        j_path = [j]
+        while stepper._stationarity(ops, u, grad, g) > res.tol:
+            hess = hess0 + np.diag(ops.lumps * double_well().curvature(u))
+            step = np.zeros(ops.n_free)
+            active = np.zeros(ops.n_free, dtype=bool)
+            if contact:
+                active = tau**2 * grad / ops.lumps > u - g
+                step[active] = (g - u)[active]
+            free = ~active
+            step[free] = np.linalg.solve(hess[np.ix_(free, free)],
+                                         -grad[free] - hess[np.ix_(free, active)] @ step[active])
+            u = u + step if g is None else np.maximum(u + step, g)
+            j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)
+            j_path.append(j)
+        assert res.iterations == len(j_path) - 1 >= 2
+        assert np.allclose(res.j_path, j_path, rtol=1e-10, atol=0.0)
+        assert np.linalg.norm(res.u - u) <= 1e-10 * np.linalg.norm(u)
+        if contact:
+            assert 0 < np.count_nonzero(res.u == g) < ops.n_free
+
+    def test_indefinite_hessian_with_definite_preconditioner(self):
+        # m W'' = -7.2 m nearly cancels M/tau^2 + A_s: the tridiagonal
+        # preconditioner P = M/tau^2 + diag(A_s) + diag(m W'') factors, and
+        # CG meets the negative curvature of H instead
+        ops = make_line_ops(16, s=0.5)
+        tau = 0.5
+        potential = gl_scaled(double_well(), np.sqrt(6.0 / 7.2))   # W''(0) = -6
+        u1 = 0.01 * np.sin(np.pi * ops.mesh.nodes[ops.mesh.free])
+        curv = np.diag(ops.lumps * potential.curvature(u1))
+        mass = ops.M.toarray() / tau**2
+        assert np.linalg.eigvalsh(mass + ops.A_s + curv)[0] < -5e-3
+        assert np.linalg.eigvalsh(mass + np.diag(np.diag(ops.A_s)) + curv)[0] > 0.5
+        with pytest.raises(SolverFailure, match="more time steps") as exc_info:
+            minimize_step(ops, potential, u1, u1, tau)
+        assert exc_info.value.best is not None
+
+    @pytest.mark.parametrize("tol, below", [(1e-15, True), (1e-6, False)])
+    def test_explicit_tol_failure_names_the_roundoff_floor(self, ops64, tol, below):
+        # this step's round-off floor is 2.3e-11: Newton stalls near 2e-12,
+        # far above tol = 1e-15, while one iteration leaves 0.86 > 1e-6
+        u1 = ops64.Phi[:, 0]
+        with pytest.raises(SolverFailure) as exc_info:
+            minimize_step(ops64, double_well(), u1, np.zeros(ops64.n_free), 0.01,
+                          solver=SolverParams(tol=tol, max_iter=100 if below else 1))
+        message = str(exc_info.value)
+        assert "round-off floor is" in message
+        assert ("above the explicit tol" in message) == below
+
     def test_obstacle_projection_exact(self, ops64):
         # pull toward a deep negative state; iterates must respect the bound
         g = np.full(ops64.n_free, -0.1)
@@ -223,7 +291,8 @@ class TestRun:
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_non_convex_step_reports_step_and_best_iterate(self, s):
         # tau = 1/2 against eps = 0.05: M/tau^2 cannot outweigh W''(0)/eps^2;
-        # s = 0.5 factors the full band, s = 1 the tridiagonal one
+        # the tridiagonal factorization of the Newton system (s = 1) or of its
+        # preconditioner (s = 0.5) fails
         ops = make_line_ops(8, s=s)
         x = ops.mesh.nodes[ops.mesh.free]
         cfg = SchemeConfig(T=1.0, n_steps=2, ops=ops,
@@ -255,6 +324,27 @@ class TestRun:
             tracemalloc.stop()
         assert np.any(traj.u(3) == g)
         assert peak < ops.n_free**2 * 8 / 8   # an eighth of one n x n array
+
+    @pytest.mark.parametrize("contact", [False, True])
+    def test_fractional_loop_holds_no_dense_matrix(self, ops1000_half, contact):
+        # at s = 1/2 the Newton systems are solved by CG on the dense A_s with
+        # a tridiagonal preconditioner: past the operators built outside the
+        # trace, the loop allocates at most abs_apply's 512 KB row blocks,
+        # never an n x n array
+        ops = ops1000_half
+        x = ops.mesh.nodes[ops.mesh.free]
+        g = np.full(ops.n_free, -0.05) if contact else None
+        cfg = SchemeConfig(T=0.03, n_steps=3, ops=ops, potential=double_well(),
+                           u0=np.zeros(ops.n_free), v0=-10.0 * np.sin(np.pi * x),
+                           obstacle=g)
+        tracemalloc.start()
+        try:
+            traj = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not contact or np.any(traj.u(3) == g)
+        assert peak < ops.n_free**2 * 8 / 4   # a quarter of one n x n array
 
     def test_large_line_run_memory_is_linear(self):
         # 102,400 cells at s = 1: one n x n array would take 84 GB.  Build and
