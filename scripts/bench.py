@@ -1,7 +1,7 @@
 """Write a BENCH_*.json file: the benchmark's end-to-end medians of a parent
 checkout against this one, and mesh-size ladders at s = 1 and s = 1/2.
 
-    python3 scripts/bench.py --parent DIR --seconds 40 --out BENCH_7.json
+    python3 scripts/bench.py --parent DIR --seconds 40 --out BENCH_8.json
 
 DIR is a checkout of the commit to compare against (`git clone . DIR` and
 `git -C DIR checkout REV`).  For each workload and seed, perfbench/run.py
@@ -9,7 +9,10 @@ DIR is a checkout of the commit to compare against (`git clone . DIR` and
 a drift in machine speed does not favour one side.  Each metric records
 both sides' medians and quartiles and the number of seed pairs in which the
 change reads lower: a gain needs at least 9 of 10 pairs, and a median
-difference larger than the parent's interquartile range.
+difference larger than the parent's interquartile range.  Next to the
+metrics, each workload keeps both sides' inner (Newton) iteration counts
+per seed, from the info line of perfbench/run.py, so that a change in time
+splits into iterations and cost per iteration.
 
 Each ladder runs one config at each of its mesh sizes, in both checkouts,
 one fresh process per size, so that the peak RSS is that size's own, and
@@ -76,11 +79,19 @@ def subprocess_json(args) -> dict:
 
 
 def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    result = subprocess_json([root / "perfbench" / "run.py", "--workload", workload,
-                              "--seed", seed, "--seconds", seconds, "--trace", 0])
+    """The end-to-end metrics of one run and its inner iterations, which
+    must be the same in every repetition."""
+    out = subprocess.run([sys.executable, root / "perfbench" / "run.py",
+                          "--workload", workload, "--seed", str(seed),
+                          "--seconds", str(seconds), "--trace", "0"],
+                         capture_output=True, text=True, check=True)
+    lines = [json.loads(line) for line in out.stdout.splitlines()
+             if line.startswith("{")]
+    result = lines[-1]
     if not result["correct"]:
         sys.exit(f"{root}: {workload} seed {seed} failed its checks")
-    return {m: result["metrics"][m]["value"] for m in METRICS}
+    (iters,) = next(line["info"]["inner_iters"] for line in lines if "info" in line)
+    return {"inner_iters": iters, **{m: result["metrics"][m]["value"] for m in METRICS}}
 
 
 def summary(parent: list, change: list) -> dict:
@@ -121,6 +132,8 @@ def main(argv=None):
         bench[workload] = {metric: summary([r[metric] for r in runs["parent"]],
                                            [r[metric] for r in runs["change"]])
                            for metric in METRICS}
+        bench[workload]["inner_iters"] = {side: [r["inner_iters"] for r in runs[side]]
+                                          for side in sides}
 
     ladders = {name: {"config": config, "sizes": list(sizes),
                       **{side: [subprocess_json([__file__, "--root", root,

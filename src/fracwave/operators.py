@@ -23,7 +23,7 @@ import scipy.sparse
 
 from .errors import ConfigurationError, NumericError
 
-# entries of A_s per row block of OperatorSet.abs_apply at fractional s (512 KB)
+# entries of A_s per row block read to build A_s^+ at fractional s (512 KB)
 _ABS_BLOCK = 1 << 16
 
 
@@ -205,8 +205,9 @@ class OperatorSet:
     s = 0, with no eigensolve; at fractional s, build_operators forms it
     from the spectrum as a dense n x n array.  A_band holds the tridiagonal
     part of A_s that the Newton preconditioner uses (all of A_s at
-    s in {0, 1}, its diagonal otherwise), rest_apply the remainder, and
-    mass_chol the banded Cholesky factor of M.  The
+    s in {0, 1}, its diagonal otherwise), rest_apply the remainder, M_band
+    the same kd = 1 upper band storage of M, and mass_chol the banded
+    Cholesky factor of M.  The
     spectrum (lam, Phi) is computed on first use from dense copies of M
     and K, and kept.  lift_load and lift_const carry the coupling of free
     nodes to fixed endpoint values through the order-1 stiffness, so
@@ -221,6 +222,7 @@ class OperatorSet:
     lumps: np.ndarray
     lift_load: np.ndarray
     lift_const: float
+    M_band: np.ndarray
     mass_chol: tuple
 
     @property
@@ -278,19 +280,34 @@ class OperatorSet:
 
     @cached_property
     def _abs_A_s(self):
-        # the entrywise |A_s|, cached where it is sparse (s in {0, 1})
-        return abs(self.A_s)
+        """Sparse csr form used by abs_apply: the entrywise |A_s| at
+        s in {0, 1} (|K|, or M itself), and A_s^+ = max(A_s, 0) at fractional
+        s, read from the dense A_s in row blocks of about _ABS_BLOCK entries
+        so that no n x n temporary is made."""
+        if self.tridiagonal:
+            return abs(self.A_s)
+        n = self.n_free
+        rows = max(1, _ABS_BLOCK // n)
+        ri, ci = [], []
+        for i in range(0, n, rows):
+            r, c = np.nonzero(self.A_s[i:i + rows] > 0)
+            ri.append(r + i)
+            ci.append(c)
+        ri, ci = np.concatenate(ri), np.concatenate(ci)
+        return scipy.sparse.csr_array((self.A_s[ri, ci], (ri, ci)), shape=(n, n))
 
     def abs_apply(self, w: np.ndarray) -> np.ndarray:
         """|A_s| w, with |A_s| the entrywise absolute value.  At s in {0, 1}
-        it uses the cached sparse |K| or M, in O(n).  At fractional s it
-        reads the dense A_s in row blocks of about _ABS_BLOCK entries: O(n^2)
-        time like one product with A_s, and no second n x n array held."""
+        it uses the cached sparse |K| or M, in O(n).  At fractional s it uses
+        |a| = 2 max(a, 0) - a: |A_s| w = 2 A_s^+ w - A_s w, one product with
+        the dense A_s, O(n^2), and one with the sparse A_s^+.  Every entry of
+        A_s^+ lies on the diagonal or the first off-diagonals on the meshes
+        checked (line and radial, 200 cells, s from 0.1 to 0.9): nnz(A_s^+)/n
+        is 1 for s >= 0.5, 1.04 at s = 0.25 and 2.99 at s = 0.1, so A_s^+
+        holds O(n)."""
         if self.tridiagonal:
             return self._abs_A_s @ w
-        rows = max(1, _ABS_BLOCK // self.n_free)
-        return np.concatenate([np.abs(self.A_s[i:i + rows]) @ w
-                               for i in range(0, self.n_free, rows)])
+        return 2.0 * (self._abs_A_s @ w) - self.A_s @ w
 
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
         """M^{-1} r via the cached banded Cholesky factor.
@@ -338,12 +355,15 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     # sums over all nodes), so the lumped measure equals the domain measure
     # minus the constrained-node lumps
     lumps = (np.r_[left + cross, 0.0] + np.r_[0.0, right + cross])[lo:hi]
+    M_band = _upper_band(M, 1)
     ops = OperatorSet(
         mesh=mesh, M=M, K=K, s=float(s), lumps=lumps, lift_load=lift_load,
-        lift_const=float(lift_const),
-        mass_chol=(scipy.linalg.cholesky_banded(_upper_band(M, 1)), False),
+        lift_const=float(lift_const), M_band=M_band,
+        mass_chol=(scipy.linalg.cholesky_banded(M_band), False),
     )
-    ops.A_band   # fractional s: the eigensolve belongs to setup, not to the first step
+    # fractional s: the eigensolve and A_s^+ belong to setup, not to the first step
+    ops.A_band
+    ops._abs_A_s
     return ops
 
 

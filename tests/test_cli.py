@@ -9,8 +9,8 @@ import pytest
 
 import fracwave
 from fracwave import ConfigurationError
-from fracwave.cli import (build_problem, cmd_converge, cmd_run, cmd_sweep_eps,
-                          main, parse_config)
+from fracwave.cli import (_fmt, _write_csv, build_problem, cmd_converge, cmd_run,
+                          cmd_sweep_eps, main, parse_config)
 from fracwave.diagnostics import oracle_recurrence
 
 
@@ -26,6 +26,12 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [l.split(",") for l in lines[1:]]
     return header, rows
+
+
+def per_value_text(header, rows):
+    """CSV text with every value formatted on its own by _fmt."""
+    return "\n".join([",".join(header)]
+                     + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
 
 
 def read_footer(path):
@@ -187,6 +193,33 @@ class TestCmdRun:
         iterations = [int(r[header.index("iterations")]) for r in rows[1:]]
         assert len(iterations) == 256
         assert max(iterations) <= 5
+
+    def test_csv_writer_keeps_the_per_value_text(self, tmp_path):
+        # integers print bare, whether int or integral float; nan as "nan"
+        rows = [(0, 0.0, -0.0, 900.0, np.int64(7), 2**52 + 1),
+                (1, 0.1, np.nan, -np.inf, 1e-300, 1.0 / 3.0)]
+        _write_csv(tmp_path / "a.csv", ["a", "b", "c", "d", "e", "f"], rows)
+        assert (tmp_path / "a.csv").read_bytes() == \
+            per_value_text(["a", "b", "c", "d", "e", "f"], rows).encode()
+
+    def test_run_outputs_keep_the_per_value_text(self, tmp_path):
+        path = write_config(tmp_path, {"preset": "gl_interface", "n_cells": 20,
+                                       "n_steps": 40, "T": 0.02,
+                                       "snapshot_stride": 10})
+        cfg = parse_config(path)
+        written = cmd_run(cfg, tmp_path / "out")
+        traj = fracwave.run(build_problem(cfg))
+        energy_rows = [(i, i * traj.tau, *traj.energies[i],
+                        traj.residuals[i - 1] if i else 0.0,
+                        traj.iterations[i - 1] if i else 0)
+                       for i in range(traj.n_steps + 1)]
+        assert written["energy"].read_bytes() == per_value_text(
+            ["step", "t", "kinetic", "fractional", "potential", "total",
+             "residual", "iterations"], energy_rows).encode()
+        mesh = traj.config.ops.mesh
+        snap_rows = [(i * traj.tau, *mesh.embed(traj.u(i))) for i in range(0, 41, 10)]
+        assert written["snapshots"].read_bytes() == per_value_text(
+            ["t"] + [_fmt(x) for x in mesh.nodes], snap_rows).encode()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, {"preset": "obstacle_wave", "n_steps": 16,

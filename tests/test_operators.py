@@ -204,6 +204,18 @@ class TestAbsApply:
         assert np.allclose(ops.abs_apply(w), np.abs(A) @ w,
                            rtol=terms * np.finfo(float).eps, atol=0.0)
 
+    @pytest.mark.parametrize("geometry", ["line", "radial"])
+    @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
+    def test_fractional_split_matches_the_dense_absolute_value(self, geometry, s):
+        # |A_s| w = 2 A_s^+ w - A_s w with the sparse A_s^+ = max(A_s, 0),
+        # which holds O(n) entries (measured: at most 3n)
+        ops = (make_line_ops(200, s=s) if geometry == "line"
+               else make_radial_ops(200, s=s, right=0.0))
+        w = np.abs(np.random.default_rng(3).standard_normal(ops.n_free))
+        assert np.allclose(ops.abs_apply(w), np.abs(ops.A_s) @ w,
+                           rtol=1e-14, atol=0.0)
+        assert ops._abs_A_s.nnz <= 3 * ops.n_free
+
 
 class TestSpectralDecompose:
     def test_uniform_dispersion_closed_form(self):
