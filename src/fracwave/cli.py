@@ -171,6 +171,8 @@ def _validate_config(cfg: RunConfigFile):
         raise ConfigurationError("key 'T' must be positive")
     if cfg.s < 0:
         raise ConfigurationError("key 's' must be >= 0")
+    if cfg.geometry not in ("line", "radial"):
+        raise ConfigurationError(f"key 'geometry' has unknown value '{cfg.geometry}'")
     if cfg.potential not in ("zero", "quadratic", "double_well"):
         raise ConfigurationError(f"key 'potential' has unknown value '{cfg.potential}'")
     if cfg.gl_eps is not None and cfg.gl_eps <= 0:
@@ -192,7 +194,7 @@ def _validate_config(cfg: RunConfigFile):
             raise ConfigurationError("key 'u0_r0' is required for a tanh front")
         if cfg.u0_width is None and cfg.gl_eps is None:
             raise ConfigurationError("key 'u0_width' is required without 'gl_eps'")
-    # SolverParams re-checks tol/max_iter.
+    SolverParams(tol=cfg.tol, max_iter=cfg.max_iter)  # raises on a bad tol or max_iter
 
 
 def _parse_modes(spec: str, key: str):

@@ -23,9 +23,6 @@ import scipy.sparse
 
 from .errors import ConfigurationError, NumericError
 
-# entries of A_s per row block read to build A_s^+ at fractional s (512 KB)
-_ABS_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class Mesh1D:
@@ -154,12 +151,14 @@ def _upper_band(a, kd: int) -> np.ndarray:
     return ab
 
 
-def spectral_decompose(M: np.ndarray, K: np.ndarray):
+def spectral_decompose(M, K):
     """Generalized symmetric eigenpairs K phi = lambda M phi.
 
-    Returns (lam, Phi) with lam ascending and Phi^T M Phi = identity.
-    Eigenvector signs are fixed so the largest-magnitude entry is positive,
-    which keeps runs reproducible across invocations.
+    M and K may be dense or sparse; only eigh's arguments are dense copies,
+    and the residual check below uses the sparse forms.  Returns (lam, Phi)
+    with lam ascending and Phi^T M Phi = identity.  Eigenvector signs are
+    fixed so the largest-magnitude entry is positive, which keeps runs
+    reproducible across invocations.
 
     Every pair must satisfy the backward-error bound
 
@@ -178,15 +177,16 @@ def spectral_decompose(M: np.ndarray, K: np.ndarray):
     (radial, 2,400 cells) below it, while a corrupted pair exceeds it by
     orders of magnitude.
     """
+    M, K = scipy.sparse.csr_array(M), scipy.sparse.csr_array(K)
     try:
-        lam, phi = scipy.linalg.eigh(K, M)
+        lam, phi = scipy.linalg.eigh(K.toarray(), M.toarray())
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"generalized eigendecomposition failed: {exc}") from exc
     j = np.argmax(np.abs(phi), axis=0)
     phi *= np.where(phi[j, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
     resid = np.linalg.norm(K @ phi - (M @ phi) * lam, axis=0)
     bound = (lam.size * np.finfo(float).eps / 2.0
-             * (np.linalg.norm(K, 1) + np.abs(lam) * np.linalg.norm(M, 1))
+             * (abs(K).sum(axis=0).max() + np.abs(lam) * abs(M).sum(axis=0).max())
              * np.linalg.norm(phi, axis=0))
     worst = float(np.max(resid / bound))
     if worst > 1.0:
@@ -207,9 +207,8 @@ class OperatorSet:
     part of A_s that the Newton preconditioner uses (all of A_s at
     s in {0, 1}, its diagonal otherwise), rest_apply the remainder, M_band
     the same kd = 1 upper band storage of M, and mass_chol the banded
-    Cholesky factor of M.  The
-    spectrum (lam, Phi) is computed on first use from dense copies of M
-    and K, and kept.  lift_load and lift_const carry the coupling of free
+    Cholesky factor of M.  The spectrum (lam, Phi) is computed on first
+    use, and kept.  lift_load and lift_const carry the coupling of free
     nodes to fixed endpoint values through the order-1 stiffness, so
     build_operators admits nonzero Dirichlet data only at s = 1; both are
     zero when the data vanish.
@@ -236,7 +235,7 @@ class OperatorSet:
 
     @cached_property
     def _spectrum(self):
-        return spectral_decompose(self.M.toarray(), self.K.toarray())
+        return spectral_decompose(self.M, self.K)
 
     @property
     def lam(self) -> np.ndarray:
@@ -251,12 +250,13 @@ class OperatorSet:
     @cached_property
     def A_s(self):
         """Order-s stiffness: K at s = 1, M at s = 0 (both sparse), else the
-        dense spectral power."""
+        dense spectral power y y^T, y = (M Phi) Lambda^(s/2).  NumPy forms
+        y @ y.T by BLAS syrk, so the result is exactly symmetric."""
         if self.tridiagonal:
             return self.K if self.s else self.M
-        mphi = self.M @ self.Phi
-        a_s = (mphi * np.maximum(self.lam, 0.0) ** self.s) @ mphi.T
-        return 0.5 * (a_s + a_s.T)
+        y = self.M @ self.Phi
+        y *= np.maximum(self.lam, 0.0) ** (self.s / 2.0)
+        return y @ y.T
 
     @cached_property
     def A_band(self) -> np.ndarray:
@@ -282,19 +282,10 @@ class OperatorSet:
     def _abs_A_s(self):
         """Sparse csr form used by abs_apply: the entrywise |A_s| at
         s in {0, 1} (|K|, or M itself), and A_s^+ = max(A_s, 0) at fractional
-        s, read from the dense A_s in row blocks of about _ABS_BLOCK entries
-        so that no n x n temporary is made."""
+        s.  Its n x n temporary stays below the peak of the eigensolve."""
         if self.tridiagonal:
             return abs(self.A_s)
-        n = self.n_free
-        rows = max(1, _ABS_BLOCK // n)
-        ri, ci = [], []
-        for i in range(0, n, rows):
-            r, c = np.nonzero(self.A_s[i:i + rows] > 0)
-            ri.append(r + i)
-            ci.append(c)
-        ri, ci = np.concatenate(ri), np.concatenate(ci)
-        return scipy.sparse.csr_array((self.A_s[ri, ci], (ri, ci)), shape=(n, n))
+        return scipy.sparse.csr_array(np.maximum(self.A_s, 0.0))
 
     def abs_apply(self, w: np.ndarray) -> np.ndarray:
         """|A_s| w, with |A_s| the entrywise absolute value.  At s in {0, 1}

@@ -74,8 +74,9 @@ class SolverParams:
     """Inner semismooth-Newton solver controls.
 
     tol: absolute stopping threshold on the stationarity measure (the
-        mass-weighted projected-gradient norm, plus the dual-sign and
-        complementarity terms under an obstacle); None resolves per step to
+        mass-weighted projected-gradient norm, and under an obstacle the
+        larger of it and the dual-sign term, which together bound the
+        complementarity product); None resolves per step to
         1e-9 plus the round-off floor of the residual (_roundoff_floor).
         Neither term depends on the warm start, so every start of a step is
         held to the same tolerance.
@@ -189,17 +190,20 @@ def _grad_and_value(ops, potential, u, u1, u2, tau):
 
 def _stationarity(ops, u, grad, obstacle) -> float:
     """Mass-weighted norm of the projected gradient; under an obstacle the
-    maximum of the projected norm, the worst negative dual density, and the
-    normalized complementarity product (all must vanish at a minimizer)."""
+    larger of the projected norm and the worst negative dual density (both
+    must vanish at a minimizer).
+
+    The normalized complementarity product |grad . slack| / (1 + |slack|_M),
+    slack = u - g, needs no term of its own: u is feasible, so the slack
+    vanishes on the active set, grad . slack = pg . slack <= |pg|_{M^-1}
+    |slack|_M, and the product stays below the projected norm."""
     if obstacle is None:
         return float(np.sqrt(max(grad @ ops.solve_mass(grad), 0.0)))
     active = u <= obstacle
     pg = np.where(active, np.minimum(grad, 0.0), grad)
     pg_norm = float(np.sqrt(max(pg @ ops.solve_mass(pg), 0.0)))
     dual_violation = max(0.0, -float(np.min(grad / ops.lumps)))
-    slack = u - obstacle
-    compl = abs(float(grad @ slack)) / (1.0 + np.sqrt(float(slack @ (ops.M @ slack))))
-    return max(pg_norm, dual_violation, compl)
+    return max(pg_norm, dual_violation)
 
 
 def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
@@ -215,13 +219,18 @@ def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
     most u = eps/2 relative to the magnitudes it combines (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., ch. 3): the second
     difference (u - 2 u1) + u2 errs by at most u (|u| + 2|u1|) <=
-    eps (2|u1| + |u2|), which M / tau^2 carries; a three-term row of A_s w
-    errs by gamma_3 ~ 1.5 eps relative to |A_s| |w|; and summing the four
-    terms adds up to 1.5 eps of t.  The worst case is thus 2.5 to 3 eps
-    times t per entry, which roundings of either sign seldom reach; c = 2
-    sits just below it.  Measured at s = 1, Newton's residual stalls 6 to 8
-    times below the floor (3.7e-9 against 3.0e-8 on 4,800 radial cells with
-    the eps-scaled well, 1.0e-6 against 6.6e-6 on 102,400 line cells).
+    eps (2|u1| + |u2|), which M / tau^2 carries; at s in {0, 1} a
+    three-term row of A_s w errs by gamma_3 ~ 1.5 eps relative to
+    |A_s| |w|; and summing the four terms adds up to 1.5 eps of t.  The
+    worst case is thus 2.5 to 3 eps times t per entry, which roundings of
+    either sign seldom reach; c = 2 sits just below it.  Measured at s = 1,
+    Newton's residual stalls 6 to 8 times below the floor (3.7e-9 against
+    3.0e-8 on 4,800 radial cells with the eps-scaled well, 1.0e-6 against
+    6.6e-6 on 102,400 line cells).  At fractional s a row of the dense A_s
+    has n terms, so the worst case of A_s w is gamma_n ~ n eps / 2 relative
+    to |A_s| |w|, and c = 2 rests on measurement, not on this derivation:
+    at s = 1/2 the residual stalls 48 times below the floor (7.2e-11
+    against 3.5e-9 on 1,600 radial cells with the eps-scaled well).
     The floor is O(n) at s in {0, 1}, where |A_s| is the cached sparse |K|
     or M.  At fractional s, OperatorSet.abs_apply forms |A_s| |w| as
     2 A_s^+ |w| - A_s |w|, with A_s^+ = max(A_s, 0) sparse and built at

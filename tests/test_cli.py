@@ -331,6 +331,17 @@ class TestMainExitCodes:
     def test_missing_file_is_2(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "absent.json")]) == 2
 
+    @pytest.mark.parametrize("key, value", [("tol", -1.0), ("max_iter", 0),
+                                            ("geometry", "sphere")])
+    def test_bad_solver_key_or_geometry_is_2_before_any_output(
+            self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, {"preset": "eigenmode", key: value})
+        with pytest.raises(ConfigurationError, match=key):
+            parse_config(path)
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+        assert not (out / "effective_config.json").exists()
+
     def test_dirichlet_data_at_fractional_order_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": "gl_interface", "s": 0.5})
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,10 +192,7 @@ class TestSparseFormsAgainstDenseReference:
 
 class TestAbsApply:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
-    def test_matches_the_entrywise_product(self, s, monkeypatch):
-        # a block of 100 entries is 3 rows of A_s: 11 row blocks, the last
-        # one short
-        monkeypatch.setattr(operators, "_ABS_BLOCK", 100)
+    def test_matches_the_entrywise_product(self, s):
         ops = make_line_ops(32, s=s)
         A = ops.A_s.toarray() if ops.tridiagonal else ops.A_s
         w = np.abs(np.random.default_rng(9).standard_normal(ops.n_free))
@@ -256,6 +254,31 @@ class TestSpectralDecompose:
         # deterministic sign convention: dominant entry positive
         for k in range(11):
             assert phi[np.argmax(np.abs(phi[:, k])), k] > 0
+
+    @pytest.mark.parametrize("geometry", ["line", "radial"])
+    def test_sparse_forms_give_the_dense_result(self, geometry):
+        # only eigh's arguments are densified, so the eigenpairs are the same
+        # bits whichever form is passed
+        ops = make_line_ops(48) if geometry == "line" else make_radial_ops(48)
+        lam, phi = spectral_decompose(ops.M, ops.K)
+        lam_d, phi_d = spectral_decompose(ops.M.toarray(), ops.K.toarray())
+        assert np.array_equal(lam, lam_d) and np.array_equal(phi, phi_d)
+
+    @pytest.mark.parametrize("geometry", ["line", "radial"])
+    @pytest.mark.parametrize("s", [0.1, 0.5])
+    def test_fractional_setup_peak_memory(self, geometry, s):
+        # the dense copies of M and K exist only as eigh's input; with the
+        # eigensolve, A_s and A_s^+, setup peaks near 6 n x n arrays
+        mesh = (build_mesh(0, 1, 1000, dirichlet=(0.0, 0.0)) if geometry == "line"
+                else build_mesh(0, 1, 1000, geometry="radial", dim=2,
+                                dirichlet=(None, 0.0)))
+        tracemalloc.start()
+        try:
+            ops = build_operators(mesh, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 8 * ops.n_free**2
 
     def test_large_line_mesh_passes_the_backward_error_bound(self):
         # a fixed 1e-10 relative bound rejected this mesh (residual 3.13e-10)
@@ -356,7 +379,7 @@ class TestFractionalOperator:
         for s in (0.0, 0.3, 0.5, 1.0):
             ops = make_line_ops(16, s=s)
             A = ops.A_s.toarray() if ops.tridiagonal else ops.A_s
-            assert np.allclose(A, A.T)
+            assert np.array_equal(A, A.T)
             for _ in range(20):
                 u = rng.standard_normal(ops.n_free)
                 assert u @ (ops.A_s @ u) >= -1e-12
