@@ -151,6 +151,14 @@ def _upper_band(a, kd: int) -> np.ndarray:
     return ab
 
 
+def _tridiagonal_parts(band):
+    """(d, e): the diagonal and superdiagonal held in kd = 1 upper band
+    storage, as LAPACK's SPD tridiagonal routines (?pttrf, ?pttrs, ?ptsv)
+    take them.  SciPy's wrappers of those routines want e of length at least
+    1, so a single node passes the unused zero at band[0, 0]."""
+    return band[1], band[0, 1:] if band.shape[1] > 1 else band[0]
+
+
 def spectral_decompose(M, K):
     """Generalized symmetric eigenpairs K phi = lambda M phi.
 
@@ -206,12 +214,13 @@ class OperatorSet:
     from the spectrum as a dense n x n array.  A_band holds the tridiagonal
     part of A_s that the Newton preconditioner uses (all of A_s at
     s in {0, 1}, its diagonal otherwise), rest_apply the remainder, M_band
-    the same kd = 1 upper band storage of M, and mass_chol the banded
-    Cholesky factor of M.  The spectrum (lam, Phi) is computed on first
-    use, and kept.  lift_load and lift_const carry the coupling of free
-    nodes to fixed endpoint values through the order-1 stiffness, so
-    build_operators admits nonzero Dirichlet data only at s = 1; both are
-    zero when the data vanish.
+    the same kd = 1 upper band storage of M, and mass_chol the factors
+    (d, e) of its tridiagonal LDL^T factorization (LAPACK dpttrf:
+    D = diag(d), L unit lower bidiagonal with subdiagonal e).  The spectrum
+    (lam, Phi) is computed on first use, and kept.  lift_load and lift_const
+    carry the coupling of free nodes to fixed endpoint values through the
+    order-1 stiffness, so build_operators admits nonzero Dirichlet data only
+    at s = 1; both are zero when the data vanish.
     """
 
     mesh: Mesh1D
@@ -301,17 +310,18 @@ class OperatorSet:
         return 2.0 * (self._abs_A_s @ w) - self.A_s @ w
 
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
-        """M^{-1} r via the cached banded Cholesky factor.
+        """M^{-1} r via the cached tridiagonal LDL^T factors of M.
 
-        Calls LAPACK's pbtrs directly, with no finiteness check: blowup
+        Calls LAPACK's pttrs directly, with no finiteness check: blowup
         detection is the caller's job, and this sits on the solver's hot
-        path, where cho_solve_banded's argument handling costs twice the
-        solve at a few hundred nodes.
+        path, where a wrapper's argument handling costs more than the O(n)
+        solve at a few hundred nodes.  For a symmetric positive definite
+        tridiagonal M this factorization is backward stable (Higham,
+        Accuracy and Stability of Numerical Algorithms, 2nd ed., sec. 9.5).
         """
-        factor, lower = self.mass_chol
-        x, info = scipy.linalg.lapack.dpbtrs(factor, r, lower=lower)
+        x, info = scipy.linalg.lapack.dpttrs(*self.mass_chol, r)
         if info:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbtrs")
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
         return x
 
 
@@ -347,10 +357,13 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     # minus the constrained-node lumps
     lumps = (np.r_[left + cross, 0.0] + np.r_[0.0, right + cross])[lo:hi]
     M_band = _upper_band(M, 1)
+    d, e, info = scipy.linalg.lapack.dpttrf(*_tridiagonal_parts(M_band))
+    if info:
+        raise NumericError(f"the mass matrix does not factor: LAPACK dpttrf "
+                           f"returned info {info}")
     ops = OperatorSet(
         mesh=mesh, M=M, K=K, s=float(s), lumps=lumps, lift_load=lift_load,
-        lift_const=float(lift_const), M_band=M_band,
-        mass_chol=(scipy.linalg.cholesky_banded(M_band), False),
+        lift_const=float(lift_const), M_band=M_band, mass_chol=(d, e),
     )
     # fractional s: the eigensolve and A_s^+ belong to setup, not to the first step
     ops.A_band

@@ -80,8 +80,11 @@ class DoubleWellPotential(Potential):
         return -2.0 * (1.0 - q) * (3.0 + q) / (1.0 + q) ** 2 * u
 
     def curvature(self, u):
+        """(2q^3 + 6q^2 + 30q - 6) / (1 + q)^3 with q = u^2, the numerator in
+        Horner form and the cube as p*p*p: products, not float powers."""
         q = np.asarray(u, dtype=float) ** 2
-        return (2.0 * q**3 + 6.0 * q**2 + 30.0 * q - 6.0) / (1.0 + q) ** 3
+        p = 1.0 + q
+        return (((2.0 * q + 6.0) * q + 30.0) * q - 6.0) / (p * p * p)
 
 
 class ScaledPotential(Potential):

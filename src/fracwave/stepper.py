@@ -20,8 +20,9 @@ at the current iterate, pins the active nodes (those the linearized
 gradient pushes below g) to g, and solves the Newton system on the other
 nodes.  Split A_s = B + R into its band part B (OperatorSet.A_band) and the
 rest R.  The tridiagonal P = M / tau^2 + B + diag(m_j W''(u_j)) is factored
-by banded Cholesky, which solves the system outright at s in {0, 1}, where
-B = A_s and R = 0.  At fractional s, B is the diagonal of A_s, and
+as L D L^T by LAPACK's symmetric positive definite tridiagonal solver
+(dptsv), which solves the system outright at s in {0, 1}, where B = A_s and
+R = 0.  At fractional s, B is the diagonal of A_s, and
 conjugate gradients preconditioned by P finish the solve in a few products
 with the dense A_s, O(n^2) each: no n x n array is factored or copied.
 Without an obstacle the active set is empty and the iteration is plain
@@ -50,7 +51,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowupError, ConfigurationError, SolverFailure
-from .operators import OperatorSet
+from .operators import OperatorSet, _tridiagonal_parts
 from .potentials import Potential
 
 _AUTO_TOL_FLOOR = 1e-9
@@ -127,10 +128,17 @@ class SchemeConfig:
 
 
 class Trajectory:
-    """States u_i (i = -1..n), derived velocities, and per-step records."""
+    """States u_i (i = -1..n), derived velocities, and per-step records.
+
+    energies[i] is (kinetic, fractional, potential, total) at step i, equal
+    bit for bit to energy(self, i).  Row 0 is computed here; rows 1..n take
+    the fractional and potential terms from step_energies, which the last
+    evaluation of each step's functional formed, and add the kinetic term.
+    """
 
     def __init__(self, config: SchemeConfig, tau: float, states: np.ndarray,
-                 iterations: np.ndarray, residuals: np.ndarray, tols: np.ndarray):
+                 iterations: np.ndarray, residuals: np.ndarray, tols: np.ndarray,
+                 step_energies: np.ndarray):
         self.config = config
         self.tau = float(tau)
         self.states = states              # (n + 2, n_free), row i+1 <-> u_i
@@ -139,8 +147,12 @@ class Trajectory:
         self.tols = tols
         n = config.n_steps
         self.energies = np.empty((n + 1, 4))
-        for i in range(n + 1):
-            self.energies[i] = energy(self, i)
+        self.energies[0] = energy(self, 0)
+        for i in range(1, n + 1):
+            # one row at a time: a vectorized table holds n x n_free temporaries
+            kin = _kinetic_energy(config.ops, self.v(i))
+            frac, pot = step_energies[i - 1]
+            self.energies[i] = kin, frac, pot, kin + frac + pot
 
     @property
     def n_steps(self) -> int:
@@ -167,6 +179,8 @@ class StepResult:
     residual: float
     tol: float
     j_path: tuple  # functional values at the Newton iterates
+    frac_energy: float  # 0.5 u.A_s u + u.lift_load + lift_const at u
+    pot_energy: float   # lumps . W(u) at u
 
 
 def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
@@ -177,15 +191,26 @@ def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
                            np.asarray(u2, dtype=float), tau)[0]
 
 
+def _kinetic_energy(ops, v) -> float:
+    return 0.5 * float(v @ (ops.M @ v))
+
+
+def _fractional_energy(ops, u, au) -> float:
+    """0.5 u.A_s u + u.lift_load + lift_const, with au = A_s u."""
+    return 0.5 * float(u @ au) + float(u @ ops.lift_load) + ops.lift_const
+
+
 def _grad_and_value(ops, potential, u, u1, u2, tau):
+    """(J(u), grad J(u), fractional energy, potential energy) of u; the
+    last two are the terms of J that energy() reports, formed once here."""
     d = u - 2.0 * u1 + u2
     md = ops.M @ d
     au = ops.A_s @ u
-    j = (float(d @ md) / (2.0 * tau**2)
-         + 0.5 * float(u @ au) + float(u @ ops.lift_load) + ops.lift_const
-         + float(ops.lumps @ potential.value(u)))
+    frac = _fractional_energy(ops, u, au)
+    pot = float(ops.lumps @ potential.value(u))
+    j = float(d @ md) / (2.0 * tau**2) + frac + pot
     grad = md / tau**2 + au + ops.lift_load + ops.lumps * potential.gradient(u)
-    return j, grad
+    return j, grad, frac, pot
 
 
 def _stationarity(ops, u, grad, obstacle) -> float:
@@ -255,6 +280,9 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     pinned to g and the Newton system is solved on the rest.  Iterates are
     projected onto u >= g, so every iterate is feasible.
 
+    The result carries the fractional and potential energies of the final
+    iterate, from the functional's last evaluation.
+
     Raises SolverFailure (carrying the iterate of least residual) if max_iter
     is reached above tolerance or the Hessian on the inactive nodes is not
     positive definite, and BlowupError on NaN in the functional or gradient.
@@ -265,7 +293,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     if obstacle is not None and np.any(u < obstacle):
         raise ConfigurationError("warm start is infeasible for the obstacle")
 
-    j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
+    j, grad, frac, pot = _grad_and_value(ops, potential, u, u1, u2, tau)
     if not (np.isfinite(j) and np.all(np.isfinite(grad))):
         raise BlowupError("non-finite functional or gradient at warm start")
     res = _stationarity(ops, u, grad, obstacle)
@@ -276,7 +304,6 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     best, best_res = u, res
     iters = 0
     j_path = [j]
-    active = np.zeros(ops.n_free, dtype=bool)
     while res > tol:
         if iters >= solver.max_iter:
             message = (f"no convergence in {solver.max_iter} iterations "
@@ -289,33 +316,9 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                                 "be resolved below it; raise tol or leave it unset")
             raise SolverFailure(message, best=best, residual=best_res,
                                 iterations=iters)
-        # the preconditioner P = M/tau^2 + B + diag(m W''), tridiagonal
-        curv = ops.lumps * potential.curvature(u)
-        band = ops.M_band / tau**2
-        band[1] += curv
-        band += ops.A_band
-        rhs = -grad
-        if obstacle is not None:
-            # pin the active nodes to g: their columns of H = P + R move to the
-            # right-hand side, their band rows and columns become those of
-            # the identity
-            active = tau**2 * grad / ops.lumps > u - obstacle
-            pinned = np.where(active, obstacle - u, 0.0)
-            rhs -= scipy.linalg.blas.dsbmv(1, 1.0, band, pinned)
-            rhs -= ops.rest_apply(pinned)
-            rhs[active] = pinned[active]
-            band[0, 1:][active[1:] | active[:-1]] = 0.0
-            band[1, active] = 1.0
-        # LAPACK's pbsv directly: solveh_banded's argument handling costs
-        # more than the O(n) solve at a few hundred nodes
-        factor, step, info = scipy.linalg.lapack.dpbsv(band, rhs, overwrite_ab=1,
-                                                       overwrite_b=1)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of LAPACK dpbsv")
-        if info == 0 and not ops.tridiagonal:
-            # at s in {0, 1}, where R = 0, the factor's solution is exact
-            step = _pcg(ops, factor, step, ~active, curv, tau, _CG_TOL_FRACTION * tol)
-        if info > 0 or step is None:
+        step = _newton_step(ops, ops.lumps * potential.curvature(u), grad, u,
+                            obstacle, tau, _CG_TOL_FRACTION * tol)
+        if step is None:
             raise SolverFailure(
                 "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
                 "definite; more time steps make the step functional convex",
@@ -323,7 +326,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
         u = u + step
         if obstacle is not None:
             u = np.maximum(u, obstacle)
-        j, grad = _grad_and_value(ops, potential, u, u1, u2, tau)
+        j, grad, frac, pot = _grad_and_value(ops, potential, u, u1, u2, tau)
         if not (np.isfinite(j) and np.all(np.isfinite(grad))):
             raise BlowupError("non-finite functional or gradient during Newton iteration")
         iters += 1
@@ -332,13 +335,54 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
         if res < best_res:
             best, best_res = u, res
     return StepResult(u=u, iterations=iters, residual=res, tol=tol,
-                      j_path=tuple(j_path))
+                      j_path=tuple(j_path), frac_energy=frac, pot_energy=pot)
+
+
+def _newton_step(ops, curv, grad, u, obstacle, tau, stop):
+    """The Newton step of H = M/tau^2 + A_s + diag(curv) at u, with the
+    active nodes pinned to g (step g_j - u_j there), or None when H on the
+    inactive nodes is not positive definite.
+
+    The tridiagonal P = M/tau^2 + B + diag(curv) with the active rows and
+    columns replaced by those of the identity is factored as L D L^T by
+    LAPACK's dptsv, whose solution is the step at s in {0, 1}, where H = P.
+    At fractional s, _pcg finishes the solve to the M^-1 residual stop.
+    """
+    band = ops.M_band / tau**2
+    band[1] += curv
+    band += ops.A_band
+    rhs = -grad
+    active = np.zeros(ops.n_free, dtype=bool)
+    if obstacle is not None:
+        # pin the active nodes to g: their columns of H = P + R move to the
+        # right-hand side, their band rows and columns become those of
+        # the identity
+        active = tau**2 * grad / ops.lumps > u - obstacle
+        pinned = np.where(active, obstacle - u, 0.0)
+        rhs -= scipy.linalg.blas.dsbmv(1, 1.0, band, pinned)
+        rhs -= ops.rest_apply(pinned)
+        rhs[active] = pinned[active]
+        band[0, 1:][active[1:] | active[:-1]] = 0.0
+        band[1, active] = 1.0
+    # LAPACK's ptsv directly: a wrapper's argument handling costs more than
+    # the O(n) solve at a few hundred nodes
+    *factor, step, info = scipy.linalg.lapack.dptsv(
+        *_tridiagonal_parts(band), rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
+    if info > 0:
+        return None
+    if ops.tridiagonal:
+        # at s in {0, 1}, where R = 0, the factor's solution is exact
+        return step
+    return _pcg(ops, factor, step, ~active, curv, tau, stop)
 
 
 def _pcg(ops, factor, x, free, curv, tau, stop):
     """Solve H_FF x_F = b_F on the inactive nodes F (mask free) by conjugate
     gradients preconditioned with P_FF, starting from x = P^-1 b, the solve
-    by the factor of P with the active nodes pinned.
+    by the tridiagonal LDL^T factors (d, e) of P with the active nodes pinned;
+    each preconditioner solve is one LAPACK dpttrs with those factors.
 
     H = P + R, so the first residual is r = b - H x = -R_FF x_F; it vanishes
     at s in {0, 1}, where R = 0, and the caller skips the call there.  Stops
@@ -351,7 +395,7 @@ def _pcg(ops, factor, x, free, curv, tau, stop):
     for _ in range(np.count_nonzero(free)):
         if r @ ops.solve_mass(r) <= stop**2:
             break
-        z = scipy.linalg.lapack.dpbtrs(factor, r)[0]
+        z = scipy.linalg.lapack.dpttrs(*factor, r)[0]
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
         hp = np.where(free, ops.M @ p / tau**2 + ops.A_s @ p + curv * p, 0.0)
@@ -403,6 +447,7 @@ def run(config: SchemeConfig) -> Trajectory:
     iterations = np.zeros(n, dtype=int)
     residuals = np.zeros(n)
     tols = np.zeros(n)
+    step_energies = np.zeros((n, 2))
 
     for i in range(1, n + 1):
         if i >= 3:
@@ -428,17 +473,18 @@ def run(config: SchemeConfig) -> Trajectory:
         iterations[i - 1] = result.iterations
         residuals[i - 1] = result.residual
         tols[i - 1] = result.tol
-    return Trajectory(config, tau, states, iterations, residuals, tols)
+        step_energies[i - 1] = result.frac_energy, result.pot_energy
+    return Trajectory(config, tau, states, iterations, residuals, tols,
+                      step_energies)
 
 
 def energy(traj: Trajectory, i: int):
-    """(kinetic, fractional, potential, total) at step i (0 <= i <= n)."""
+    """(kinetic, fractional, potential, total) at step i (0 <= i <= n),
+    recomputed from the states."""
     ops = traj.config.ops
     u = traj.u(i)
-    v = traj.v(i)
-    kin = 0.5 * float(v @ (ops.M @ v))
-    frac = (0.5 * float(u @ (ops.A_s @ u)) + float(u @ ops.lift_load)
-            + ops.lift_const)
+    kin = _kinetic_energy(ops, traj.v(i))
+    frac = _fractional_energy(ops, u, ops.A_s @ u)
     pot = float(ops.lumps @ traj.config.potential.value(u))
     return kin, frac, pot, kin + frac + pot
 

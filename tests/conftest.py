@@ -1,8 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from fracwave import SchemeConfig, build_mesh, build_operators
+from fracwave import Mesh1D, SchemeConfig, build_mesh, build_operators
 from fracwave.potentials import zero_potential
+
+U = np.finfo(float).eps / 2
+# Backward error of a tridiagonal LDL^T solve (LAPACK ?pttrs, ?ptsv) with
+# A symmetric positive definite: the computed x satisfies (A + dA) x = b with
+# |dA| <= f(u) |L||D||L^T|, f(u) = 4u + 3u^2 + u^3 (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., sec. 9.5).  Every d_k of the
+# computed factors is positive, so the entries of |L||D||L^T| are those of
+# L D L^T = A + E, |E| <= u |L||D||L^T|, and |L||D||L^T| <= |A| / (1 - u).
+LDLT_BACKWARD = (4 * U + 3 * U**2 + U**3) / (1 - U)
+# Residuals are formed in extended precision: at most three nonzero products
+# and one subtraction per row, each rounded at the unit round-off U_EXT.
+U_EXT = np.finfo(np.longdouble).eps / 2
+RESIDUAL_ROUNDING = 4 * U_EXT / (1 - 4 * U_EXT)
 
 
 def make_line_ops(n_cells=64, s=1.0, a=0.0, b=1.0, dirichlet=(0.0, 0.0)):
@@ -14,6 +28,32 @@ def make_radial_ops(n_cells=40, s=1.0, b=1.0, dim=2, right=-1.0):
     mesh = build_mesh(0.0, b, n_cells, geometry="radial", dim=dim,
                       dirichlet=(None, right))
     return build_operators(mesh, s)
+
+
+@st.composite
+def meshes(draw):
+    """Strictly increasing meshes of 2-40 cells, line or radial, dim 1-3,
+    with every Dirichlet pattern the geometry admits."""
+    geometry = draw(st.sampled_from(["line", "radial"]))
+    widths = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40))
+    start = 0.0 if geometry == "radial" else draw(st.floats(-1.0, 1.0))
+    data = st.one_of(st.none(), st.floats(-2.0, 2.0))
+    left = None if geometry == "radial" else draw(data)
+    return Mesh1D(nodes=start + np.concatenate(([0.0], np.cumsum(widths))),
+                  geometry=geometry, dim=draw(st.integers(1, 3)),
+                  dirichlet=(left, draw(data)))
+
+
+def assert_tridiagonal_backward_error(A, x, b, rhs_error=0.0):
+    """Check |b - A x| <= LDLT_BACKWARD |A||x| + rhs_error componentwise,
+    with the residual in extended precision and its rounding allowed for.
+    rhs_error bounds the rounding already in b, where b was computed."""
+    ext = np.longdouble
+    resid = np.abs(b.astype(ext) - A.astype(ext) @ x.astype(ext))
+    scale = np.abs(A).astype(ext) @ np.abs(x).astype(ext)
+    bound = (LDLT_BACKWARD * scale + rhs_error
+             + RESIDUAL_ROUNDING * (scale + np.abs(b.astype(ext))))
+    assert np.all(resid <= bound), float(np.max(resid / bound))
 
 
 def eigenmode_config(ops, k=1, amp=1.0, T=1.0, n_steps=128, potential=None,

@@ -13,7 +13,8 @@ from fracwave import (ConfigurationError, Mesh1D, NumericError, SchemeConfig,
 from fracwave import operators
 from fracwave.potentials import zero_potential
 
-from conftest import make_line_ops, make_radial_ops
+from conftest import (assert_tridiagonal_backward_error, make_line_ops,
+                      make_radial_ops, meshes)
 
 
 def forms(mesh):
@@ -138,20 +139,6 @@ class TestAssembleForms:
             assert np.max(np.abs(got - ref)) <= 4 * np.finfo(float).eps * np.max(np.abs(ref))
 
 
-@st.composite
-def meshes(draw):
-    """Strictly increasing meshes of 2-40 cells, line or radial, dim 1-3,
-    with every Dirichlet pattern the geometry admits."""
-    geometry = draw(st.sampled_from(["line", "radial"]))
-    widths = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=40))
-    start = 0.0 if geometry == "radial" else draw(st.floats(-1.0, 1.0))
-    data = st.one_of(st.none(), st.floats(-2.0, 2.0))
-    left = None if geometry == "radial" else draw(data)
-    return Mesh1D(nodes=start + np.concatenate(([0.0], np.cumsum(widths))),
-                  geometry=geometry, dim=draw(st.integers(1, 3)),
-                  dirichlet=(left, draw(data)))
-
-
 class TestSparseFormsAgainstDenseReference:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
@@ -188,6 +175,27 @@ class TestSparseFormsAgainstDenseReference:
             assert u @ (ops.A_s @ u) >= -8 * np.finfo(float).eps * terms
             kd = ops.A_band.shape[0] - 1
             assert close(ops.A_band, operators._upper_band(ref, kd))
+
+
+class TestSolveMass:
+    @pytest.mark.parametrize("dirichlet, n_free", [((0.0, 0.0), 1), ((None, 0.0), 2)])
+    def test_one_or_two_free_nodes(self, dirichlet, n_free):
+        # SciPy's ?pttrs wrapper wants an off-diagonal of length >= 1
+        ops = build_operators(build_mesh(0.0, 1.0, 2, dirichlet=dirichlet), 1.0)
+        assert ops.n_free == n_free
+        x = np.linspace(1.0, 2.0, n_free)
+        b = ops.M @ x
+        assert_tridiagonal_backward_error(ops.M.toarray(), ops.solve_mass(b), b)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+    def test_inverts_the_mass_matrix(self, mesh, seed):
+        # solve_mass(M @ x) solves M y = M @ x to the backward error of the
+        # LDL^T solve, on every mesh shape down to one free node
+        ops = build_operators(mesh, 1.0)
+        x = np.random.default_rng(seed).standard_normal(ops.n_free)
+        b = ops.M @ x
+        assert_tridiagonal_backward_error(ops.M.toarray(), ops.solve_mass(b), b)
 
 
 class TestAbsApply:

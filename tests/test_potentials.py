@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,30 @@ class TestCurvature:
         fd = (pot.gradient(u + h) - pot.gradient(u - h)) / (2 * h)
         assert curv.shape == u.shape
         assert np.all(np.abs(curv - fd) <= 1e-6 * (1 + np.abs(curv)))
+
+    def test_double_well_within_its_roundoff_bound(self):
+        # curvature evaluates (2q^3 + 6q^2 + 30q - 6)/(1 + q)^3, q = u^2, by
+        # Horner's rule and p*p*p, p = 1 + q.  With theta_k the error terms of
+        # Higham (Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+        # ch. 3): q = u^2 (1 + theta_1); Horner (eq. 5.3) gives the term a_i q^i
+        # a factor 1 + theta_{3i+1} (theta_9 for i = 3), so the numerator errs
+        # by at most gamma_9 N~(q), N~ = 2q^3 + 6q^2 + 30q + 6; p carries
+        # 1 + theta_2 and the cube 1 + theta_8; the division makes the
+        # quotient N^ (1 + theta_17) / (1 + q)^3 (Lemma 3.3), and the total is
+        # at most (gamma_9 + gamma_17 (1 + gamma_9)) N~/(1 + q)^3
+        # <= gamma_26 N~/(1 + q)^3.  The grid holds the numerator's root.
+        unit = np.finfo(float).eps / 2
+        gamma26 = Fraction(26 * unit / (1 - 26 * unit))
+        q0 = max(r.real for r in np.roots([2.0, 6.0, 30.0, -6.0]) if abs(r.imag) < 1e-12)
+        root = np.sqrt(q0)
+        near = np.nextafter(root, [-np.inf, np.inf])
+        u = np.concatenate([np.linspace(-3.0, 3.0, 3001), [root, -root], near, -near,
+                            np.geomspace(1e-8, 1e8, 33)])
+        for ui, got in zip(u, double_well().curvature(u)):
+            q = Fraction(float(ui)) ** 2
+            exact = (((2 * q + 6) * q + 30) * q - 6) / (1 + q) ** 3
+            bound = gamma26 * (((2 * q + 6) * q + 30) * q + 6) / (1 + q) ** 3
+            assert abs(Fraction(float(got)) - exact) <= bound, ui
 
     def test_double_well_minimum_at_origin(self):
         # the bound 1/tau^2 > 6/eps^2 for a convex step rests on W'' >= -6

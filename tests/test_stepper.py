@@ -1,16 +1,20 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracwave import (BlowupError, ConfigurationError, SchemeConfig,
-                      SolverFailure, SolverParams, el_residual, energy,
-                      eval_interpolants, minimize_step, run, step_functional,
-                      stepper, vi_residuals)
+                      SolverFailure, SolverParams, build_operators, el_residual,
+                      energy, eval_interpolants, minimize_step, run,
+                      step_functional, stepper, vi_residuals)
 from fracwave.potentials import double_well, gl_scaled, zero_potential
 from fracwave.stepper import effective_v0
 
-from conftest import eigenmode_config, make_line_ops, make_radial_ops
+from conftest import (RESIDUAL_ROUNDING, U, assert_tridiagonal_backward_error,
+                      eigenmode_config, make_line_ops, make_radial_ops, meshes)
 
 
 class TestSolverParams:
@@ -140,7 +144,7 @@ class TestMinimizeStep:
         res = minimize_step(ops, double_well(), u1, u2, tau, obstacle=g, warm_start=u)
 
         hess0 = ops.M.toarray() / tau**2 + ops.A_s
-        j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)
+        j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)[:2]
         j_path = [j]
         while stepper._stationarity(ops, u, grad, g) > res.tol:
             hess = hess0 + np.diag(ops.lumps * double_well().curvature(u))
@@ -153,7 +157,7 @@ class TestMinimizeStep:
             step[free] = np.linalg.solve(hess[np.ix_(free, free)],
                                          -grad[free] - hess[np.ix_(free, active)] @ step[active])
             u = u + step if g is None else np.maximum(u + step, g)
-            j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)
+            j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)[:2]
             j_path.append(j)
         assert res.iterations == len(j_path) - 1 >= 2
         assert np.allclose(res.j_path, j_path, rtol=1e-10, atol=0.0)
@@ -197,6 +201,49 @@ class TestMinimizeStep:
         res = minimize_step(ops64, zero_potential(), u1, u2, 0.05, obstacle=g)
         assert np.all(res.u >= g)
         assert np.any(res.u == g)  # contact actually happens
+
+
+class TestPinnedNewtonSolve:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1), s=st.sampled_from([0.0, 1.0]),
+           contact=st.booleans())
+    def test_matches_the_dense_pinned_system(self, mesh, seed, s, contact):
+        # at s in {0, 1} the step is x = g - u on the active nodes A and
+        # H_FF x_F = -grad_F - H_FA x_A on the rest F, with
+        # H = M/tau^2 + A_s + diag(curv) formed densely here.  The right-hand
+        # side of the band code carries at most four roundings of
+        # |grad| + |H_FA||x_A| per row (three band products, one
+        # subtraction), and the solve adds the LDL^T backward error.
+        if s == 0.0:
+            zero_data = tuple(None if d is None else 0.0 for d in mesh.dirichlet)
+            mesh = dataclasses.replace(mesh, dirichlet=zero_data)
+        ops = build_operators(mesh, s)
+        rng = np.random.default_rng(seed)
+        n = ops.n_free
+        tau = rng.uniform(0.01, 1.0)
+        curv = ops.lumps * rng.uniform(0.0, 50.0, n)
+        u = rng.standard_normal(n)
+        grad = ops.lumps / tau**2 * rng.standard_normal(n)
+        g = None
+        active = np.zeros(n, dtype=bool)
+        if contact:
+            g = u - np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
+            active = tau**2 * grad / ops.lumps > u - g
+        step = stepper._newton_step(ops, curv, grad, u, g, tau, 0.0)
+
+        H = ops.M.toarray() / tau**2
+        H[np.diag_indices(n)] += curv
+        H += ops.A_s.toarray()
+        free = ~active
+        pinned = (g - u)[active] if contact else np.zeros(0)
+        assert np.array_equal(step[active], pinned)
+        ext = np.longdouble
+        h_fa = H[np.ix_(free, active)]
+        rhs = -grad[free].astype(ext) - h_fa.astype(ext) @ pinned.astype(ext)
+        terms = np.abs(grad[free]) + np.abs(h_fa) @ np.abs(pinned)
+        assert_tridiagonal_backward_error(
+            H[np.ix_(free, free)], step[free], rhs,
+            rhs_error=(4 * U / (1 - 4 * U) + RESIDUAL_ROUNDING) * terms.astype(ext))
 
 
 class TestRun:
@@ -550,6 +597,30 @@ class TestEnergy:
         # factor 1/(1 + tau^2 lam) gives |E - E_0| <= E_0 * lam * T * tau + h.o.t.
         assert np.max(np.abs(traj.energies[:, 3] - 0.5 * lam)) \
             <= 1.5 * (0.5 * lam) * lam * cfg.T * traj.tau
+
+
+class TestStepEnergies:
+    @pytest.mark.parametrize("case", ["free", "obstacle", "loose_tol"])
+    @pytest.mark.parametrize("s", [0.5, 1.0])
+    def test_table_equals_the_recomputation_bit_for_bit(self, s, case):
+        # rows 1..n come from the functional's last evaluation in each step,
+        # row 0 from energy() itself; a loose explicit tol accepts warm starts
+        # with no Newton iteration
+        ops = make_line_ops(32, s=s)
+        x = ops.mesh.nodes[ops.mesh.free]
+        g = np.full(ops.n_free, -0.3) if case == "obstacle" else None
+        cfg = SchemeConfig(T=0.5, n_steps=32, ops=ops, potential=double_well(),
+                           u0=0.2 * np.sin(np.pi * x), v0=-4.0 * np.sin(np.pi * x),
+                           obstacle=g,
+                           solver=SolverParams(tol=1e-2 if case == "loose_tol" else None))
+        traj = run(cfg)
+        for i in range(traj.n_steps + 1):
+            again = np.array(energy(traj, i))
+            assert np.array_equal(traj.energies[i].view(np.int64), again.view(np.int64)), i
+        if case == "obstacle":
+            assert np.any(traj.states[2:] == g)
+        if case == "loose_tol":
+            assert np.any(traj.iterations == 0) and np.any(traj.iterations > 0)
 
 
 class TestResiduals:
