@@ -21,9 +21,15 @@ ladder is the gl_interface preset (radial) with n_steps = 20 and T = 0.001.
 The s = 1/2 ladder is frac_line's config (uniform line, double well) with
 n_steps = 20 at the time step of frac_line; its setup holds the O(n^3)
 dense eigensolve, its solve the time loop.
+
+The states section runs each workload's seed-0 config once per checkout,
+in a fresh process, and records its Newton iterations, the SHA-256 of the
+bytes of its states and whether the two sides' states are byte-equal: a
+refactor that claims the same results shows it there.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -46,12 +52,17 @@ LADDERS = {
 }
 
 
-def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
-    """One size of a ladder, run in this process with fracwave from
-    root/src."""
+def use_checkout(root: Path):
+    """Import fracwave from root/src, with BLAS on one thread."""
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[var] = "1"
     sys.path.insert(0, str(root / "src"))
+
+
+def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
+    """One size of a ladder, run in this process with fracwave from
+    root/src."""
+    use_checkout(root)
     import resource
     from time import perf_counter
 
@@ -70,6 +81,23 @@ def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
             "newton_iters": int(traj.iterations.sum()),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                  / 1024, 1)}
+
+
+def states_point(root: Path, workload: str) -> dict:
+    """The seed-0 run of a workload's config (perfbench's make_config), in
+    this process with fracwave from root/src: its Newton iterations and the
+    SHA-256 of its states."""
+    use_checkout(root)
+    sys.path.insert(0, str(root / "perfbench"))
+    from fracwave import cli, run
+    from workloads import make_config
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(make_config(workload, 0)))
+        traj = run(cli.build_problem(cli.parse_config(path)))
+    return {"newton_iters": int(traj.iterations.sum()),
+            "states_sha256": hashlib.sha256(traj.states.tobytes()).hexdigest()}
 
 
 def subprocess_json(args) -> dict:
@@ -111,11 +139,15 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", type=Path)
     p.add_argument("--ladder-point", nargs=2, help=argparse.SUPPRESS)
+    p.add_argument("--states-point", help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.ladder_point:
         ladder, n_cells = args.ladder_point
         print(json.dumps(ladder_point(args.root, ladder, int(n_cells))))
+        return
+    if args.states_point:
+        print(json.dumps(states_point(args.root, args.states_point)))
         return
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required")
@@ -141,6 +173,13 @@ def main(argv=None):
                                 for n in sizes]
                          for side, root in sides.items()}}
                for name, (config, sizes) in LADDERS.items()}
+    states = {}
+    for workload in WORKLOADS:
+        runs = {side: subprocess_json([__file__, "--root", root,
+                                       "--states-point", workload])
+                for side, root in sides.items()}
+        states[workload] = {**runs, "states_equal": (runs["parent"]["states_sha256"]
+                                                     == runs["change"]["states_sha256"])}
     rev = subprocess.run(["git", "-C", sides["parent"], "rev-parse", "--short", "HEAD"],
                          capture_output=True, text=True, check=True).stdout.strip()
     command = ["python3", "scripts/bench.py", "--parent", f"<checkout of {rev}>",
@@ -155,6 +194,7 @@ def main(argv=None):
                       "order": "parent and change alternate first per seed",
                       "workloads": bench},
         "ladders": ladders,
+        "states": {"seed": 0, "workloads": states},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 

@@ -5,11 +5,13 @@ volume weight r**(d-1) so that radially symmetric problems in d ambient
 dimensions reduce to one dimension.  Mass and stiffness forms are assembled
 over the unconstrained ("free") nodes as sparse tridiagonal arrays; fixed
 endpoint values enter through a precomputed load offset.  The order-s
-stiffness A_s is the assembled form itself at the endpoints, A_0 = M and
-A_1 = K.  Between them it is spectral, and dense:
-with the generalized eigenpairs K phi = lambda M phi (M-orthonormal),
-A_s = (M Phi) Lambda**s (M Phi)^T, which reproduces both endpoints up to
-round-off.  The eigenpairs are computed only where something reads them.
+stiffness A_s is one object, whose class build_operators chooses: the
+assembled form itself at the endpoints, A_0 = M and A_1 = K
+(AssembledStiffness), and between them the dense spectral power
+A_s = (M Phi) Lambda**s (M Phi)^T (SpectralStiffness), with the generalized
+eigenpairs K phi = lambda M phi (M-orthonormal), which reproduces both
+endpoints up to round-off.  The eigenpairs are computed only where
+something reads them.
 """
 
 from __future__ import annotations
@@ -142,21 +144,11 @@ def _tridiagonal(left, cross, right, lo, hi):
                                     format="csr")
 
 
-def _upper_band(a, kd: int) -> np.ndarray:
-    """LAPACK upper band storage of symmetric a (dense or sparse): row
-    kd - k holds diagonal k."""
-    ab = np.zeros((kd + 1, a.shape[0]), order="F")
-    for k in range(kd + 1):
-        ab[kd - k, k:] = a.diagonal(k)
-    return ab
-
-
-def _tridiagonal_parts(band):
-    """(d, e): the diagonal and superdiagonal held in kd = 1 upper band
-    storage, as LAPACK's SPD tridiagonal routines (?pttrf, ?pttrs, ?ptsv)
-    take them.  SciPy's wrappers of those routines want e of length at least
-    1, so a single node passes the unused zero at band[0, 0]."""
-    return band[1], band[0, 1:] if band.shape[1] > 1 else band[0]
+def pt_args(d, e):
+    """(d, e) as SciPy's wrappers of LAPACK's SPD tridiagonal routines
+    (?pttrf, ?ptsv) take them: those want e of length at least 1, so a single
+    node passes one unused zero."""
+    return d, e if e.size else np.zeros(1)
 
 
 def spectral_decompose(M, K):
@@ -170,20 +162,19 @@ def spectral_decompose(M, K):
 
     Every pair must satisfy the backward-error bound
 
-        |K phi_k - lam_k M phi_k| <= n u (|K|_1 + |lam_k| |M|_1) |phi_k|,
+        |K phi_k - lam_k M phi_k| <= (n + 4) u (|K|_1 + max|lam| |M|_1) |phi_k|,
 
     with u the unit round-off and n the order.  eigh reduces the pencil by
-    the Cholesky factor of M and solves the reduced symmetric problem by
-    orthogonal transformations, both backward stable: each computed pair is
-    an exact pair of a nearby pencil (K + E, M + F) with |E| <= p(n) u |K|
-    and |F| <= p(n) u |M|, p a modest function of n (LAPACK Users' Guide,
-    sec. 4.10).  The residual then equals -E phi + lam F phi, at most
-    p(n) u (|K| + |lam| |M|) |phi|; the 2-norm of a symmetric matrix is at
-    most its 1-norm, and the rounding of the tridiagonal products that form
-    the residual is of the same order.  The check takes p(n) = n and
-    u = 2**-53; measured worst residuals sit 8x (line, 100 cells) to 300x
-    (radial, 2,400 cells) below it, while a corrupted pair exceeds it by
-    orders of magnitude.
+    the Cholesky factor L of M to C = L^-1 K L^-T and solves C z = lam z
+    backward stably, (C + E) z = lam z with |E|_2 <= p(n) u max|lam|, p a
+    modest function of n (LAPACK Users' Guide, sec. 4.10).  For phi = L^-T z
+    the residual -L E L^T phi is at most p(n) u max|lam| |M|_2 |phi|, which
+    scales with max|lam| even for a low mode; the |K|_1 term covers the
+    rounding of the reduction, 4 u that of the residual's own products, and
+    a symmetric matrix's 2-norm is at most its 1-norm.  The check takes
+    p(n) = n.  Measured worst residuals sit 2.3x (3,000 random meshes of
+    2-40 cells), 34x (line, 100 cells) and 1,400x (radial, 2,400 cells)
+    below it; a corrupted pair exceeds it by orders of magnitude.
     """
     M, K = scipy.sparse.csr_array(M), scipy.sparse.csr_array(K)
     try:
@@ -193,8 +184,8 @@ def spectral_decompose(M, K):
     j = np.argmax(np.abs(phi), axis=0)
     phi *= np.where(phi[j, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
     resid = np.linalg.norm(K @ phi - (M @ phi) * lam, axis=0)
-    bound = (lam.size * np.finfo(float).eps / 2.0
-             * (abs(K).sum(axis=0).max() + np.abs(lam) * abs(M).sum(axis=0).max())
+    bound = ((lam.size + 4) * np.finfo(float).eps / 2.0
+             * (abs(K).sum(axis=0).max() + np.abs(lam).max() * abs(M).sum(axis=0).max())
              * np.linalg.norm(phi, axis=0))
     worst = float(np.max(resid / bound))
     if worst > 1.0:
@@ -203,48 +194,117 @@ def spectral_decompose(M, K):
     return lam, phi
 
 
+class AssembledStiffness:
+    """A_s at s in {0, 1}: the assembled sparse tridiagonal K (s = 1) or M
+    (s = 0) itself, held as matrix; products cost O(n).  Its band part B is
+    all of A_s, so R = A_s - B = 0 and rest_apply is None.
+
+    abs_apply forms |A_s| w from the cached sparse |A_s|, in O(n).  A row of
+    A_s w has three terms and errs by gamma_3 ~ 1.5 eps relative to
+    |A_s| |w|, so the worst case of the round-off floor's t
+    (stepper._roundoff_floor) is 2.5 to 3 eps per entry, which roundings of
+    either sign seldom reach; its c = 2 sits just below it.  Measured at
+    s = 1, Newton's residual stalls 6 to 8 times below the floor (3.7e-9
+    against 3.0e-8 on 4,800 radial cells with the eps-scaled well, 1.0e-6
+    against 6.6e-6 on 102,400 line cells).
+    """
+
+    rest_apply = None
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.band = (matrix.diagonal(), matrix.diagonal(1))
+        self._abs = abs(matrix)
+
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+    def abs_apply(self, w):
+        return self._abs @ w
+
+    def spectrum(self, M, K):
+        """The eigenpairs of (K, M), computed here on request."""
+        return spectral_decompose(M, K)
+
+
+class SpectralStiffness:
+    """A_s at fractional s: the dense spectral power y y^T, y = (M Phi)
+    Lambda^(s/2), exactly symmetric because NumPy forms it by BLAS syrk.
+    Products cost O(n^2).  B is the diagonal of A_s; rest_apply forms
+    R x = A_s x - B x with one product and no n x n temporary.
+
+    abs_apply forms |A_s| w = 2 A_s^+ w - A_s w, from |a| = 2 max(a, 0) - a,
+    with the sparse A_s^+ = max(A_s, 0) built here: O(n^2), one Newton
+    product, with no second dense array held.  On the meshes checked (line
+    and radial, 200 cells) nnz(A_s^+)/n is 1 for s >= 0.5, 1.04 at s = 0.25
+    and 2.99 at s = 0.1, so A_s^+ holds O(n).  A row of A_s w has n terms,
+    so its worst case is gamma_n ~ n eps / 2 relative to |A_s| |w|, and the
+    round-off floor's c = 2 rests on measurement, not on that derivation: at
+    s = 1/2 the residual stalls 48 times below the floor (7.2e-11 against
+    3.5e-9 on 1,600 radial cells with the eps-scaled well).
+    """
+
+    def __init__(self, M, spectrum, s: float):
+        self._spectrum = spectrum
+        lam, phi = spectrum
+        y = M @ phi
+        y *= np.maximum(lam, 0.0) ** (s / 2.0)
+        self.matrix = y @ y.T
+        del y   # n x n: gone before the A_s^+ temporary
+        self.band = (np.diagonal(self.matrix).copy(), np.zeros(lam.size - 1))
+        self.plus = scipy.sparse.csr_array(np.maximum(self.matrix, 0.0))
+
+    def __matmul__(self, x):
+        return self.matrix @ x
+
+    def rest_apply(self, x):
+        return self.matrix @ x - self.band[0] * x
+
+    def abs_apply(self, w):
+        return 2.0 * (self.plus @ w) - self.matrix @ w
+
+    def spectrum(self, M, K):
+        """The eigenpairs this power was formed from."""
+        return self._spectrum
+
+
 @dataclass(frozen=True)
 class OperatorSet:
     """Assembled forms and order-s stiffness for one mesh.
 
     Immutable after construction; shared freely across runs.  M and K are
     sparse tridiagonal arrays (scipy.sparse, csr format), so products with
-    them cost O(n).  A_s is the same sparse object as K at s = 1 and as M at
-    s = 0, with no eigensolve; at fractional s, build_operators forms it
-    from the spectrum as a dense n x n array.  A_band holds the tridiagonal
-    part of A_s that the Newton preconditioner uses (all of A_s at
-    s in {0, 1}, its diagonal otherwise), rest_apply the remainder, M_band
-    the same kd = 1 upper band storage of M, and mass_chol the factors
-    (d, e) of its tridiagonal LDL^T factorization (LAPACK dpttrf:
-    D = diag(d), L unit lower bidiagonal with subdiagonal e).  The spectrum
-    (lam, Phi) is computed on first use, and kept.  lift_load and lift_const
-    carry the coupling of free nodes to fixed endpoint values through the
-    order-1 stiffness, so build_operators admits nonzero Dirichlet data only
-    at s = 1; both are zero when the data vanish.
+    them cost O(n).  A_s is the order-s stiffness, an AssembledStiffness at
+    s in {0, 1} and a SpectralStiffness otherwise; both provide products
+    (@), the (d, e) diagonals of a tridiagonal band part B, rest_apply for
+    R = A_s - B (None where R = 0) and abs_apply for |A_s| w.  mass_band
+    holds M's diagonals (d, e), and mass_chol the factors (d, e) of its
+    tridiagonal LDL^T factorization (LAPACK dpttrf: D = diag(d), L unit
+    lower bidiagonal with subdiagonal e).  The spectrum (lam, Phi) is
+    computed on first use, and kept.  lift_load and lift_const carry the
+    coupling of free nodes to fixed endpoint values through the order-1
+    stiffness, so build_operators admits nonzero Dirichlet data only at
+    s = 1; both are zero when the data vanish.
     """
 
     mesh: Mesh1D
     M: scipy.sparse.csr_array
     K: scipy.sparse.csr_array
     s: float
+    A_s: AssembledStiffness | SpectralStiffness
     lumps: np.ndarray
     lift_load: np.ndarray
     lift_const: float
-    M_band: np.ndarray
+    mass_band: tuple
     mass_chol: tuple
 
     @property
     def n_free(self) -> int:
         return self.M.shape[0]
 
-    @property
-    def tridiagonal(self) -> bool:
-        """Whether A_s is the sparse K or M (s in {0, 1})."""
-        return self.s in (0.0, 1.0)
-
     @cached_property
     def _spectrum(self):
-        return spectral_decompose(self.M, self.K)
+        return self.A_s.spectrum(self.M, self.K)
 
     @property
     def lam(self) -> np.ndarray:
@@ -255,59 +315,6 @@ class OperatorSet:
     def Phi(self) -> np.ndarray:
         """M-orthonormal eigenvectors, one per column of lam's order."""
         return self._spectrum[1]
-
-    @cached_property
-    def A_s(self):
-        """Order-s stiffness: K at s = 1, M at s = 0 (both sparse), else the
-        dense spectral power y y^T, y = (M Phi) Lambda^(s/2).  NumPy forms
-        y @ y.T by BLAS syrk, so the result is exactly symmetric."""
-        if self.tridiagonal:
-            return self.K if self.s else self.M
-        y = self.M @ self.Phi
-        y *= np.maximum(self.lam, 0.0) ** (self.s / 2.0)
-        return y @ y.T
-
-    @cached_property
-    def A_band(self) -> np.ndarray:
-        """The band part B of A_s = B + R, in LAPACK upper band storage with
-        one superdiagonal (kd = 1) at every s: A_s itself at s in {0, 1},
-        where R = 0, and the diagonal of A_s with a zero superdiagonal at
-        fractional s."""
-        if self.tridiagonal:
-            return _upper_band(self.A_s, 1)
-        band = np.zeros((2, self.n_free), order="F")
-        band[1] = np.diagonal(self.A_s)
-        return band
-
-    def rest_apply(self, x: np.ndarray) -> np.ndarray:
-        """R x = A_s x - B x, the part of A_s outside its band part B
-        (A_band): zero at s in {0, 1}, and at fractional s one product with
-        the dense A_s, O(n^2), with no n x n temporary."""
-        if self.tridiagonal:
-            return np.zeros_like(x)
-        return self.A_s @ x - self.A_band[1] * x
-
-    @cached_property
-    def _abs_A_s(self):
-        """Sparse csr form used by abs_apply: the entrywise |A_s| at
-        s in {0, 1} (|K|, or M itself), and A_s^+ = max(A_s, 0) at fractional
-        s.  Its n x n temporary stays below the peak of the eigensolve."""
-        if self.tridiagonal:
-            return abs(self.A_s)
-        return scipy.sparse.csr_array(np.maximum(self.A_s, 0.0))
-
-    def abs_apply(self, w: np.ndarray) -> np.ndarray:
-        """|A_s| w, with |A_s| the entrywise absolute value.  At s in {0, 1}
-        it uses the cached sparse |K| or M, in O(n).  At fractional s it uses
-        |a| = 2 max(a, 0) - a: |A_s| w = 2 A_s^+ w - A_s w, one product with
-        the dense A_s, O(n^2), and one with the sparse A_s^+.  Every entry of
-        A_s^+ lies on the diagonal or the first off-diagonals on the meshes
-        checked (line and radial, 200 cells, s from 0.1 to 0.9): nnz(A_s^+)/n
-        is 1 for s >= 0.5, 1.04 at s = 0.25 and 2.99 at s = 0.1, so A_s^+
-        holds O(n)."""
-        if self.tridiagonal:
-            return self._abs_A_s @ w
-        return 2.0 * (self._abs_A_s @ w) - self.A_s @ w
 
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
         """M^{-1} r via the cached tridiagonal LDL^T factors of M.
@@ -356,19 +363,20 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     # sums over all nodes), so the lumped measure equals the domain measure
     # minus the constrained-node lumps
     lumps = (np.r_[left + cross, 0.0] + np.r_[0.0, right + cross])[lo:hi]
-    M_band = _upper_band(M, 1)
-    d, e, info = scipy.linalg.lapack.dpttrf(*_tridiagonal_parts(M_band))
+    mass_band = (M.diagonal(), M.diagonal(1))
+    d, e, info = scipy.linalg.lapack.dpttrf(*pt_args(*mass_band))
     if info:
         raise NumericError(f"the mass matrix does not factor: LAPACK dpttrf "
                            f"returned info {info}")
-    ops = OperatorSet(
-        mesh=mesh, M=M, K=K, s=float(s), lumps=lumps, lift_load=lift_load,
-        lift_const=float(lift_const), M_band=M_band, mass_chol=(d, e),
+    if s in (0.0, 1.0):
+        A_s = AssembledStiffness(K if s else M)
+    else:
+        A_s = SpectralStiffness(M, spectral_decompose(M, K), s)
+    return OperatorSet(
+        mesh=mesh, M=M, K=K, s=float(s), A_s=A_s, lumps=lumps,
+        lift_load=lift_load, lift_const=float(lift_const), mass_band=mass_band,
+        mass_chol=(d, e),
     )
-    # fractional s: the eigensolve and A_s^+ belong to setup, not to the first step
-    ops.A_band
-    ops._abs_A_s
-    return ops
 
 
 def fractional_apply(ops: OperatorSet, u: np.ndarray) -> np.ndarray:

@@ -18,13 +18,14 @@ Optim. 13 (2002) 865-888).  Each iteration takes the Hessian
 
 at the current iterate, pins the active nodes (those the linearized
 gradient pushes below g) to g, and solves the Newton system on the other
-nodes.  Split A_s = B + R into its band part B (OperatorSet.A_band) and the
-rest R.  The tridiagonal P = M / tau^2 + B + diag(m_j W''(u_j)) is factored
-as L D L^T by LAPACK's symmetric positive definite tridiagonal solver
-(dptsv), which solves the system outright at s in {0, 1}, where B = A_s and
-R = 0.  At fractional s, B is the diagonal of A_s, and
-conjugate gradients preconditioned by P finish the solve in a few products
-with the dense A_s, O(n^2) each: no n x n array is factored or copied.
+nodes.  A_s splits into its tridiagonal band part B (A_s.band) and the
+rest R (A_s.rest_apply).  The tridiagonal P = M / tau^2 + B +
+diag(m_j W''(u_j)) is factored as L D L^T by LAPACK's symmetric positive
+definite tridiagonal solver (dptsv), which solves the system outright where
+R = 0, as at s in {0, 1}.  Otherwise conjugate gradients preconditioned by
+P finish the solve in a few products with A_s (at fractional s, B is the
+diagonal of the dense A_s, and each product costs O(n^2)): no n x n array
+is factored or copied.
 Without an obstacle the active set is empty and the iteration is plain
 Newton.  The time loop starts steps 1 and 2 from the inertial
 extrapolation 2 u_{i-1} - u_{i-2} and every later step from the cubic
@@ -51,7 +52,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowupError, ConfigurationError, SolverFailure
-from .operators import OperatorSet, _tridiagonal_parts
+from .operators import OperatorSet, pt_args
 from .potentials import Potential
 
 _AUTO_TOL_FLOOR = 1e-9
@@ -244,27 +245,14 @@ def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
     most u = eps/2 relative to the magnitudes it combines (Higham, Accuracy
     and Stability of Numerical Algorithms, 2nd ed., ch. 3): the second
     difference (u - 2 u1) + u2 errs by at most u (|u| + 2|u1|) <=
-    eps (2|u1| + |u2|), which M / tau^2 carries; at s in {0, 1} a
-    three-term row of A_s w errs by gamma_3 ~ 1.5 eps relative to
-    |A_s| |w|; and summing the four terms adds up to 1.5 eps of t.  The
-    worst case is thus 2.5 to 3 eps times t per entry, which roundings of
-    either sign seldom reach; c = 2 sits just below it.  Measured at s = 1,
-    Newton's residual stalls 6 to 8 times below the floor (3.7e-9 against
-    3.0e-8 on 4,800 radial cells with the eps-scaled well, 1.0e-6 against
-    6.6e-6 on 102,400 line cells).  At fractional s a row of the dense A_s
-    has n terms, so the worst case of A_s w is gamma_n ~ n eps / 2 relative
-    to |A_s| |w|, and c = 2 rests on measurement, not on this derivation:
-    at s = 1/2 the residual stalls 48 times below the floor (7.2e-11
-    against 3.5e-9 on 1,600 radial cells with the eps-scaled well).
-    The floor is O(n) at s in {0, 1}, where |A_s| is the cached sparse |K|
-    or M.  At fractional s, OperatorSet.abs_apply forms |A_s| |w| as
-    2 A_s^+ |w| - A_s |w|, with A_s^+ = max(A_s, 0) sparse and built at
-    setup: O(n^2), the cost of one Newton product, with no second dense
-    array held.
+    eps (2|u1| + |u2|), which M / tau^2 carries; summing the four terms
+    adds up to 1.5 eps of t; and A_s w errs relative to |A_s| |w| as the
+    class of A_s states (operators.AssembledStiffness, SpectralStiffness),
+    which also gives the grounds for c = 2 and the cost of A_s.abs_apply.
     """
     w = 2.0 * u1 - u2
     t = (ops.M @ (2.0 * np.abs(u1) + np.abs(u2)) / tau**2
-         + ops.abs_apply(np.abs(w)) + np.abs(ops.lift_load)
+         + ops.A_s.abs_apply(np.abs(w)) + np.abs(ops.lift_load)
          + ops.lumps * np.abs(potential.gradient(w)))
     return _AUTO_TOL_ROUNDOFF * float(np.sqrt(max(t @ ops.solve_mass(t), 0.0)))
 
@@ -343,37 +331,41 @@ def _newton_step(ops, curv, grad, u, obstacle, tau, stop):
     active nodes pinned to g (step g_j - u_j there), or None when H on the
     inactive nodes is not positive definite.
 
-    The tridiagonal P = M/tau^2 + B + diag(curv) with the active rows and
-    columns replaced by those of the identity is factored as L D L^T by
-    LAPACK's dptsv, whose solution is the step at s in {0, 1}, where H = P.
-    At fractional s, _pcg finishes the solve to the M^-1 residual stop.
+    The tridiagonal P = M/tau^2 + B + diag(curv), with B the band part of
+    A_s (A_s.band) and the active rows and columns replaced by those of the
+    identity, is factored as L D L^T by LAPACK's dptsv.  Its solution is the
+    step where A_s = B (A_s.rest_apply is None); otherwise _pcg finishes the
+    solve to the M^-1 residual stop.
     """
-    band = ops.M_band / tau**2
-    band[1] += curv
-    band += ops.A_band
+    rest = ops.A_s.rest_apply
+    d = ops.mass_band[0] / tau**2 + curv + ops.A_s.band[0]
+    e = ops.mass_band[1] / tau**2 + ops.A_s.band[1]
     rhs = -grad
     active = np.zeros(ops.n_free, dtype=bool)
     if obstacle is not None:
         # pin the active nodes to g: their columns of H = P + R move to the
-        # right-hand side, their band rows and columns become those of
-        # the identity
+        # right-hand side, their rows and columns of P become those of the
+        # identity
         active = tau**2 * grad / ops.lumps > u - obstacle
         pinned = np.where(active, obstacle - u, 0.0)
-        rhs -= scipy.linalg.blas.dsbmv(1, 1.0, band, pinned)
-        rhs -= ops.rest_apply(pinned)
+        p_pinned = d * pinned
+        p_pinned[1:] += e * pinned[:-1]
+        p_pinned[:-1] += e * pinned[1:]
+        rhs -= p_pinned
+        if rest is not None:
+            rhs -= rest(pinned)
         rhs[active] = pinned[active]
-        band[0, 1:][active[1:] | active[:-1]] = 0.0
-        band[1, active] = 1.0
+        e[active[1:] | active[:-1]] = 0.0
+        d[active] = 1.0
     # LAPACK's ptsv directly: a wrapper's argument handling costs more than
     # the O(n) solve at a few hundred nodes
     *factor, step, info = scipy.linalg.lapack.dptsv(
-        *_tridiagonal_parts(band), rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        *pt_args(d, e), rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
     if info > 0:
         return None
-    if ops.tridiagonal:
-        # at s in {0, 1}, where R = 0, the factor's solution is exact
+    if rest is None:
         return step
     return _pcg(ops, factor, step, ~active, curv, tau, stop)
 
@@ -384,13 +376,13 @@ def _pcg(ops, factor, x, free, curv, tau, stop):
     by the tridiagonal LDL^T factors (d, e) of P with the active nodes pinned;
     each preconditioner solve is one LAPACK dpttrs with those factors.
 
-    H = P + R, so the first residual is r = b - H x = -R_FF x_F; it vanishes
-    at s in {0, 1}, where R = 0, and the caller skips the call there.  Stops
+    H = P + R, so the first residual is r = b - H x = -R_FF x_F, with R x
+    from A_s.rest_apply; the caller skips the call where R = 0.  Stops
     once |r|_{M^-1} <= stop, or after |F| iterations, where CG terminates in
     exact arithmetic.  Every vector is zero off F.  Returns None at a
     direction p with p^T H p <= 0: there H_FF is not positive definite.
     """
-    r = np.where(free, -ops.rest_apply(np.where(free, x, 0.0)), 0.0)
+    r = np.where(free, -ops.A_s.rest_apply(np.where(free, x, 0.0)), 0.0)
     p = rz = None
     for _ in range(np.count_nonzero(free)):
         if r @ ops.solve_mass(r) <= stop**2:

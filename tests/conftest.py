@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import strategies as st
 
 from fracwave import Mesh1D, SchemeConfig, build_mesh, build_operators
@@ -42,6 +43,12 @@ def meshes(draw):
     return Mesh1D(nodes=start + np.concatenate(([0.0], np.cumsum(widths))),
                   geometry=geometry, dim=draw(st.integers(1, 3)),
                   dirichlet=(left, draw(data)))
+
+
+def dense_A_s(ops):
+    """Dense copy of the order-s stiffness's storage."""
+    A = ops.A_s.matrix
+    return A.toarray() if scipy.sparse.issparse(A) else A
 
 
 def assert_tridiagonal_backward_error(A, x, b, rhs_error=0.0):

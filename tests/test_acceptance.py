@@ -257,11 +257,11 @@ def test_criterion_10_operator_identities():
             target = getattr(ops, form)
             mphi = ops.M @ ops.Phi
             power = (mphi * ops.lam**s) @ mphi.T
-            checks.append(ops.A_s is target)
+            checks.append(ops.A_s.matrix is target)
             checks.append(np.max(np.abs(power - target.toarray()))
                           <= 1e-10 * np.max(np.abs(target.toarray())))
         oph = make_line_ops(n, s=0.5)
-        comp = oph.A_s @ np.linalg.solve(oph.M.toarray(), oph.A_s)
+        comp = oph.A_s.matrix @ np.linalg.solve(oph.M.toarray(), oph.A_s.matrix)
         K = oph.K.toarray()
         checks.append(np.max(np.abs(comp - K)) <= 1e-10 * np.max(np.abs(K)))
         for k in range(oph.n_free):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracwave import (ConfigurationError, Mesh1D, NumericError, SchemeConfig,
@@ -13,8 +13,8 @@ from fracwave import (ConfigurationError, Mesh1D, NumericError, SchemeConfig,
 from fracwave import operators
 from fracwave.potentials import zero_potential
 
-from conftest import (assert_tridiagonal_backward_error, make_line_ops,
-                      make_radial_ops, meshes)
+from conftest import (U, U_EXT, assert_tridiagonal_backward_error, dense_A_s,
+                      make_line_ops, make_radial_ops, meshes)
 
 
 def forms(mesh):
@@ -159,22 +159,22 @@ class TestSparseFormsAgainstDenseReference:
         ops1 = build_operators(mesh, 1.0)
         zero_data = tuple(None if d is None else 0.0 for d in mesh.dirichlet)
         ops0 = build_operators(dataclasses.replace(mesh, dirichlet=zero_data), 0.0)
-        assert ops1.A_s is ops1.K and ops0.A_s is ops0.M
+        assert ops1.A_s.matrix is ops1.K and ops0.A_s.matrix is ops0.M
         assert close(ops1.M.toarray(), ref_M) and close(ops1.K.toarray(), ref_K)
-        assert close(ops0.A_s.toarray(), ref_M)
+        assert close(ops0.A_s.matrix.toarray(), ref_M)
         assert close(ops1.lumps, mass.sum(axis=1)[free])
         assert close(ops1.lift_load, stiff[np.ix_(free, fixed)] @ g)
         assert close(np.array([ops1.lift_const]),
                      np.array([0.5 * g @ stiff[np.ix_(fixed, fixed)] @ g]))
         u = np.random.default_rng(seed).standard_normal(ops1.n_free)
         for ops, ref in ((ops1, ref_K), (ops0, ref_M)):
-            A = ops.A_s.toarray()
+            A = ops.A_s.matrix.toarray()
             assert np.array_equal(A, A.T)
             # nonnegative up to the round-off of the quadratic form's terms
             terms = np.abs(u) @ np.abs(A) @ np.abs(u)
             assert u @ (ops.A_s @ u) >= -8 * np.finfo(float).eps * terms
-            kd = ops.A_band.shape[0] - 1
-            assert close(ops.A_band, operators._upper_band(ref, kd))
+            assert close(np.concatenate(ops.A_s.band),
+                         np.concatenate((np.diagonal(ref), np.diagonal(ref, 1))))
 
 
 class TestSolveMass:
@@ -202,12 +202,12 @@ class TestAbsApply:
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_matches_the_entrywise_product(self, s):
         ops = make_line_ops(32, s=s)
-        A = ops.A_s.toarray() if ops.tridiagonal else ops.A_s
+        A = dense_A_s(ops)
         w = np.abs(np.random.default_rng(9).standard_normal(ops.n_free))
         # sums of k nonnegative terms, in either order, agree to k eps; a
         # row of A_s has 3 nonzero terms at s in {0, 1}, n otherwise
-        terms = 3 if ops.tridiagonal else ops.n_free
-        assert np.allclose(ops.abs_apply(w), np.abs(A) @ w,
+        terms = 3 if ops.A_s.rest_apply is None else ops.n_free
+        assert np.allclose(ops.A_s.abs_apply(w), np.abs(A) @ w,
                            rtol=terms * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("geometry", ["line", "radial"])
@@ -218,9 +218,57 @@ class TestAbsApply:
         ops = (make_line_ops(200, s=s) if geometry == "line"
                else make_radial_ops(200, s=s, right=0.0))
         w = np.abs(np.random.default_rng(3).standard_normal(ops.n_free))
-        assert np.allclose(ops.abs_apply(w), np.abs(ops.A_s) @ w,
+        assert np.allclose(ops.A_s.abs_apply(w), np.abs(ops.A_s.matrix) @ w,
                            rtol=1e-14, atol=0.0)
-        assert ops._abs_A_s.nnz <= 3 * ops.n_free
+        assert ops.A_s.plus.nnz <= 3 * ops.n_free
+
+
+class TestStiffnessBackends:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1),
+           s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
+    @example(mesh=Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0)),
+             seed=0, s=0.5)
+    def test_against_the_dense_oracle(self, mesh, seed, s):
+        # each backend's product, band split, round-off term and quadratic
+        # form against its storage as a dense matrix A.  A product whose
+        # rows have k nonzero terms errs by at most gamma_k |A||x|; the
+        # oracle's own products are formed in extended precision
+        if s != 1.0:
+            mesh = dataclasses.replace(
+                mesh, dirichlet=tuple(None if d is None else 0.0 for d in mesh.dirichlet))
+        ops = build_operators(mesh, s)
+        A, n = dense_A_s(ops), ops.n_free
+        terms = int(np.count_nonzero(A, axis=1).max())
+
+        def gamma(k, u=U):
+            return k * u / (1 - k * u)
+
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(n)
+        ext = np.longdouble
+        ref = A.astype(ext) @ x.astype(ext)
+        scale = np.abs(A).astype(ext) @ np.abs(x).astype(ext)
+        oracle_error = gamma(n, U_EXT) * scale
+        assert np.all(np.abs(ops.A_s @ x - ref) <= gamma(terms) * scale + oracle_error)
+        # B x: three terms per row; R x = A x - d x: n terms, a product and
+        # a subtraction; B x + R x: one more rounding
+        d, e = ops.A_s.band
+        bx = d * x
+        bx[1:] += e * x[:-1]
+        bx[:-1] += e * x[1:]
+        if ops.A_s.rest_apply is not None:
+            bx = bx + ops.A_s.rest_apply(x)
+        assert np.all(np.abs(bx - ref) <= gamma(n + 3) * scale + oracle_error)
+        # sums of k nonnegative terms, in either order, agree to k eps
+        w = np.abs(rng.standard_normal(n))
+        assert np.allclose(ops.A_s.abs_apply(w), np.abs(A) @ w,
+                           rtol=terms * np.finfo(float).eps, atol=0.0)
+        assert np.array_equal(A, A.T)
+        # the quadratic form sums n^2 terms a_ij x_i x_j
+        form = np.abs(x) @ np.abs(A) @ np.abs(x)
+        assert x @ (ops.A_s @ x) >= -gamma(n + 3) * form
+        assert np.count_nonzero(np.maximum(A, 0.0)) <= 3 * n
 
 
 class TestSpectralDecompose:
@@ -292,7 +340,7 @@ class TestSpectralDecompose:
         # a fixed 1e-10 relative bound rejected this mesh (residual 3.13e-10)
         ops = make_line_ops(1000, s=0.5)
         assert ops.lam.size == 999
-        assert np.allclose(ops.A_s, ops.A_s.T)
+        assert np.allclose(ops.A_s.matrix, ops.A_s.matrix.T)
 
     def test_corrupted_eigenpair_rejected(self, monkeypatch):
         eigh = scipy.linalg.eigh
@@ -331,7 +379,7 @@ class TestSpectralDecompose:
 
         monkeypatch.setattr(operators, "spectral_decompose", refuse)
         ops = make_radial_ops(2000, s=1.0)
-        assert ops.A_s is ops.K
+        assert ops.A_s.matrix is ops.K
         r = ops.mesh.nodes[ops.mesh.free]
         cfg = SchemeConfig(T=0.003, n_steps=3, ops=ops, potential=zero_potential(),
                            u0=np.tanh((0.4 - r) / 0.1), v0=np.zeros(ops.n_free))
@@ -345,12 +393,12 @@ class TestFractionalOperator:
         # reproduce it
         for maker in (make_line_ops, lambda n, s: make_radial_ops(n, s=s, right=0.0)):
             ops1 = maker(16, s=1.0)
-            assert ops1.A_s is ops1.K
+            assert ops1.A_s.matrix is ops1.K
             K = ops1.K.toarray()
             assert np.allclose(spectral_power(ops1, 1.0), K, rtol=1e-10,
                                atol=1e-10 * np.abs(K).max())
             ops0 = maker(16, s=0.0)
-            assert ops0.A_s is ops0.M
+            assert ops0.A_s.matrix is ops0.M
             M = ops0.M.toarray()
             assert np.allclose(spectral_power(ops0, 0.0), M, rtol=1e-10,
                                atol=1e-10 * np.abs(M).max())
@@ -365,7 +413,7 @@ class TestFractionalOperator:
 
     def test_semigroup_half_powers(self):
         ops = make_line_ops(8, s=0.5)
-        comp = ops.A_s @ np.linalg.solve(ops.M.toarray(), ops.A_s)
+        comp = ops.A_s.matrix @ np.linalg.solve(ops.M.toarray(), ops.A_s.matrix)
         K = ops.K.toarray()
         assert np.max(np.abs(comp - K)) <= 1e-10 * np.max(np.abs(K))
 
@@ -376,17 +424,17 @@ class TestFractionalOperator:
         m_half_inv = V @ np.diag(w**-0.5) @ V.T
         mu, Q = np.linalg.eigh(m_half_inv @ ops.K.toarray() @ m_half_inv)
         phi = m_half_inv @ Q
-        a_ref = np.zeros_like(ops.A_s)
+        a_ref = np.zeros_like(ops.A_s.matrix)
         for k in range(ops.n_free):
             mphi = ops.M @ phi[:, k]
             a_ref += mu[k]**0.7 * np.outer(mphi, mphi)
-        assert np.max(np.abs(a_ref - ops.A_s)) <= 1e-10 * np.max(np.abs(ops.A_s))
+        assert np.max(np.abs(a_ref - ops.A_s.matrix)) <= 1e-10 * np.max(np.abs(ops.A_s.matrix))
 
     def test_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(11)
         for s in (0.0, 0.3, 0.5, 1.0):
             ops = make_line_ops(16, s=s)
-            A = ops.A_s.toarray() if ops.tridiagonal else ops.A_s
+            A = dense_A_s(ops)
             assert np.array_equal(A, A.T)
             for _ in range(20):
                 u = rng.standard_normal(ops.n_free)

@@ -3,10 +3,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fracwave import (BlowupError, ConfigurationError, SchemeConfig,
+from fracwave import (BlowupError, ConfigurationError, Mesh1D, SchemeConfig,
                       SolverFailure, SolverParams, build_operators, el_residual,
                       energy, eval_interpolants, minimize_step, run,
                       step_functional, stepper, vi_residuals)
@@ -14,7 +14,10 @@ from fracwave.potentials import double_well, gl_scaled, zero_potential
 from fracwave.stepper import effective_v0
 
 from conftest import (RESIDUAL_ROUNDING, U, assert_tridiagonal_backward_error,
-                      eigenmode_config, make_line_ops, make_radial_ops, meshes)
+                      dense_A_s, eigenmode_config, make_line_ops, make_radial_ops, meshes)
+
+
+ONE_FREE_NODE = Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0))
 
 
 class TestSolverParams:
@@ -120,7 +123,7 @@ class TestMinimizeStep:
         # two cells with both ends fixed leave one free node, where the step
         # is the scalar minimizer (2 u1 - u2) m / (m + tau^2 a)
         ops = make_line_ops(2, s=s)
-        m, a = ops.M[0, 0], ops.A_s[0, 0]
+        m, a = ops.M[0, 0], ops.A_s.matrix[0, 0]
         res = minimize_step(ops, zero_potential(), np.array([0.3]),
                             np.array([0.1]), 0.1)
         assert res.u[0] == pytest.approx(0.5 * m / (m + 0.01 * a), rel=1e-12)
@@ -143,7 +146,7 @@ class TestMinimizeStep:
             u = np.maximum(u, g)
         res = minimize_step(ops, double_well(), u1, u2, tau, obstacle=g, warm_start=u)
 
-        hess0 = ops.M.toarray() / tau**2 + ops.A_s
+        hess0 = ops.M.toarray() / tau**2 + ops.A_s.matrix
         j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)[:2]
         j_path = [j]
         while stepper._stationarity(ops, u, grad, g) > res.tol:
@@ -175,8 +178,8 @@ class TestMinimizeStep:
         u1 = 0.01 * np.sin(np.pi * ops.mesh.nodes[ops.mesh.free])
         curv = np.diag(ops.lumps * potential.curvature(u1))
         mass = ops.M.toarray() / tau**2
-        assert np.linalg.eigvalsh(mass + ops.A_s + curv)[0] < -5e-3
-        assert np.linalg.eigvalsh(mass + np.diag(np.diag(ops.A_s)) + curv)[0] > 0.5
+        assert np.linalg.eigvalsh(mass + ops.A_s.matrix + curv)[0] < -5e-3
+        assert np.linalg.eigvalsh(mass + np.diag(np.diag(ops.A_s.matrix)) + curv)[0] > 0.5
         with pytest.raises(SolverFailure, match="more time steps") as exc_info:
             minimize_step(ops, potential, u1, u1, tau)
         assert exc_info.value.best is not None
@@ -233,7 +236,7 @@ class TestPinnedNewtonSolve:
 
         H = ops.M.toarray() / tau**2
         H[np.diag_indices(n)] += curv
-        H += ops.A_s.toarray()
+        H += ops.A_s.matrix.toarray()
         free = ~active
         pinned = (g - u)[active] if contact else np.zeros(0)
         assert np.array_equal(step[active], pinned)
@@ -244,6 +247,55 @@ class TestPinnedNewtonSolve:
         assert_tridiagonal_backward_error(
             H[np.ix_(free, free)], step[free], rhs,
             rhs_error=(4 * U / (1 - 4 * U) + RESIDUAL_ROUNDING) * terms.astype(ext))
+
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1), s=st.floats(0.01, 0.99),
+           contact=st.booleans())
+    # one free node, free (seed 0) and active (seed 4): the single-node
+    # padding of e on the dptsv call and the CG path
+    @example(mesh=ONE_FREE_NODE, seed=0, s=0.5, contact=True)
+    @example(mesh=ONE_FREE_NODE, seed=4, s=0.5, contact=True)
+    def test_pcg_meets_its_stop_on_the_dense_pinned_system(self, mesh, seed, s, contact):
+        # at fractional s, _pcg stops once the M^-1 norm of its updated
+        # residual is at most stop.  The true residual of the dense pinned
+        # system H_FF x_F = -grad_F - H_FA x_A differs from it by the
+        # round-off of the right-hand side, of the preconditioner solve and
+        # of the CG updates: at most gamma_(n+4) (|grad| + |H||x|) per row
+        # and update, over at most |F| + 2 of them.  Its M^-1 norm is at
+        # most its 2-norm over sqrt(lambda_min(M)).
+        mesh = dataclasses.replace(
+            mesh, dirichlet=tuple(None if d is None else 0.0 for d in mesh.dirichlet))
+        ops = build_operators(mesh, s)
+        rng = np.random.default_rng(seed)
+        n = ops.n_free
+        tau = rng.uniform(0.01, 1.0)
+        curv = ops.lumps * rng.uniform(0.0, 50.0, n)
+        u = rng.standard_normal(n)
+        grad = ops.lumps / tau**2 * rng.standard_normal(n)
+        g = None
+        active = np.zeros(n, dtype=bool)
+        if contact:
+            g = u - np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
+            active = tau**2 * grad / ops.lumps > u - g
+        free = ~active
+        M = ops.M.toarray()
+        H = M / tau**2 + dense_A_s(ops)
+        H[np.diag_indices(n)] += curv
+        pinned = np.where(active, (g - u) if contact else 0.0, 0.0)
+        rhs = np.where(free, -grad - H @ pinned, 0.0)
+        stop = 1e-8 * np.sqrt(rhs @ np.linalg.solve(M, rhs))
+        step = stepper._newton_step(ops, curv, grad, u, g, tau, stop)
+
+        assert np.array_equal(step[active], pinned[active])
+        ext = np.longdouble
+        resid = np.where(free, -grad.astype(ext) - H.astype(ext) @ step.astype(ext), 0.0)
+        resid = resid.astype(float)
+        gamma = (n + 4) * U / (1 - (n + 4) * U)
+        rows = np.where(free, np.abs(grad) + np.abs(H) @ np.abs(step), 0.0)
+        allowance = ((free.sum() + 2) * gamma * np.linalg.norm(rows)
+                     / np.sqrt(np.linalg.eigvalsh(M)[0]))
+        assert np.sqrt(resid @ np.linalg.solve(M, resid)) <= stop + allowance
 
 
 class TestRun:
