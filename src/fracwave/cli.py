@@ -14,6 +14,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -230,9 +231,9 @@ def build_problem(cfg: RunConfigFile) -> SchemeConfig:
         pot = gl_scaled(pot, cfg.gl_eps)
         h = (cfg.x_max - cfg.x_min) / cfg.n_cells
         if cfg.gl_eps <= 2.0 * h:
-            print(f"warning: eps={cfg.gl_eps:g} <= 2h={2 * h:g}; the interface "
-                  "is under-resolved (resolution rule: h <= eps/2)",
-                  file=sys.stderr)
+            warnings.warn(f"eps={cfg.gl_eps:g} <= 2h={2 * h:g}; the interface "
+                          "is under-resolved (resolution rule: h <= eps/2)",
+                          stacklevel=2)
 
     x = mesh.nodes[mesh.free]
     span = cfg.x_max - cfg.x_min
@@ -411,7 +412,17 @@ def main(argv=None) -> int:
             p.add_argument("--eps-list", required=True,
                            help="comma-separated eps values")
     args = parser.parse_args(argv)
+    # the warnings the active filters let through, each distinct one once,
+    # after the command's own output
+    with warnings.catch_warnings(record=True) as caught:
+        code = _command(args)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"warning: {message}", file=sys.stderr)
+    return code
 
+
+def _command(args) -> int:
+    """Run the parsed command; its exit code."""
     try:
         cfg = parse_config(args.config)
         if args.command == "run":

@@ -7,11 +7,13 @@ over the unconstrained ("free") nodes as sparse tridiagonal arrays; fixed
 endpoint values enter through a precomputed load offset.  The order-s
 stiffness A_s is one object, whose class build_operators chooses: the
 assembled form itself at the endpoints, A_0 = M and A_1 = K
-(AssembledStiffness), and between them the dense spectral power
-A_s = (M Phi) Lambda**s (M Phi)^T (SpectralStiffness), with the generalized
-eigenpairs K phi = lambda M phi (M-orthonormal), which reproduces both
-endpoints up to round-off.  The eigenpairs are computed only where
-something reads them.
+(AssembledStiffness); between them, on a uniform line with both ends fixed,
+the sine-transform diagonalization A_s = S diag(m_k (kappa_k/m_k)**s) S of
+the Toeplitz pair (SineStiffness); and on every other mesh the dense spectral
+power A_s = (M Phi) Lambda**s (M Phi)^T (SpectralStiffness), with the
+generalized eigenpairs K phi = lambda M phi (M-orthonormal), which
+reproduces both endpoints up to round-off.  The eigenpairs are computed
+only where something reads them.
 """
 
 from __future__ import annotations
@@ -151,6 +153,13 @@ def pt_args(d, e):
     return d, e if e.size else np.zeros(1)
 
 
+def _fix_signs(phi):
+    """Flip each column of phi in place so that its largest-magnitude entry
+    (the first, on a tie) is positive."""
+    j = np.argmax(np.abs(phi), axis=0)
+    phi *= np.where(phi[j, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
+
+
 def spectral_decompose(M, K):
     """Generalized symmetric eigenpairs K phi = lambda M phi.
 
@@ -181,8 +190,7 @@ def spectral_decompose(M, K):
         lam, phi = scipy.linalg.eigh(K.toarray(), M.toarray())
     except scipy.linalg.LinAlgError as exc:
         raise NumericError(f"generalized eigendecomposition failed: {exc}") from exc
-    j = np.argmax(np.abs(phi), axis=0)
-    phi *= np.where(phi[j, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
+    _fix_signs(phi)
     resid = np.linalg.norm(K @ phi - (M @ phi) * lam, axis=0)
     bound = ((lam.size + 4) * np.finfo(float).eps / 2.0
              * (abs(K).sum(axis=0).max() + np.abs(lam).max() * abs(M).sum(axis=0).max())
@@ -199,8 +207,9 @@ class AssembledStiffness:
     (s = 0) itself, held as matrix; products cost O(n).  Its band part B is
     all of A_s, so R = A_s - B = 0 and rest_apply is None.
 
-    abs_apply forms |A_s| w from the cached sparse |A_s|, in O(n).  A row of
-    A_s w has three terms and errs by gamma_3 ~ 1.5 eps relative to
+    Round-off model: componentwise.  roundoff(w) gives the entrywise term
+    |A_s| w, from the cached sparse |A_s| in O(n), and no normwise term.  A
+    row of A_s w has three terms and errs by gamma_3 ~ 1.5 eps relative to
     |A_s| |w|, so the worst case of the round-off floor's t
     (stepper._roundoff_floor) is 2.5 to 3 eps per entry, which roundings of
     either sign seldom reach; its c = 2 sits just below it.  Measured at
@@ -219,8 +228,8 @@ class AssembledStiffness:
     def __matmul__(self, x):
         return self.matrix @ x
 
-    def abs_apply(self, w):
-        return self._abs @ w
+    def roundoff(self, w):
+        return self._abs @ w, 0.0
 
     def spectrum(self, M, K):
         """The eigenpairs of (K, M), computed here on request."""
@@ -231,13 +240,15 @@ class SpectralStiffness:
     """A_s at fractional s: the dense spectral power y y^T, y = (M Phi)
     Lambda^(s/2), exactly symmetric because NumPy forms it by BLAS syrk.
     Products cost O(n^2).  B is the diagonal of A_s; rest_apply forms
-    R x = A_s x - B x with one product and no n x n temporary.
+    R x = A_s x - B x with one product and no n x n temporary.  It serves
+    radial, free-end and nonuniform meshes, and is the small-n oracle.
 
-    abs_apply forms |A_s| w = 2 A_s^+ w - A_s w, from |a| = 2 max(a, 0) - a,
-    with the sparse A_s^+ = max(A_s, 0) built here: O(n^2), one Newton
-    product, with no second dense array held.  On the meshes checked (line
-    and radial, 200 cells) nnz(A_s^+)/n is 1 for s >= 0.5, 1.04 at s = 0.25
-    and 2.99 at s = 0.1, so A_s^+ holds O(n).  A row of A_s w has n terms,
+    Round-off model: componentwise.  roundoff(w) gives no normwise term and
+    the entrywise term |A_s| w = 2 A_s^+ w - A_s w, from
+    |a| = 2 max(a, 0) - a, with the sparse A_s^+ = max(A_s, 0) built here:
+    O(n^2), one Newton product, with no second dense array held.  On the
+    meshes checked (line and radial, 200 cells) nnz(A_s^+)/n is 1 for
+    s >= 0.5, 1.04 at s = 0.25 and 2.99 at s = 0.1, so A_s^+ holds O(n).  A row of A_s w has n terms,
     so its worst case is gamma_n ~ n eps / 2 relative to |A_s| |w|, and the
     round-off floor's c = 2 rests on measurement, not on that derivation: at
     s = 1/2 the residual stalls 48 times below the floor (7.2e-11 against
@@ -260,12 +271,103 @@ class SpectralStiffness:
     def rest_apply(self, x):
         return self.matrix @ x - self.band[0] * x
 
-    def abs_apply(self, w):
-        return 2.0 * (self.plus @ w) - self.matrix @ w
+    def roundoff(self, w):
+        return 2.0 * (self.plus @ w) - self.matrix @ w, 0.0
 
     def spectrum(self, M, K):
         """The eigenpairs this power was formed from."""
         return self._spectrum
+
+
+def _dst(x):
+    """The orthonormal DST-I S along axis 0; S is symmetric and S S = I.
+    scipy.fft is imported here, not with the module: it adds about 5 MB of
+    resident memory, which only the sine backend needs."""
+    import scipy.fft
+    return scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+
+
+def _toeplitz_symbol(A, half_angle):
+    """Eigenvalues a + 2 b cos(theta_k) of A's Toeplitz approximation (a, b
+    the means of its diagonal and off-diagonal), at sin(theta_k / 2) =
+    half_angle, as (a + 2 b) - 4 b sin^2(theta_k / 2): cos(theta_k) rounds
+    near 1, and the low modes of K would lose relative accuracy to it."""
+    a = A.diagonal().mean()
+    b = A.diagonal(1).mean() if A.shape[0] > 1 else 0.0
+    return (a + 2.0 * b) - 4.0 * b * half_angle**2
+
+
+class SineStiffness:
+    """A_s at fractional s on a uniform line with both ends fixed, where M
+    and K are tridiagonal Toeplitz.  The orthonormal DST-I S, with columns
+    s_k = sqrt(2/(n+1)) sin(j k pi/(n+1)), diagonalizes both: M = S diag(m) S
+    and K = S diag(kappa) S, so lambda_k = kappa_k / m_k, Phi = S
+    diag(m^-1/2) and A_s = S diag(mu) S with mu_k = m_k lambda_k^s.  Only
+    the symbol (m, kappa, mu) is held, O(n); m and kappa come from the
+    assembled diagonals of M and K.  A product is two DSTs, O(n log n);
+    x may be a block of vectors along axis 0.  B is the diagonal of A_s,
+    d_j = sum_k mu_k s_jk^2 = (sum mu - Re F_(n+1)([0, mu])_j) / (n + 1),
+    one FFT of length n + 1; rest_apply forms R x = A_s x - d x.
+
+    Round-off model: normwise.  An FFT errs normwise, not componentwise
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 24): a radix-2 FFT of length N with accurate weights gives
+    |fl(y) - y|_2 <= log2(N) eta / (1 - log2(N) eta) |y|_2, eta ~ 6.7 u.
+    SciPy takes the DST-I through a real FFT of length N = 2(n + 1), so two
+    transforms and the scaling by mu give, in the worst case,
+
+        |fl(A_s w) - A_s w|_2 <= c log2(n + 1) u max(mu) |w|_2
+
+    with c = 30, since 2 log2(2(n + 1)) eta + 3 u <= 30 log2(n + 1) u.
+    Against a product in extended precision, on 1 to 2,047 free nodes
+    (powers of two, primes, and n + 1 prime, which SciPy transforms by
+    Bluestein's algorithm), the error stays below 6.2 u max(mu) |w|_2
+    (2,002 nodes) and below 2.1 log2(n + 1) u max(mu) |w|_2 (2 nodes):
+    roundings of either sign add up like a random walk.  roundoff(w) gives
+    no entrywise term and the normwise term
+    log2(n + 1) max(mu) |w|_2 / sqrt(min m), which the round-off floor's
+    c eps = 2 eps = 4 u scales: c = 4 covers every measured case and sits
+    7.5 times below the worst case.  M's eigenvalues are the m_k, so
+    |e|_{M^-1} <= |e|_2 / sqrt(min m) carries the 2-norm into the floor's
+    M^-1 norm.
+    """
+
+    def __init__(self, M, K, s: float):
+        import scipy.fft   # see _dst
+        n = M.shape[0]
+        half_angle = np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1))
+        self.m = _toeplitz_symbol(M, half_angle)
+        self.kappa = _toeplitz_symbol(K, half_angle)
+        self.mu = self.m * (self.kappa / self.m) ** s
+        diag = (self.mu.sum() - scipy.fft.fft(np.r_[0.0, self.mu]).real[1:]) / (n + 1)
+        self.band = (diag, np.zeros(n - 1))
+        self._roundoff_scale = np.log2(n + 1) * self.mu.max() / np.sqrt(self.m.min())
+
+    def __matmul__(self, x):
+        mu = self.mu if np.ndim(x) == 1 else self.mu[:, None]
+        return _dst(mu * _dst(x))
+
+    def rest_apply(self, x):
+        return self @ x - self.band[0] * x
+
+    def roundoff(self, w):
+        return 0.0, self._roundoff_scale * float(np.linalg.norm(w))
+
+    def spectrum(self, M, K):
+        """The eigenpairs in closed form, under spectral_decompose's sign
+        rule.  lam = kappa / m ascends with k: m_k falls and kappa_k rises.
+        S is built from sin(pi q / (n + 1)) at the integer q = j k reduced
+        to [0, (n + 1) / 2], so entries of equal magnitude are equal bits and
+        the sign rule's tie-break is reproducible."""
+        n = self.m.size
+        j = np.arange(1, n + 1)
+        r = np.outer(j, j) % (2 * (n + 1))
+        q = r % (n + 1)
+        phi = np.sin(np.pi * np.minimum(q, n + 1 - q) / (n + 1))
+        phi[r > n + 1] *= -1.0
+        phi *= np.sqrt(2.0 / (n + 1)) / np.sqrt(self.m)
+        _fix_signs(phi)
+        return self.kappa / self.m, phi
 
 
 @dataclass(frozen=True)
@@ -275,9 +377,12 @@ class OperatorSet:
     Immutable after construction; shared freely across runs.  M and K are
     sparse tridiagonal arrays (scipy.sparse, csr format), so products with
     them cost O(n).  A_s is the order-s stiffness, an AssembledStiffness at
-    s in {0, 1} and a SpectralStiffness otherwise; both provide products
+    s in {0, 1}, a SineStiffness at fractional s on a uniform line with both
+    ends fixed and a SpectralStiffness otherwise; each provides products
     (@), the (d, e) diagonals of a tridiagonal band part B, rest_apply for
-    R = A_s - B (None where R = 0) and abs_apply for |A_s| w.  mass_band
+    R = A_s - B (None where R = 0) and roundoff(w), the entrywise and
+    normwise terms of its round-off model for the product with w (see each
+    class), and spectrum(M, K) for the eigenpairs.  mass_band
     holds M's diagonals (d, e), and mass_chol the factors (d, e) of its
     tridiagonal LDL^T factorization (LAPACK dpttrf: D = diag(d), L unit
     lower bidiagonal with subdiagonal e).  The spectrum (lam, Phi) is
@@ -291,7 +396,7 @@ class OperatorSet:
     M: scipy.sparse.csr_array
     K: scipy.sparse.csr_array
     s: float
-    A_s: AssembledStiffness | SpectralStiffness
+    A_s: AssembledStiffness | SineStiffness | SpectralStiffness
     lumps: np.ndarray
     lift_load: np.ndarray
     lift_const: float
@@ -332,13 +437,33 @@ class OperatorSet:
         return x
 
 
+def _is_toeplitz(mesh: Mesh1D, *forms) -> bool:
+    """Whether each diagonal of each form is constant to within the
+    rounding of the node coordinates.  A node rounds by up to u |x_j|, so
+    a width h_j by up to about 2 u max|x|, and an entry formed from the
+    widths varies by that over min h, relatively: meshes built by
+    build_mesh vary by at most 2.5 eps max|x| / min h (measured on
+    [0, 1e-3] to [1000, 1001], 2 to 25,600 cells).  The tolerance,
+    16 eps max|x| / min h, admits them with room to spare; the Toeplitz
+    pair of SineStiffness then differs from the assembled one by a few
+    times the round-off the nodes carry into it."""
+    nodes = mesh.nodes
+    tol = 16 * np.finfo(float).eps * np.abs(nodes).max() / np.diff(nodes).min()
+    for A in forms:
+        for diag in (A.diagonal(), A.diagonal(1)):
+            if diag.size and np.abs(diag - diag.mean()).max() > tol * abs(diag.mean()):
+                return False
+    return True
+
+
 def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     """Forms, lift and A_s for order s.  Nonzero Dirichlet data need s = 1,
     the only order whose lift the order-1 stiffness gives.
 
     M and K are assembled as their three diagonals on the free nodes, which
     form one contiguous range, so setup costs O(n) time and memory at
-    s in {0, 1}; a fractional s adds the dense eigensolve and A_s.
+    s in {0, 1}.  A fractional s adds O(n log n) on a uniform line with both
+    ends fixed (SineStiffness), and the dense eigensolve and A_s elsewhere.
     """
     if s < 0:
         raise ConfigurationError("fractional order s must be >= 0")
@@ -370,6 +495,9 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
                            f"returned info {info}")
     if s in (0.0, 1.0):
         A_s = AssembledStiffness(K if s else M)
+    elif (mesh.geometry == "line" and None not in mesh.dirichlet
+          and _is_toeplitz(mesh, M, K)):
+        A_s = SineStiffness(M, K, s)
     else:
         A_s = SpectralStiffness(M, spectral_decompose(M, K), s)
     return OperatorSet(

@@ -24,8 +24,9 @@ diag(m_j W''(u_j)) is factored as L D L^T by LAPACK's symmetric positive
 definite tridiagonal solver (dptsv), which solves the system outright where
 R = 0, as at s in {0, 1}.  Otherwise conjugate gradients preconditioned by
 P finish the solve in a few products with A_s (at fractional s, B is the
-diagonal of the dense A_s, and each product costs O(n^2)): no n x n array
-is factored or copied.
+diagonal of A_s, and each product costs O(n log n) on a uniform line with
+both ends fixed and O(n^2) elsewhere): no n x n array is factored or
+copied.
 Without an obstacle the active set is empty and the iteration is plain
 Newton.  The time loop starts steps 1 and 2 from the inertial
 extrapolation 2 u_{i-1} - u_{i-2} and every later step from the cubic
@@ -233,12 +234,13 @@ def _stationarity(ops, u, grad, obstacle) -> float:
 
 
 def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
-    """c eps |t|_{M^-1}: the level of round-off in the computed residual.
+    """c eps (|t|_{M^-1} + a): the level of round-off in the computed
+    residual.
 
     With w = 2 u1 - u2 the inertial extrapolation, near which the step's
     minimizer u lies,
 
-        t = M (2|u1| + |u2|) / tau^2 + |A_s| |w| + |lift_load| + m |W'(w)|
+        t = M (2|u1| + |u2|) / tau^2 + t_A + |lift_load| + m |W'(w)|
 
     sums the magnitudes of the gradient's terms (M is entrywise
     nonnegative).  Each term is formed with a few roundings, each of at
@@ -246,15 +248,19 @@ def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
     and Stability of Numerical Algorithms, 2nd ed., ch. 3): the second
     difference (u - 2 u1) + u2 errs by at most u (|u| + 2|u1|) <=
     eps (2|u1| + |u2|), which M / tau^2 carries; summing the four terms
-    adds up to 1.5 eps of t; and A_s w errs relative to |A_s| |w| as the
-    class of A_s states (operators.AssembledStiffness, SpectralStiffness),
-    which also gives the grounds for c = 2 and the cost of A_s.abs_apply.
+    adds up to 1.5 eps of t.  The round-off of A_s w follows the model of
+    A_s's class (operators.AssembledStiffness, SineStiffness,
+    SpectralStiffness), which gives (t_A, a) = A_s.roundoff(|w|): an
+    entrywise term, |A_s| |w| for a product that errs componentwise, and a
+    normwise bound a on the M^-1 norm for one that errs normwise.  The
+    class also gives the grounds for c = 2 and the cost of the term.
     """
     w = 2.0 * u1 - u2
+    t_a, a = ops.A_s.roundoff(np.abs(w))
     t = (ops.M @ (2.0 * np.abs(u1) + np.abs(u2)) / tau**2
-         + ops.A_s.abs_apply(np.abs(w)) + np.abs(ops.lift_load)
+         + t_a + np.abs(ops.lift_load)
          + ops.lumps * np.abs(potential.gradient(w)))
-    return _AUTO_TOL_ROUNDOFF * float(np.sqrt(max(t @ ops.solve_mass(t), 0.0)))
+    return _AUTO_TOL_ROUNDOFF * (float(np.sqrt(max(t @ ops.solve_mass(t), 0.0))) + a)
 
 
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,

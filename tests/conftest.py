@@ -3,7 +3,9 @@ import pytest
 import scipy.sparse
 from hypothesis import strategies as st
 
-from fracwave import Mesh1D, SchemeConfig, build_mesh, build_operators
+from fracwave import (Mesh1D, SchemeConfig, build_mesh, build_operators,
+                      spectral_decompose)
+from fracwave.operators import SineStiffness, SpectralStiffness
 from fracwave.potentials import zero_potential
 
 U = np.finfo(float).eps / 2
@@ -45,10 +47,44 @@ def meshes(draw):
                   dirichlet=(left, draw(data)))
 
 
+@st.composite
+def uniform_lines(draw):
+    """Uniform line meshes of 2-40 cells, as build_mesh makes them, with
+    both ends fixed: at fractional s (data 0) the sine backend's meshes."""
+    a = draw(st.floats(-1.0, 1.0))
+    return build_mesh(a, a + draw(st.floats(0.1, 2.0)), draw(st.integers(2, 40)),
+                      dirichlet=(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))))
+
+
 def dense_A_s(ops):
-    """Dense copy of the order-s stiffness's storage."""
+    """A_s as a dense array: the storage of the assembled and spectral
+    backends, and A_s @ I for the sine backend, which stores none."""
+    if isinstance(ops.A_s, SineStiffness):
+        return ops.A_s @ np.eye(ops.n_free)
     A = ops.A_s.matrix
     return A.toarray() if scipy.sparse.issparse(A) else A
+
+
+def spectral_oracle(ops):
+    """The dense SpectralStiffness of ops's pair at ops.s, built explicitly
+    from the eigensolve whichever backend build_operators chose."""
+    return SpectralStiffness(ops.M, spectral_decompose(ops.M, ops.K), ops.s)
+
+
+def sine_oracle(ops, x):
+    """A_s x (x a vector or a block along axis 0) in extended precision for
+    the sine backend: S diag(mu) S x with
+    the backend's own symbol mu and S = sqrt(2/(n+1)) sin(pi j k/(n+1)),
+    each sine taken at j k reduced mod 2(n+1).  Its error is at most
+    about 4 n U_EXT max(mu) |x|_2."""
+    ext = np.longdouble
+    n = ops.n_free
+    j = np.arange(1, n + 1)
+    r = (np.outer(j, j) % (2 * (n + 1))).astype(ext)
+    S = np.sqrt(ext(2) / (n + 1)) * np.sin(np.arccos(ext(-1)) * r / (n + 1))
+    x = np.asarray(x).astype(ext)
+    mu = ops.A_s.mu.astype(ext)
+    return S @ ((mu if x.ndim == 1 else mu[:, None]) * (S @ x))
 
 
 def assert_tridiagonal_backward_error(A, x, b, rhs_error=0.0):
@@ -86,4 +122,5 @@ def ops64_half():
 
 @pytest.fixture(scope="session")
 def ops1000_half():
-    return make_line_ops(1000, 0.5)
+    # a free end keeps the line on the dense spectral backend
+    return make_line_ops(1000, 0.5, dirichlet=(0.0, None))

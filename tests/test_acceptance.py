@@ -261,7 +261,8 @@ def test_criterion_10_operator_identities():
             checks.append(np.max(np.abs(power - target.toarray()))
                           <= 1e-10 * np.max(np.abs(target.toarray())))
         oph = make_line_ops(n, s=0.5)
-        comp = oph.A_s.matrix @ np.linalg.solve(oph.M.toarray(), oph.A_s.matrix)
+        A = oph.A_s @ np.eye(oph.n_free)
+        comp = A @ np.linalg.solve(oph.M.toarray(), A)
         K = oph.K.toarray()
         checks.append(np.max(np.abs(comp - K)) <= 1e-10 * np.max(np.abs(K)))
         for k in range(oph.n_free):

@@ -379,6 +379,13 @@ class TestMainExitCodes:
         assert code == 4
         assert "blowup" in capsys.readouterr().err
 
+    def test_under_resolved_config_warns(self, tmp_path):
+        # eps = 0.05 on 20 cells of [0, 1]: eps = h < 2h
+        path = write_config(tmp_path, {
+            "preset": "gl_interface", "n_cells": 20, "n_steps": 4, "T": 0.01})
+        with pytest.warns(UserWarning, match=r"under-resolved \(resolution rule: h <= eps/2\)"):
+            build_problem(parse_config(path))
+
     def test_under_resolved_warning(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "preset": "gl_interface", "n_cells": 5, "n_steps": 4, "T": 0.01})

@@ -10,11 +10,16 @@ from hypothesis import strategies as st
 from fracwave import (ConfigurationError, Mesh1D, NumericError, SchemeConfig,
                       build_mesh, build_operators, fractional_apply,
                       poincare_constant, run, seminorm_s, spectral_decompose)
-from fracwave import operators
-from fracwave.potentials import zero_potential
+from fracwave import cli, operators
+from fracwave.operators import (AssembledStiffness, SineStiffness,
+                                SpectralStiffness)
+from fracwave.potentials import double_well, zero_potential
 
 from conftest import (U, U_EXT, assert_tridiagonal_backward_error, dense_A_s,
-                      make_line_ops, make_radial_ops, meshes)
+                      make_line_ops, make_radial_ops, meshes, sine_oracle,
+                      spectral_oracle, uniform_lines)
+
+ONE_FREE_NODE = Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0))
 
 
 def forms(mesh):
@@ -142,6 +147,7 @@ class TestAssembleForms:
 class TestSparseFormsAgainstDenseReference:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+    @example(mesh=ONE_FREE_NODE, seed=0)
     def test_forms_lift_and_band(self, mesh, seed):
         mass, stiff = cell_loop_forms(mesh)
         free = mesh.free
@@ -189,6 +195,7 @@ class TestSolveMass:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1))
+    @example(mesh=ONE_FREE_NODE, seed=0)
     def test_inverts_the_mass_matrix(self, mesh, seed):
         # solve_mass(M @ x) solves M y = M @ x to the backward error of the
         # LDL^T solve, on every mesh shape down to one free node
@@ -199,15 +206,21 @@ class TestSolveMass:
 
 
 class TestAbsApply:
+    # the entrywise round-off term |A_s| w of the componentwise backends; a
+    # uniform line at fractional s builds the sine backend, so the spectral
+    # one is built explicitly there
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_matches_the_entrywise_product(self, s):
         ops = make_line_ops(32, s=s)
-        A = dense_A_s(ops)
+        A_s = ops.A_s if s in (0.0, 1.0) else spectral_oracle(ops)
+        A = A_s.matrix.toarray() if s in (0.0, 1.0) else A_s.matrix
         w = np.abs(np.random.default_rng(9).standard_normal(ops.n_free))
         # sums of k nonnegative terms, in either order, agree to k eps; a
         # row of A_s has 3 nonzero terms at s in {0, 1}, n otherwise
-        terms = 3 if ops.A_s.rest_apply is None else ops.n_free
-        assert np.allclose(ops.A_s.abs_apply(w), np.abs(A) @ w,
+        terms = 3 if A_s.rest_apply is None else ops.n_free
+        entrywise, normwise = A_s.roundoff(w)
+        assert normwise == 0.0
+        assert np.allclose(entrywise, np.abs(A) @ w,
                            rtol=terms * np.finfo(float).eps, atol=0.0)
 
     @pytest.mark.parametrize("geometry", ["line", "radial"])
@@ -217,27 +230,42 @@ class TestAbsApply:
         # which holds O(n) entries (measured: at most 3n)
         ops = (make_line_ops(200, s=s) if geometry == "line"
                else make_radial_ops(200, s=s, right=0.0))
+        A_s = spectral_oracle(ops)
         w = np.abs(np.random.default_rng(3).standard_normal(ops.n_free))
-        assert np.allclose(ops.A_s.abs_apply(w), np.abs(ops.A_s.matrix) @ w,
+        assert np.allclose(A_s.roundoff(w)[0], np.abs(A_s.matrix) @ w,
                            rtol=1e-14, atol=0.0)
-        assert ops.A_s.plus.nnz <= 3 * ops.n_free
+        assert A_s.plus.nnz <= 3 * ops.n_free
 
 
 class TestStiffnessBackends:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1),
+    @given(mesh=st.one_of(meshes(), uniform_lines()), seed=st.integers(0, 2**32 - 1),
            s=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.01, 0.99)))
-    @example(mesh=Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0)),
+    # one free node is a uniform line: the sine backend
+    @example(mesh=ONE_FREE_NODE, seed=0, s=0.5)
+    # a nonuniform line with both ends fixed: the spectral backend
+    @example(mesh=Mesh1D(nodes=np.array([0.0, 0.3, 0.5, 1.0]), dirichlet=(0.0, 0.0)),
              seed=0, s=0.5)
     def test_against_the_dense_oracle(self, mesh, seed, s):
         # each backend's product, band split, round-off term and quadratic
-        # form against its storage as a dense matrix A.  A product whose
-        # rows have k nonzero terms errs by at most gamma_k |A||x|; the
-        # oracle's own products are formed in extended precision
+        # form against its storage as a dense matrix A, or, for the sine
+        # backend, against S diag(mu) S in extended precision.  A product
+        # whose rows have k nonzero terms errs by at most gamma_k |A||x|;
+        # the oracle's own products are formed in extended precision
         if s != 1.0:
             mesh = dataclasses.replace(
                 mesh, dirichlet=tuple(None if d is None else 0.0 for d in mesh.dirichlet))
         ops = build_operators(mesh, s)
+        widths = np.diff(mesh.nodes)
+        uniform = np.ptp(widths) <= 1e-9 * widths.min()
+        if s in (0.0, 1.0):
+            assert isinstance(ops.A_s, AssembledStiffness)
+        elif mesh.geometry == "line" and None not in mesh.dirichlet and uniform:
+            assert isinstance(ops.A_s, SineStiffness)
+            self.check_sine(ops, seed)
+            return
+        else:
+            assert isinstance(ops.A_s, SpectralStiffness)
         A, n = dense_A_s(ops), ops.n_free
         terms = int(np.count_nonzero(A, axis=1).max())
 
@@ -262,13 +290,59 @@ class TestStiffnessBackends:
         assert np.all(np.abs(bx - ref) <= gamma(n + 3) * scale + oracle_error)
         # sums of k nonnegative terms, in either order, agree to k eps
         w = np.abs(rng.standard_normal(n))
-        assert np.allclose(ops.A_s.abs_apply(w), np.abs(A) @ w,
+        entrywise, normwise = ops.A_s.roundoff(w)
+        assert normwise == 0.0
+        assert np.allclose(entrywise, np.abs(A) @ w,
                            rtol=terms * np.finfo(float).eps, atol=0.0)
         assert np.array_equal(A, A.T)
         # the quadratic form sums n^2 terms a_ij x_i x_j
         form = np.abs(x) @ np.abs(A) @ np.abs(x)
         assert x @ (ops.A_s @ x) >= -gamma(n + 3) * form
         assert np.count_nonzero(np.maximum(A, 0.0)) <= 3 * n
+
+    @staticmethod
+    def check_sine(ops, seed):
+        # the product errs normwise, by at most 4 log2(n + 1) u max(mu)
+        # |x|_2 (SineStiffness's model); the extended-precision oracle errs
+        # by about 4 n U_EXT max(mu) |x|_2
+        n, mu = ops.n_free, ops.A_s.mu
+        log_n = np.log2(n + 1)
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, n))
+        unit = mu.max() * np.linalg.norm(x)
+        oracle_error = 4 * n * U_EXT * unit
+        ref = sine_oracle(ops, x)
+        assert np.linalg.norm((ops.A_s @ x - ref).astype(float)) <= (
+            4 * log_n * U * unit + oracle_error)
+        # d_j = sum_k mu_k s_jk^2 by one FFT of length n + 1: at most
+        # 30 log2(n + 1) u max(mu), the worst case of SineStiffness's model
+        d, e = ops.A_s.band
+        assert np.array_equal(e, np.zeros(n - 1))
+        diag = np.diagonal(sine_oracle(ops, np.eye(n)))
+        assert np.all(np.abs(d - diag) <= 30 * log_n * U * mu.max()
+                      + 4 * n * U_EXT * mu.max())
+        # B x + R x: d x, the subtraction in R x and the sum add at most
+        # 6 u max(mu) |x|_2, since every d_j <= max(mu)
+        bx = d * x + ops.A_s.rest_apply(x)
+        assert np.linalg.norm((bx - ref).astype(float)) <= (
+            (4 * log_n + 6) * U * unit + oracle_error)
+        # no entrywise term; the normwise one carries the 2-norm model into
+        # the M^-1 norm
+        entrywise, normwise = ops.A_s.roundoff(-x)
+        assert entrywise == 0.0
+        assert normwise == pytest.approx(
+            log_n * mu.max() * np.linalg.norm(x) / np.sqrt(ops.A_s.m.min()), rel=1e-14)
+        # symmetric and nonnegative up to the products' round-off
+        bound = 4 * log_n * U * mu.max() * np.linalg.norm(x) * np.linalg.norm(y)
+        assert abs(y @ (ops.A_s @ x) - x @ (ops.A_s @ y)) <= 2 * bound + 2 * n * U * (
+            np.abs(y) @ np.abs(ops.A_s @ x) + np.abs(x) @ np.abs(ops.A_s @ y))
+        assert x @ (ops.A_s @ x) >= -(4 * log_n + n) * U * unit * np.linalg.norm(x)
+        # the same operator as the dense spectral power of (K, M): its
+        # eigensolve and the pair's rounding away from Toeplitz leave at
+        # most 8 (n + 4) eps max|A_s| (measured on 400 uniform lines)
+        D = spectral_oracle(ops).matrix
+        assert np.max(np.abs(ops.A_s @ np.eye(n) - D)) <= (
+            32 * (n + 4) * np.finfo(float).eps * np.abs(D).max())
 
 
 class TestSpectralDecompose:
@@ -324,8 +398,9 @@ class TestSpectralDecompose:
     @pytest.mark.parametrize("s", [0.1, 0.5])
     def test_fractional_setup_peak_memory(self, geometry, s):
         # the dense copies of M and K exist only as eigh's input; with the
-        # eigensolve, A_s and A_s^+, setup peaks near 6 n x n arrays
-        mesh = (build_mesh(0, 1, 1000, dirichlet=(0.0, 0.0)) if geometry == "line"
+        # eigensolve, A_s and A_s^+, setup peaks near 6 n x n arrays.  The
+        # line has a free end, which keeps it on the spectral backend
+        mesh = (build_mesh(0, 1, 1000, dirichlet=(0.0, None)) if geometry == "line"
                 else build_mesh(0, 1, 1000, geometry="radial", dim=2,
                                 dirichlet=(None, 0.0)))
         tracemalloc.start()
@@ -339,8 +414,9 @@ class TestSpectralDecompose:
     def test_large_line_mesh_passes_the_backward_error_bound(self):
         # a fixed 1e-10 relative bound rejected this mesh (residual 3.13e-10)
         ops = make_line_ops(1000, s=0.5)
-        assert ops.lam.size == 999
-        assert np.allclose(ops.A_s.matrix, ops.A_s.matrix.T)
+        A_s = spectral_oracle(ops)
+        assert A_s.spectrum(ops.M, ops.K)[0].size == 999
+        assert np.allclose(A_s.matrix, A_s.matrix.T)
 
     def test_corrupted_eigenpair_rejected(self, monkeypatch):
         eigh = scipy.linalg.eigh
@@ -351,7 +427,8 @@ class TestSpectralDecompose:
             return lam, phi
 
         monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
-        mesh = build_mesh(0, 1, 32, dirichlet=(0.0, 0.0))
+        # a free end keeps the line on the spectral backend
+        mesh = build_mesh(0, 1, 32, dirichlet=(0.0, None))
         with pytest.raises(NumericError, match="backward-error bound"):
             build_operators(mesh, 0.5)
 
@@ -365,7 +442,8 @@ class TestSpectralDecompose:
         monkeypatch.setattr(operators, "spectral_decompose", counted)
         for s, builds in ((1.0, 0), (0.0, 0), (0.5, 1)):
             calls.clear()
-            ops = make_line_ops(16, s=s)
+            # a free end keeps the line on the spectral backend at s = 1/2
+            ops = make_line_ops(16, s=s, dirichlet=(0.0, None))
             assert len(calls) == builds
             lam, phi = spectral_decompose(ops.M.toarray(), ops.K.toarray())
             assert np.array_equal(ops.lam, lam) and np.array_equal(ops.Phi, phi)
@@ -413,7 +491,8 @@ class TestFractionalOperator:
 
     def test_semigroup_half_powers(self):
         ops = make_line_ops(8, s=0.5)
-        comp = ops.A_s.matrix @ np.linalg.solve(ops.M.toarray(), ops.A_s.matrix)
+        A = ops.A_s @ np.eye(ops.n_free)
+        comp = A @ np.linalg.solve(ops.M.toarray(), A)
         K = ops.K.toarray()
         assert np.max(np.abs(comp - K)) <= 1e-10 * np.max(np.abs(K))
 
@@ -424,17 +503,21 @@ class TestFractionalOperator:
         m_half_inv = V @ np.diag(w**-0.5) @ V.T
         mu, Q = np.linalg.eigh(m_half_inv @ ops.K.toarray() @ m_half_inv)
         phi = m_half_inv @ Q
-        a_ref = np.zeros_like(ops.A_s.matrix)
+        A = ops.A_s @ np.eye(ops.n_free)
+        a_ref = np.zeros_like(A)
         for k in range(ops.n_free):
             mphi = ops.M @ phi[:, k]
             a_ref += mu[k]**0.7 * np.outer(mphi, mphi)
-        assert np.max(np.abs(a_ref - ops.A_s.matrix)) <= 1e-10 * np.max(np.abs(ops.A_s.matrix))
+        assert np.max(np.abs(a_ref - A)) <= 1e-10 * np.max(np.abs(A))
 
     def test_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(11)
         for s in (0.0, 0.3, 0.5, 1.0):
             ops = make_line_ops(16, s=s)
-            A = dense_A_s(ops)
+            # the spectral power is exactly symmetric (BLAS syrk); the sine
+            # backend's symmetry is checked to its round-off in
+            # TestStiffnessBackends
+            A = dense_A_s(ops) if s in (0.0, 1.0) else spectral_oracle(ops).matrix
             assert np.array_equal(A, A.T)
             for _ in range(20):
                 u = rng.standard_normal(ops.n_free)
@@ -453,6 +536,99 @@ class TestFractionalOperator:
         ops = make_line_ops(8)
         with pytest.raises(ConfigurationError):
             fractional_apply(ops, np.zeros(3))
+
+
+class TestSineStiffness:
+    @pytest.mark.parametrize("mesh, backend", [
+        (build_mesh(0, 1, 384, dirichlet=(0.0, 0.0)), SineStiffness),
+        (build_mesh(1000, 1001, 64, dirichlet=(0.0, 0.0)), SineStiffness),
+        (ONE_FREE_NODE, SineStiffness),
+        (build_mesh(0, 1, 32, dirichlet=(0.0, None)), SpectralStiffness),
+        (build_mesh(0, 1, 32, geometry="radial", dim=1, dirichlet=(None, 0.0)),
+         SpectralStiffness),
+        # one node moved by 1e-9 of a width: not Toeplitz to round-off
+        (Mesh1D(nodes=np.r_[0.0, 1 / 32 + 1e-9 / 32, np.arange(2, 33) / 32],
+                dirichlet=(0.0, 0.0)), SpectralStiffness),
+    ])
+    def test_choice_rule(self, mesh, backend):
+        assert type(build_operators(mesh, 0.5).A_s) is backend
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("n_cells", [2, 3, 64, 65, 257, 509])
+    def test_roundoff_model_against_extended_precision(self, n_cells, s):
+        # 1 to 508 free nodes: transform lengths 2(n + 1) that are powers of
+        # two, and 2 x 257 and 2 x 509, which SciPy transforms by Bluestein's
+        # algorithm.  The error of A_s w against the extended-precision
+        # product stays within the model 4 log2(n + 1) u max(mu) |w|_2, and
+        # its M^-1 norm within the floor's term 2 eps roundoff(w)[1]
+        ops = make_line_ops(n_cells, s=s)
+        n, mu = ops.n_free, ops.A_s.mu
+        j = np.arange(1, n + 1)
+        rng = np.random.default_rng(n_cells)
+        for w in (rng.standard_normal(n), np.abs(rng.standard_normal(n)),
+                  np.eye(n)[0], np.sin(np.pi * j / (n + 1)),
+                  np.sin(np.pi * j * n / (n + 1))):
+            err = (ops.A_s @ w - sine_oracle(ops, w)).astype(float)
+            oracle_error = 4 * n * U_EXT * mu.max() * np.linalg.norm(w)
+            assert np.linalg.norm(err) <= (4 * np.log2(n + 1) * U * mu.max()
+                                           * np.linalg.norm(w) + oracle_error)
+            assert np.sqrt(err @ ops.solve_mass(err)) <= (
+                2 * np.finfo(float).eps * ops.A_s.roundoff(w)[1]
+                + oracle_error / np.sqrt(ops.A_s.m.min()))
+
+    @pytest.mark.parametrize("n_cells", [2, 17, 48])
+    def test_spectrum_matches_the_eigensolve(self, n_cells):
+        # the closed form against eigh: the same eigenvalues, and the same
+        # M-orthonormal eigenvectors up to sign.  A sine vector takes its
+        # largest magnitude at several entries, of either sign; eigh breaks
+        # the sign rule's tie by its round-off, the closed form by taking
+        # the first entry
+        ops = make_line_ops(n_cells, s=0.5)
+        lam, phi = spectral_decompose(ops.M, ops.K)
+        assert np.all(np.diff(ops.lam) > 0)
+        assert np.allclose(ops.lam, lam, rtol=1e-12, atol=0.0)
+        signs = np.sign(np.sum(ops.Phi * phi, axis=0))
+        assert np.max(np.abs(ops.Phi - phi * signs)) <= 1e-12 * np.abs(phi).max()
+        gram = ops.Phi.T @ (ops.M @ ops.Phi)
+        assert np.max(np.abs(gram - np.eye(ops.n_free))) <= 1e-13
+        first = np.argmax(np.abs(ops.Phi), axis=0)
+        assert np.all(ops.Phi[first, np.arange(ops.n_free)] > 0)
+        assert signs[0] > 0
+
+    def test_a_fractional_line_run_needs_no_eigensolve(self, monkeypatch):
+        # a 384-cell s = 1/2 line with sine data and a double well is built
+        # and run with the eigensolve disabled; the spectrum is read in
+        # closed form
+        def refuse(M, K):
+            raise AssertionError("spectral_decompose called on a uniform line")
+
+        monkeypatch.setattr(operators, "spectral_decompose", refuse)
+        cfg = cli.RunConfigFile(n_cells=384, s=0.5, T=0.02, n_steps=20,
+                                potential="double_well", u0_kind="sine",
+                                u0_amp=0.5, v0_kind="sine")
+        traj = run(cli.build_problem(cfg))
+        assert np.all(np.isfinite(traj.states))
+        assert traj.iterations.sum() == 20
+        ops = traj.config.ops
+        assert poincare_constant(ops) == pytest.approx(ops.lam[0] ** -0.25, rel=1e-15)
+
+    def test_setup_and_loop_memory_is_linear(self):
+        # 25,600 cells at s = 1/2: one n x n array would take 5.2 GB.  Build
+        # and run stay within 64 doubles per node (measured: 29 for the
+        # build, 46 with three steps)
+        tracemalloc.start()
+        try:
+            ops = make_line_ops(25600, s=0.5)
+            x = ops.mesh.nodes[ops.mesh.free]
+            cfg = SchemeConfig(T=0.003, n_steps=3, ops=ops, potential=double_well(),
+                               u0=0.5 * np.sin(np.pi * x), v0=np.sin(np.pi * x))
+            traj = run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(ops.A_s, SineStiffness)
+        assert np.all(np.isfinite(traj.states))
+        assert peak <= 64 * 8 * ops.n_free
 
 
 class TestSeminorm:

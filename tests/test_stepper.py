@@ -123,7 +123,7 @@ class TestMinimizeStep:
         # two cells with both ends fixed leave one free node, where the step
         # is the scalar minimizer (2 u1 - u2) m / (m + tau^2 a)
         ops = make_line_ops(2, s=s)
-        m, a = ops.M[0, 0], ops.A_s.matrix[0, 0]
+        m, a = ops.M[0, 0], dense_A_s(ops)[0, 0]
         res = minimize_step(ops, zero_potential(), np.array([0.3]),
                             np.array([0.1]), 0.1)
         assert res.u[0] == pytest.approx(0.5 * m / (m + 0.01 * a), rel=1e-12)
@@ -146,7 +146,7 @@ class TestMinimizeStep:
             u = np.maximum(u, g)
         res = minimize_step(ops, double_well(), u1, u2, tau, obstacle=g, warm_start=u)
 
-        hess0 = ops.M.toarray() / tau**2 + ops.A_s.matrix
+        hess0 = ops.M.toarray() / tau**2 + dense_A_s(ops)
         j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)[:2]
         j_path = [j]
         while stepper._stationarity(ops, u, grad, g) > res.tol:
@@ -178,8 +178,9 @@ class TestMinimizeStep:
         u1 = 0.01 * np.sin(np.pi * ops.mesh.nodes[ops.mesh.free])
         curv = np.diag(ops.lumps * potential.curvature(u1))
         mass = ops.M.toarray() / tau**2
-        assert np.linalg.eigvalsh(mass + ops.A_s.matrix + curv)[0] < -5e-3
-        assert np.linalg.eigvalsh(mass + np.diag(np.diag(ops.A_s.matrix)) + curv)[0] > 0.5
+        A = dense_A_s(ops)
+        assert np.linalg.eigvalsh(mass + A + curv)[0] < -5e-3
+        assert np.linalg.eigvalsh(mass + np.diag(np.diag(A)) + curv)[0] > 0.5
         with pytest.raises(SolverFailure, match="more time steps") as exc_info:
             minimize_step(ops, potential, u1, u1, tau)
         assert exc_info.value.best is not None
@@ -428,7 +429,8 @@ class TestRun:
     def test_fractional_loop_holds_no_dense_matrix(self, ops1000_half, contact):
         # at s = 1/2 the Newton systems are solved by CG on the dense A_s with
         # a tridiagonal preconditioner: past the operators built outside the
-        # trace, the loop allocates O(n), never an n x n array
+        # trace, the loop allocates O(n), never an n x n array (the sine
+        # backend's loop: TestSineStiffness in test_operators.py)
         ops = ops1000_half
         x = ops.mesh.nodes[ops.mesh.free]
         g = np.full(ops.n_free, -0.05) if contact else None
