@@ -4,7 +4,8 @@ orchestration, and deterministic CSV emission.
 Config files are a single flat JSON object.  Unknown keys are fatal, a
 "preset" key expands a named scenario before the remaining keys override it,
 and every command echoes the fully resolved configuration next to its
-outputs so runs can be reproduced byte for byte.  Exit codes: 0 ok,
+outputs so runs can be reproduced byte for byte.  No command writes a file
+before every check on its configuration has passed.  Exit codes: 0 ok,
 2 configuration error, 3 inner-solver failure, 4 numerical blowup.
 """
 
@@ -14,6 +15,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,14 +24,16 @@ import numpy as np
 
 from .diagnostics import (RefinementRow, convergence_study,
                           gl_energy_accounting, interface_radius,
-                          track_interface)
+                          require_interface_accounting, track_interface)
 from .errors import BlowupError, ConfigurationError, NumericError, SolverFailure
-from .operators import build_mesh, build_operators
-from .potentials import double_well, gl_scaled, quadratic, zero_potential
+from .operators import Mesh1D, build_mesh, build_operators
+from .potentials import (Potential, double_well, gl_scaled, quadratic,
+                         zero_potential)
 from .stepper import SchemeConfig, SolverParams, run
 
 _DRIFT_FIT_SAFETY = 2.0
 _DRIFT_FIT_FLOOR = 1e-10
+_RESOLUTION_ROUNDOFF = 8 * np.finfo(float).eps
 
 
 @dataclass
@@ -73,9 +77,6 @@ class RunConfigFile:
     # output
     snapshot_stride: int = 10
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 PRESETS = {
     # circular interface collapsing under its curvature, radially reduced
@@ -104,36 +105,43 @@ PRESETS = {
     ),
 }
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfigFile)}
-_INT_KEYS = {"dim", "n_cells", "n_steps", "k_max", "max_iter", "snapshot_stride"}
-_FLOAT_KEYS = {"x_min", "x_max", "dirichlet_left", "dirichlet_right", "s", "T",
-               "quadratic_c", "gl_eps", "u0_r0", "u0_width", "u0_amp", "v0_amp",
-               "obstacle_value", "tol"}
-_OPTIONAL_KEYS = {"preset", "dirichlet_left", "dirichlet_right", "gl_eps",
-                  "u0_r0", "u0_width", "k_max", "tol"}
+
+def _hint(annotation):
+    """(type, whether null is allowed) of an annotation T or T | None."""
+    args = typing.get_args(annotation)
+    return (args[0] if args else annotation), type(None) in args
+
+
+_KEY_TYPES = {key: _hint(annotation)
+              for key, annotation in typing.get_type_hints(RunConfigFile).items()}
+# the JSON values each key type takes, and its name in errors; a bool is
+# never a number here, although Python counts it as an int
+_ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+             str: ((str,), "a string")}
+# the values of the enumerated keys that only this module reads; the mesh,
+# the potential and the scheme check their own
+_CHOICES = {"u0_kind": ("zero", "modes", "tanh_front", "sine"),
+            "v0_kind": ("zero", "modes", "sine"),
+            "obstacle_kind": ("none", "constant"),
+            "precondition": ("off", "spectral")}
 
 
 def _coerce(key: str, value):
-    if value is None:
-        if key in _OPTIONAL_KEYS:
-            return None
-        raise ConfigurationError(f"key '{key}' must not be null")
-    if key in _INT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigurationError(f"key '{key}' must be an integer")
-        return int(value)
-    if key in _FLOAT_KEYS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigurationError(f"key '{key}' must be a number")
-        return float(value)
-    if not isinstance(value, str):
-        raise ConfigurationError(f"key '{key}' must be a string")
-    return value
+    kind, nullable = _KEY_TYPES[key]
+    if value is None and nullable:
+        return None
+    accepted, name = _ACCEPTED[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"key '{key}' must be {name}"
+                                 + (" or null" if nullable else ""))
+    return kind(value)
 
 
 def parse_config(path) -> RunConfigFile:
-    """Strict parse: flat JSON object, unknown keys fatal, presets expanded,
-    numeric fields checked against the solver preconditions."""
+    """Strict parse: flat JSON object, unknown keys fatal, typed values,
+    presets expanded.  Every rule that needs no operators is checked here,
+    the library's by building the mesh, the potential and the solver
+    parameters; build_problem checks the rest."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -144,50 +152,19 @@ def parse_config(path) -> RunConfigFile:
     if not isinstance(raw, dict):
         raise ConfigurationError("config must be a flat JSON object")
     for key in raw:
-        if key not in _FIELDS:
+        if key not in _KEY_TYPES:
             raise ConfigurationError(f"unknown key '{key}'")
+    given = {key: _coerce(key, value) for key, value in raw.items()}
+    preset = given.get("preset")
+    if preset is not None and preset not in PRESETS:
+        raise ConfigurationError(f"unknown preset '{preset}'")
+    cfg = RunConfigFile(**{**PRESETS.get(preset, {}), **given})
 
-    merged: dict = {}
-    preset = raw.get("preset")
-    if preset is not None:
-        if preset not in PRESETS:
-            raise ConfigurationError(f"unknown preset '{preset}'")
-        merged.update(PRESETS[preset])
-    for key, value in raw.items():
-        if key != "preset":
-            merged[key] = _coerce(key, value)
-    cfg = RunConfigFile(preset=preset, **merged)
-    _validate_config(cfg)
-    return cfg
-
-
-def _validate_config(cfg: RunConfigFile):
-    if cfg.x_max <= cfg.x_min:
-        raise ConfigurationError("key 'x_max' must exceed 'x_min'")
-    if cfg.n_cells < 2:
-        raise ConfigurationError("key 'n_cells' must be >= 2")
-    if cfg.n_steps < 2:
-        raise ConfigurationError("key 'n_steps' must be >= 2")
-    if cfg.T <= 0:
-        raise ConfigurationError("key 'T' must be positive")
-    if cfg.s < 0:
-        raise ConfigurationError("key 's' must be >= 0")
-    if cfg.geometry not in ("line", "radial"):
-        raise ConfigurationError(f"key 'geometry' has unknown value '{cfg.geometry}'")
-    if cfg.potential not in ("zero", "quadratic", "double_well"):
-        raise ConfigurationError(f"key 'potential' has unknown value '{cfg.potential}'")
-    if cfg.gl_eps is not None and cfg.gl_eps <= 0:
-        raise ConfigurationError("key 'gl_eps' must be positive")
-    if cfg.u0_kind not in ("zero", "modes", "tanh_front", "sine"):
-        raise ConfigurationError(f"key 'u0_kind' has unknown value '{cfg.u0_kind}'")
-    if cfg.v0_kind not in ("zero", "modes", "sine"):
-        raise ConfigurationError(f"key 'v0_kind' has unknown value '{cfg.v0_kind}'")
-    if cfg.obstacle_kind not in ("none", "constant"):
-        raise ConfigurationError(f"key 'obstacle_kind' has unknown value '{cfg.obstacle_kind}'")
-    if cfg.init_mode not in ("standard", "smoothed"):
-        raise ConfigurationError(f"key 'init_mode' has unknown value '{cfg.init_mode}'")
-    if cfg.precondition not in ("off", "spectral"):
-        raise ConfigurationError(f"key 'precondition' has unknown value '{cfg.precondition}'")
+    for key, allowed in _CHOICES.items():
+        value = getattr(cfg, key)
+        if value not in allowed:
+            raise ConfigurationError(f"key '{key}' has unknown value '{value}' "
+                                     f"(allowed: {', '.join(allowed)})")
     if cfg.snapshot_stride < 1:
         raise ConfigurationError("key 'snapshot_stride' must be >= 1")
     if cfg.u0_kind == "tanh_front":
@@ -195,7 +172,27 @@ def _validate_config(cfg: RunConfigFile):
             raise ConfigurationError("key 'u0_r0' is required for a tanh front")
         if cfg.u0_width is None and cfg.gl_eps is None:
             raise ConfigurationError("key 'u0_width' is required without 'gl_eps'")
-    SolverParams(tol=cfg.tol, max_iter=cfg.max_iter)  # raises on a bad tol or max_iter
+    _mesh(cfg)
+    _potential(cfg)
+    SolverParams(tol=cfg.tol, max_iter=cfg.max_iter)
+    return cfg
+
+
+def _mesh(cfg: RunConfigFile) -> Mesh1D:
+    return build_mesh(cfg.x_min, cfg.x_max, cfg.n_cells, geometry=cfg.geometry,
+                      dim=cfg.dim, dirichlet=(cfg.dirichlet_left, cfg.dirichlet_right))
+
+
+def _potential(cfg: RunConfigFile) -> Potential:
+    if cfg.potential == "zero":
+        pot = zero_potential()
+    elif cfg.potential == "quadratic":
+        pot = quadratic(cfg.quadratic_c)
+    elif cfg.potential == "double_well":
+        pot = double_well()
+    else:
+        raise ConfigurationError(f"key 'potential' has unknown value '{cfg.potential}'")
+    return pot if cfg.gl_eps is None else gl_scaled(pot, cfg.gl_eps)
 
 
 def _parse_modes(spec: str, key: str):
@@ -217,26 +214,20 @@ def _parse_modes(spec: str, key: str):
 
 def build_problem(cfg: RunConfigFile) -> SchemeConfig:
     """Materialize mesh, operators, potential, and initial data."""
-    mesh = build_mesh(cfg.x_min, cfg.x_max, cfg.n_cells, geometry=cfg.geometry,
-                      dim=cfg.dim, dirichlet=(cfg.dirichlet_left, cfg.dirichlet_right))
+    mesh = _mesh(cfg)
     ops = build_operators(mesh, cfg.s)
-
-    if cfg.potential == "zero":
-        pot = zero_potential()
-    elif cfg.potential == "quadratic":
-        pot = quadratic(cfg.quadratic_c)
-    else:
-        pot = double_well()
+    pot = _potential(cfg)
+    span = cfg.x_max - cfg.x_min
     if cfg.gl_eps is not None:
-        pot = gl_scaled(pot, cfg.gl_eps)
-        h = (cfg.x_max - cfg.x_min) / cfg.n_cells
-        if cfg.gl_eps <= 2.0 * h:
-            warnings.warn(f"eps={cfg.gl_eps:g} <= 2h={2 * h:g}; the interface "
+        h = span / cfg.n_cells
+        # h = eps/2 passes: the mesh sweep-eps derives for eps may give
+        # 2h above eps by a few units of round-off
+        if cfg.gl_eps < 2.0 * h * (1.0 - _RESOLUTION_ROUNDOFF):
+            warnings.warn(f"eps={cfg.gl_eps:g} < 2h={2 * h:g}; the interface "
                           "is under-resolved (resolution rule: h <= eps/2)",
                           stacklevel=2)
 
     x = mesh.nodes[mesh.free]
-    span = cfg.x_max - cfg.x_min
 
     def field(kind, modes, amp, key):
         if kind == "zero":
@@ -259,47 +250,39 @@ def build_problem(cfg: RunConfigFile) -> SchemeConfig:
     if cfg.obstacle_kind == "constant":
         obstacle = np.full(ops.n_free, cfg.obstacle_value)
 
-    solver = SolverParams(tol=cfg.tol, max_iter=cfg.max_iter)
     scheme = SchemeConfig(T=cfg.T, n_steps=cfg.n_steps, ops=ops, potential=pot,
-                          u0=u0, v0=v0, obstacle=obstacle,
-                          init_mode=cfg.init_mode, k_max=cfg.k_max, solver=solver)
+                          u0=u0, v0=v0, obstacle=obstacle, init_mode=cfg.init_mode,
+                          k_max=cfg.k_max,
+                          solver=SolverParams(tol=cfg.tol, max_iter=cfg.max_iter))
     scheme.validate()
     return scheme
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    x = float(x)
-    if np.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+def _csv_line(values) -> str:
+    """Values as one CSV line, each printed as a float to 17 significant
+    digits: an integer below 2**53 prints bare, and nan as "nan"."""
+    return ",".join(map("{:.17g}".format, np.asarray(values, dtype=float).tolist()))
 
 
 def _write_csv(path: Path, header, rows, footer_comments=()):
-    # the text _fmt gives each value, at half its cost: an integer below
-    # 2**53 prints as its float does, and nan as "nan".  One row at a time,
-    # so that no second copy of a large table is held
-    lines = [",".join(header)]
-    lines.extend(",".join(map("{:.17g}".format, np.asarray(row, dtype=float).tolist()))
-                 for row in rows)
-    lines.extend(footer_comments)
+    # one row at a time, so that no second copy of a large table is held
+    lines = [",".join(header), *map(_csv_line, rows), *footer_comments]
     path.write_text("\n".join(lines) + "\n")
 
 
 def _echo_config(cfg: RunConfigFile, out_dir: Path):
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / "effective_config.json"
-    path.write_text(json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
     return path
 
 
 def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
     """Single trajectory; writes energy.csv, snapshots.csv, and, for radial
     interface scenarios, interface.csv.  Returns the written paths."""
+    scheme = build_problem(cfg)
     out_dir = Path(out_dir)
     written = {"config": _echo_config(cfg, out_dir)}
-    scheme = build_problem(cfg)
     traj = run(scheme)
     mesh = scheme.ops.mesh
     n = traj.n_steps
@@ -320,7 +303,7 @@ def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
         snap_steps.append(n)
     snap_rows = [(i * traj.tau, *mesh.embed(traj.u(i))) for i in snap_steps]
     spath = out_dir / "snapshots.csv"
-    _write_csv(spath, ["t"] + [_fmt(xj) for xj in mesh.nodes], snap_rows)
+    _write_csv(spath, ["t", _csv_line(mesh.nodes)], snap_rows)
     written["snapshots"] = spath
 
     if (mesh.geometry == "radial" and scheme.potential.kind == "gl_scaled"
@@ -340,42 +323,55 @@ def fit_drift_constant(row: RefinementRow, scale: float = 1.0) -> float:
 
 
 def cmd_converge(cfg: RunConfigFile, n_list, out_dir) -> dict:
-    out_dir = Path(out_dir)
-    written = {"config": _echo_config(cfg, out_dir)}
+    """Refinement study over n_list; its files are written once the study,
+    which checks n_list first, is done."""
     base = build_problem(cfg)
     report = convergence_study(base, n_list)
+    out_dir = Path(out_dir)
+    written = {"config": _echo_config(cfg, out_dir)}
     c_drift = fit_drift_constant(report.rows[-1],
                                  scale=1.0 + abs(base.T))
     rows = [(r.n, r.tau, r.error, r.max_drift) for r in report.rows]
-    footer = [f"# error_slope={_fmt(report.error_slope)}",
-              f"# drift_slope={_fmt(report.drift_slope)}",
-              f"# c_drift={_fmt(c_drift)}"]
+    footer = [f"# {name}={_csv_line([value])}" for name, value in
+              (("error_slope", report.error_slope),
+               ("drift_slope", report.drift_slope), ("c_drift", c_drift))]
     cpath = out_dir / "convergence.csv"
     _write_csv(cpath, ["n", "tau", "error_T", "max_drift"], rows, footer)
     written["convergence"] = cpath
     return written
 
 
-def cmd_sweep_eps(cfg: RunConfigFile, eps_list, out_dir) -> dict:
-    """One interface run per eps with matched fronts: the mesh is re-derived
-    so h = eps/2 and the front width follows eps."""
-    out_dir = Path(out_dir)
+def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
+    """cfg at each eps of the sweep, with the mesh re-derived so h = eps/2
+    and the front width following eps, each checked as parse_config checks
+    a config and against the interface accounting's preconditions."""
     if cfg.gl_eps is None or cfg.potential != "double_well":
         raise ConfigurationError("sweep-eps needs an eps-scaled double-well config")
-    written = {"config": _echo_config(cfg, out_dir)}
-    rows = []
+    subs = []
     for eps in eps_list:
-        if eps <= 0:
-            raise ConfigurationError("eps values must be positive")
-        sub = dataclasses.replace(
-            cfg, gl_eps=float(eps), u0_width=None,
-            n_cells=int(np.ceil(2.0 * (cfg.x_max - cfg.x_min) / eps)))
+        sub = dataclasses.replace(cfg, gl_eps=float(eps), u0_width=None)
+        # the potential rejects eps <= 0 before eps sizes the mesh
+        require_interface_accounting(_potential(sub), sub.s, sub.gl_eps)
+        sub.n_cells = int(np.ceil(2.0 * (cfg.x_max - cfg.x_min) / eps))
+        _mesh(sub)
+        subs.append(sub)
+    return subs
+
+
+def cmd_sweep_eps(cfg: RunConfigFile, eps_list, out_dir) -> dict:
+    """One interface run per eps with matched fronts (_sweep_configs).  Every
+    eps is checked before the first run, and the files are written after
+    the last."""
+    rows = []
+    for sub in _sweep_configs(cfg, eps_list):
         scheme = build_problem(sub)
         traj = run(scheme)
-        scaled, mm = gl_energy_accounting(traj, float(eps), scheme.ops)
+        scaled, mm = gl_energy_accounting(traj, sub.gl_eps, scheme.ops)
         mesh = scheme.ops.mesh
         radius = interface_radius(mesh, mesh.embed(traj.u(traj.n_steps)))
-        rows.append((eps, scaled[0], mm, np.nan if radius is None else radius))
+        rows.append((sub.gl_eps, scaled[0], mm, np.nan if radius is None else radius))
+    out_dir = Path(out_dir)
+    written = {"config": _echo_config(cfg, out_dir)}
     gpath = out_dir / "gl_sweep.csv"
     _write_csv(gpath, ["eps", "scaled_energy_0", "modica_mortola", "final_radius"],
                rows)

@@ -11,6 +11,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .operators import Mesh1D, OperatorSet
+from .potentials import Potential
 from .stepper import (SchemeConfig, Trajectory, _grad_and_value, effective_v0,
                       run)
 
@@ -265,14 +266,17 @@ def track_interface(traj: Trajectory, r0: float, stride: int = 1) -> InterfaceTr
                           reference=np.array(refs), rel_errors=np.array(rel))
 
 
-def _require_gl(traj: Trajectory, eps: float, ops: OperatorSet):
-    pot = traj.config.potential
-    if pot.kind != "gl_scaled":
+def require_interface_accounting(potential: Potential, s: float, eps: float):
+    """Reject what gl_energy_accounting and lagrangian_density cannot
+    account for: a potential that is not the eps-scaled one of this eps, or
+    an order s other than 1."""
+    if potential.kind != "gl_scaled":
         raise ConfigurationError("needs an eps-scaled potential")
-    if ops.s != 1.0:
+    if s != 1.0:
         raise ConfigurationError("interface accounting assumes s = 1")
-    if abs(eps - pot.eps) > 1e-12 * pot.eps:
-        raise ConfigurationError(f"eps {eps} does not match the potential ({pot.eps})")
+    if abs(eps - potential.eps) > 1e-12 * potential.eps:
+        raise ConfigurationError(f"eps {eps} does not match the potential "
+                                 f"({potential.eps})")
 
 
 def gl_energy_accounting(traj: Trajectory, eps: float, ops: OperatorSet):
@@ -282,7 +286,7 @@ def gl_energy_accounting(traj: Trajectory, eps: float, ops: OperatorSet):
     piecewise-constant interpolant: tau * sum_i [eps * (v_i^T M v_i
     + |grad u_i|^2) + eps * (scaled potential integral)].
     """
-    _require_gl(traj, eps, ops)
+    require_interface_accounting(traj.config.potential, ops.s, eps)
     kin = traj.energies[:, 0]
     frac = traj.energies[:, 1]
     pot = traj.energies[:, 2]
@@ -295,7 +299,7 @@ def lagrangian_density(traj: Trajectory, i: int, eps: float,
                        ops: OperatorSet) -> np.ndarray:
     """Scaled Lagrange density eps * [(-v^2 + |grad u|^2)/2 + W(u)/eps^2] at
     every node, with |grad u|^2 averaged onto nodes from cell gradients."""
-    _require_gl(traj, eps, ops)
+    require_interface_accounting(traj.config.potential, ops.s, eps)
     mesh = ops.mesh
     u_full = mesh.embed(traj.u(i))
     v_full = mesh.embed(traj.v(i), boundary="zero")

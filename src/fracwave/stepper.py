@@ -122,6 +122,8 @@ class SchemeConfig:
                 raise ConfigurationError(f"{name} must have length {nf}")
         if self.init_mode not in ("standard", "smoothed"):
             raise ConfigurationError(f"unknown init_mode {self.init_mode!r}")
+        if self.k_max is not None and self.k_max < 1:
+            raise ConfigurationError("k_max must be >= 1")
         if self.obstacle is not None:
             if np.shape(self.obstacle) != (nf,):
                 raise ConfigurationError(f"obstacle must have length {nf}")
@@ -416,8 +418,6 @@ def effective_v0(config: SchemeConfig) -> np.ndarray:
     total = float(np.sqrt(coeff @ coeff))
     if config.k_max is not None:
         k = min(int(config.k_max), coeff.size)
-        if k < 1:
-            raise ConfigurationError("k_max must be >= 1")
     elif total == 0.0:
         return np.zeros_like(coeff)
     else:

@@ -1,15 +1,22 @@
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import typing
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fracwave
-from fracwave import ConfigurationError
-from fracwave.cli import (_fmt, _write_csv, build_problem, cmd_converge, cmd_run,
+from fracwave import ConfigurationError, cli
+from fracwave.cli import (PRESETS, RunConfigFile, _echo_config, _sweep_configs,
+                          _write_csv, build_problem, cmd_converge, cmd_run,
                           cmd_sweep_eps, main, parse_config)
 from fracwave.diagnostics import oracle_recurrence
 
@@ -28,10 +35,58 @@ def read_csv(path):
     return header, rows
 
 
+def per_value(x) -> str:
+    """The CSV text of one value: an integer bare, any float (nan as "nan")
+    to 17 significant digits."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return format(float(x), ".17g")
+
+
 def per_value_text(header, rows):
-    """CSV text with every value formatted on its own by _fmt."""
+    """CSV text with every value formatted on its own by per_value."""
     return "\n".join([",".join(header)]
-                     + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+                     + [",".join(per_value(v) for v in row) for row in rows]) + "\n"
+
+
+# typed overrides, each within the range that every rule accepts, so that any
+# preset with any of them set parses
+VALID_OVERRIDES = {
+    "dim": st.integers(1, 3),
+    "x_max": st.floats(1.0, 5.0),
+    "n_cells": st.integers(2, 200),
+    "dirichlet_right": st.none() | st.floats(-1.0, 1.0),
+    "s": st.floats(0.0, 2.0),
+    "T": st.floats(1e-3, 10.0),
+    "n_steps": st.integers(2, 2000),
+    "quadratic_c": st.floats(0.0, 10.0),
+    "gl_eps": st.floats(1e-3, 1.0),
+    "u0_r0": st.floats(0.1, 0.9),
+    "u0_width": st.none() | st.floats(1e-3, 1.0),
+    "u0_amp": st.floats(-5.0, 5.0),
+    "v0_amp": st.floats(-5.0, 5.0),
+    "obstacle_value": st.floats(-2.0, -1.0),
+    "init_mode": st.sampled_from(["standard", "smoothed"]),
+    "k_max": st.none() | st.integers(1, 100),
+    "tol": st.none() | st.floats(1e-14, 1e-3),
+    "max_iter": st.integers(1, 1000),
+    "precondition": st.sampled_from(["off", "spectral"]),
+    "snapshot_stride": st.integers(1, 100),
+}
+KEY_HINTS = typing.get_type_hints(RunConfigFile)
+
+
+def wrong_values(hint):
+    """JSON values that a key annotated `hint` (T or T | None) must reject."""
+    kinds = typing.get_args(hint) or (hint,)
+    wrong = st.booleans() | st.lists(st.integers(), max_size=2)
+    if int in kinds:
+        wrong |= st.text() | st.floats(allow_nan=False, allow_infinity=False)
+    elif float in kinds:
+        wrong |= st.text()
+    else:
+        wrong |= st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    return wrong if type(None) in kinds else wrong | st.none()
 
 
 def read_footer(path):
@@ -63,9 +118,10 @@ class TestParseConfig:
             parse_config(path)
 
     def test_invariant_violation_rejected(self, tmp_path):
+        # SchemeConfig.validate owns the rule, so building the problem checks it
         path = write_config(tmp_path, {"preset": "eigenmode", "n_steps": 1})
         with pytest.raises(ConfigurationError, match="n_steps"):
-            parse_config(path)
+            build_problem(parse_config(path))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -82,6 +138,25 @@ class TestParseConfig:
             parse_config(write_config(tmp_path, {"n_cells": "many"}))
         with pytest.raises(ConfigurationError, match="'T'"):
             parse_config(write_config(tmp_path, {"T": "long"}, "t.json"))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(preset=st.sampled_from([None, *PRESETS]),
+           overrides=st.fixed_dictionaries({}, optional=VALID_OVERRIDES))
+    def test_echo_round_trips(self, preset, overrides):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = parse_config(write_config(tmp, dict(overrides, preset=preset)))
+            assert parse_config(_echo_config(cfg, tmp / "out")) == cfg
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_wrong_type_named(self, data):
+        key = data.draw(st.sampled_from(sorted(KEY_HINTS)))
+        value = data.draw(wrong_values(KEY_HINTS[key]))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), {key: value})
+            with pytest.raises(ConfigurationError, match=re.escape(f"key '{key}'")):
+                parse_config(path)
 
     def test_effective_config_round_trips(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, {"preset": "obstacle_wave"}))
@@ -219,7 +294,7 @@ class TestCmdRun:
         mesh = traj.config.ops.mesh
         snap_rows = [(i * traj.tau, *mesh.embed(traj.u(i))) for i in range(0, 41, 10)]
         assert written["snapshots"].read_bytes() == per_value_text(
-            ["t"] + [_fmt(x) for x in mesh.nodes], snap_rows).encode()
+            ["t"] + [per_value(x) for x in mesh.nodes], snap_rows).encode()
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, {"preset": "obstacle_wave", "n_steps": 16,
@@ -366,6 +441,40 @@ class TestMainExitCodes:
         assert "step 1" in err and "more time steps" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, config, named", [
+        (["run"], {"preset": "gl_interface", "dirichlet_left": 0.0}, "Dirichlet"),
+        (["run"], {"preset": "gl_interface", "dim": 0}, "dim >= 1"),
+        (["run"], {"preset": "gl_interface", "x_min": 0.5}, "r = 0"),
+        (["run"], {"preset": "eigenmode", "potential": "quadratic",
+                   "quadratic_c": -1.0}, "quadratic coefficient"),
+        (["run"], {"preset": "gl_interface", "s": 0.5}, "need s = 1"),
+        (["run"], {"preset": "eigenmode", "u0_modes": "x"}, "u0_modes"),
+        (["run"], {"preset": "eigenmode", "u0_modes": ""}, "u0_modes"),
+        (["run"], {"preset": "eigenmode", "init_mode": "smoothed", "k_max": 0},
+         "k_max"),
+        (["run"], {"preset": "eigenmode", "n_steps": 1}, "n_steps"),
+        (["run"], {"preset": "eigenmode", "geometry": "sphere"}, "geometry"),
+        (["converge", "--n-list", "8,4,2"], {"preset": "eigenmode"},
+         "strictly increasing"),
+        (["sweep-eps", "--eps-list", "0.1,-1"], {"preset": "gl_interface"},
+         "eps must be positive"),
+        (["sweep-eps", "--eps-list", "0.1"],
+         {"preset": "gl_interface", "s": 0.5, "dirichlet_right": 0.0},
+         "assumes s = 1"),
+    ])
+    def test_config_error_is_2_before_any_file(self, tmp_path, capsys, monkeypatch,
+                                               command, config, named):
+        def no_run(scheme):
+            raise AssertionError("a trajectory ran before the checks ended")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        path = write_config(tmp_path, config)
+        out = tmp_path / "o"
+        assert main([command[0], "--config", str(path), "--out", str(out),
+                     *command[1:]]) == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_n_list_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": "eigenmode"})
         assert main(["converge", "--config", str(path), "--n-list", "a,b"]) == 2
@@ -385,6 +494,16 @@ class TestMainExitCodes:
             "preset": "gl_interface", "n_cells": 20, "n_steps": 4, "T": 0.01})
         with pytest.warns(UserWarning, match=r"under-resolved \(resolution rule: h <= eps/2\)"):
             build_problem(parse_config(path))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(eps=st.floats(1e-3, 1.0), x_max=st.floats(1.0, 4.0))
+    def test_sweep_meshes_are_resolved(self, eps, x_max):
+        # sweep-eps meshes each eps at h = eps/2, which the rule admits
+        cfg = RunConfigFile(**dict(PRESETS["gl_interface"], x_max=x_max))
+        (sub,) = _sweep_configs(cfg, [eps])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            build_problem(sub)
 
     def test_under_resolved_warning(self, tmp_path, capsys):
         path = write_config(tmp_path, {

@@ -370,6 +370,9 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(SchemeConfig(T=1.0, n_steps=8, ops=ops64, potential=zero_potential(),
                              u0=-np.ones(ops64.n_free), v0=z, obstacle=g))
+        with pytest.raises(ConfigurationError, match="k_max"):
+            SchemeConfig(T=1.0, n_steps=8, ops=ops64, potential=zero_potential(),
+                         u0=z, v0=z, k_max=0).validate()
 
     def test_solver_failure_reports_step(self, ops64):
         cfg = eigenmode_config(ops64, k=1, n_steps=8, potential=double_well(),
