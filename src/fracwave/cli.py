@@ -12,6 +12,7 @@ before every check on its configuration has passed.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -178,21 +179,38 @@ def parse_config(path) -> RunConfigFile:
     return cfg
 
 
+@contextlib.contextmanager
+def _source(name: str):
+    """Re-raise an owner's ConfigurationError with the config keys or the
+    command-line entry that gave it its arguments named in front."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{name}: {exc}") from exc
+
+
 def _mesh(cfg: RunConfigFile) -> Mesh1D:
-    return build_mesh(cfg.x_min, cfg.x_max, cfg.n_cells, geometry=cfg.geometry,
-                      dim=cfg.dim, dirichlet=(cfg.dirichlet_left, cfg.dirichlet_right))
+    with _source("mesh (keys x_min, x_max, n_cells, geometry, dim, "
+                 "dirichlet_left, dirichlet_right)"):
+        return build_mesh(cfg.x_min, cfg.x_max, cfg.n_cells, geometry=cfg.geometry,
+                          dim=cfg.dim,
+                          dirichlet=(cfg.dirichlet_left, cfg.dirichlet_right))
 
 
 def _potential(cfg: RunConfigFile) -> Potential:
     if cfg.potential == "zero":
         pot = zero_potential()
     elif cfg.potential == "quadratic":
-        pot = quadratic(cfg.quadratic_c)
+        with _source("key 'quadratic_c'"):
+            pot = quadratic(cfg.quadratic_c)
     elif cfg.potential == "double_well":
         pot = double_well()
     else:
         raise ConfigurationError(f"key 'potential' has unknown value '{cfg.potential}'")
-    return pot if cfg.gl_eps is None else gl_scaled(pot, cfg.gl_eps)
+    if cfg.gl_eps is None:
+        return pot
+    with _source("key 'gl_eps'"):
+        return gl_scaled(pot, cfg.gl_eps)
 
 
 def _parse_modes(spec: str, key: str):
@@ -350,10 +368,14 @@ def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
     subs = []
     for eps in eps_list:
         sub = dataclasses.replace(cfg, gl_eps=float(eps), u0_width=None)
+        entry = f"--eps-list entry {eps:g}"
         # the potential rejects eps <= 0 before eps sizes the mesh
-        require_interface_accounting(_potential(sub), sub.s, sub.gl_eps)
+        with _source(entry):
+            pot = _potential(sub)
+        require_interface_accounting(pot, sub.s, sub.gl_eps)
         sub.n_cells = int(np.ceil(2.0 * (cfg.x_max - cfg.x_min) / eps))
-        _mesh(sub)
+        with _source(entry):
+            _mesh(sub)
         subs.append(sub)
     return subs
 

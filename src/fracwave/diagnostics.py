@@ -204,21 +204,19 @@ def interface_radius(mesh: Mesh1D, u: np.ndarray):
     u = np.asarray(u, dtype=float)
     if u.shape != mesh.nodes.shape:
         raise ConfigurationError("expected one value per mesh node")
-    crossings = []
-    for j in range(u.size - 1):
-        if u[j] == 0.0:
-            crossings.append(float(mesh.nodes[j]))
-        elif u[j] * u[j + 1] < 0.0:
-            h = mesh.nodes[j + 1] - mesh.nodes[j]
-            crossings.append(float(mesh.nodes[j] + h * u[j] / (u[j] - u[j + 1])))
-    if u[-1] == 0.0:
-        crossings.append(float(mesh.nodes[-1]))
-    if not crossings:
+    # a crossing at each zero node, and in each cell whose ends differ in sign
+    zero = u == 0.0
+    crossings = np.flatnonzero(zero | np.r_[u[:-1] * u[1:] < 0.0, False])
+    if crossings.size == 0:
         return None
-    if len(crossings) > 1:
-        warnings.warn(f"{len(crossings)} sign changes; reporting the innermost",
+    if crossings.size > 1:
+        warnings.warn(f"{crossings.size} sign changes; reporting the innermost",
                       RuntimeWarning, stacklevel=2)
-    return crossings[0]
+    j = crossings[0]
+    x = mesh.nodes
+    if zero[j]:
+        return float(x[j])
+    return float(x[j] + (x[j + 1] - x[j]) * u[j] / (u[j] - u[j + 1]))
 
 
 def cosine_reference(R0: float, t: float) -> float:

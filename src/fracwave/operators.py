@@ -146,6 +146,27 @@ def _tridiagonal(left, cross, right, lo, hi):
                                     format="csr")
 
 
+def band_apply(band, x):
+    """B x for the symmetric tridiagonal B with diagonals band = (d, e); x
+    is a vector or a block of vectors along axis 0.
+
+    Row j is formed as (d_j x_j + e_(j-1) x_(j-1)) + e_j x_(j+1).  SciPy's
+    csr product sums the row's stored entries in column order from 0,
+    ((0 + e_(j-1) x_(j-1)) + d_j x_j) + e_j x_(j+1), and fl(a + b) =
+    fl(b + a), so the two agree bit for bit except where every term is
+    -0.0: there csr's sum gives +0.0, which the final + 0.0 restores.
+    Taking the product here skips scipy.sparse's dispatch, which at a few
+    hundred nodes costs more than the O(n) product."""
+    d, e = band
+    if np.ndim(x) == 2:
+        d, e = d[:, None], e[:, None]
+    y = d * x
+    y[1:] += e * x[:-1]
+    y[:-1] += e * x[1:]
+    y += 0.0
+    return y
+
+
 def pt_args(d, e):
     """(d, e) as SciPy's wrappers of LAPACK's SPD tridiagonal routines
     (?pttrf, ?ptsv) take them: those want e of length at least 1, so a single
@@ -204,11 +225,13 @@ def spectral_decompose(M, K):
 
 class AssembledStiffness:
     """A_s at s in {0, 1}: the assembled sparse tridiagonal K (s = 1) or M
-    (s = 0) itself, held as matrix; products cost O(n).  Its band part B is
-    all of A_s, so R = A_s - B = 0 and rest_apply is None.
+    (s = 0) itself, held as matrix for the public API.  Its band part B is
+    all of A_s, so R = A_s - B = 0 and rest_apply is None.  Products are
+    taken on the held diagonals band = (d, e) by band_apply, O(n) and equal
+    bit for bit to matrix @ x.
 
     Round-off model: componentwise.  roundoff(w) gives the entrywise term
-    |A_s| w, from the cached sparse |A_s| in O(n), and no normwise term.  A
+    |A_s| w, band_apply on (|d|, |e|), and no normwise term.  A
     row of A_s w has three terms and errs by gamma_3 ~ 1.5 eps relative to
     |A_s| |w|, so the worst case of the round-off floor's t
     (stepper._roundoff_floor) is 2.5 to 3 eps per entry, which roundings of
@@ -223,13 +246,13 @@ class AssembledStiffness:
     def __init__(self, matrix):
         self.matrix = matrix
         self.band = (matrix.diagonal(), matrix.diagonal(1))
-        self._abs = abs(matrix)
+        self._abs_band = (np.abs(self.band[0]), np.abs(self.band[1]))
 
     def __matmul__(self, x):
-        return self.matrix @ x
+        return band_apply(self.band, x)
 
     def roundoff(self, w):
-        return self._abs @ w, 0.0
+        return band_apply(self._abs_band, w), 0.0
 
     def spectrum(self, M, K):
         """The eigenpairs of (K, M), computed here on request."""
@@ -281,10 +304,15 @@ class SpectralStiffness:
 
 def _dst(x):
     """The orthonormal DST-I S along axis 0; S is symmetric and S S = I.
-    scipy.fft is imported here, not with the module: it adds about 5 MB of
-    resident memory, which only the sine backend needs."""
-    import scipy.fft
-    return scipy.fft.dst(x, type=1, norm="ortho", axis=0)
+
+    scipy.fftpack.dst calls the same pocketfft kernel as scipy.fft.dst, with
+    bit-identical output, but skips scipy.fft's backend dispatch, which at a
+    few hundred nodes costs more than the transform (about 7 us per call
+    against 13 us at 383 nodes).  SineStiffness.__init__ imports it, not
+    this module, so that the import lands in setup and only where it is
+    needed: scipy's FFT modules add about 5 MB of resident memory, which
+    only the sine backend needs."""
+    return scipy.fftpack.dst(x, type=1, norm="ortho", axis=0)
 
 
 def _toeplitz_symbol(A, half_angle):
@@ -304,10 +332,11 @@ class SineStiffness:
     and K = S diag(kappa) S, so lambda_k = kappa_k / m_k, Phi = S
     diag(m^-1/2) and A_s = S diag(mu) S with mu_k = m_k lambda_k^s.  Only
     the symbol (m, kappa, mu) is held, O(n); m and kappa come from the
-    assembled diagonals of M and K.  A product is two DSTs, O(n log n);
-    x may be a block of vectors along axis 0.  B is the diagonal of A_s,
-    d_j = sum_k mu_k s_jk^2 = (sum mu - Re F_(n+1)([0, mu])_j) / (n + 1),
-    one FFT of length n + 1; rest_apply forms R x = A_s x - d x.
+    assembled diagonals of M and K.  A product is two DSTs (_dst, through
+    scipy.fftpack), O(n log n); x may be a block of vectors along axis 0.
+    B is the diagonal of A_s, d_j = sum_k mu_k s_jk^2 = (sum mu -
+    Re F_(n+1)([0, mu])_j) / (n + 1), one FFT of length n + 1; rest_apply
+    forms R x = A_s x - d x.
 
     Round-off model: normwise.  An FFT errs normwise, not componentwise
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -333,13 +362,13 @@ class SineStiffness:
     """
 
     def __init__(self, M, K, s: float):
-        import scipy.fft   # see _dst
+        import scipy.fftpack   # see _dst
         n = M.shape[0]
         half_angle = np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1))
         self.m = _toeplitz_symbol(M, half_angle)
         self.kappa = _toeplitz_symbol(K, half_angle)
         self.mu = self.m * (self.kappa / self.m) ** s
-        diag = (self.mu.sum() - scipy.fft.fft(np.r_[0.0, self.mu]).real[1:]) / (n + 1)
+        diag = (self.mu.sum() - scipy.fftpack.fft(np.r_[0.0, self.mu]).real[1:]) / (n + 1)
         self.band = (diag, np.zeros(n - 1))
         self._roundoff_scale = np.log2(n + 1) * self.mu.max() / np.sqrt(self.m.min())
 
@@ -375,11 +404,12 @@ class OperatorSet:
     """Assembled forms and order-s stiffness for one mesh.
 
     Immutable after construction; shared freely across runs.  M and K are
-    sparse tridiagonal arrays (scipy.sparse, csr format), so products with
-    them cost O(n).  A_s is the order-s stiffness, an AssembledStiffness at
-    s in {0, 1}, a SineStiffness at fractional s on a uniform line with both
-    ends fixed and a SpectralStiffness otherwise; each provides products
-    (@), the (d, e) diagonals of a tridiagonal band part B, rest_apply for
+    sparse tridiagonal arrays (scipy.sparse, csr format) for the public API
+    and the diagnostics; the solver takes M x by apply_mass, on the held
+    diagonals, with no scipy.sparse dispatch.  A_s is the order-s stiffness,
+    an AssembledStiffness at s in {0, 1}, a SineStiffness at fractional s on
+    a uniform line with both ends fixed and a SpectralStiffness otherwise;
+    each provides products (@), the (d, e) diagonals of a tridiagonal band part B, rest_apply for
     R = A_s - B (None where R = 0) and roundoff(w), the entrywise and
     normwise terms of its round-off model for the product with w (see each
     class), and spectrum(M, K) for the eigenpairs.  mass_band
@@ -420,6 +450,11 @@ class OperatorSet:
     def Phi(self) -> np.ndarray:
         """M-orthonormal eigenvectors, one per column of lam's order."""
         return self._spectrum[1]
+
+    def apply_mass(self, x: np.ndarray) -> np.ndarray:
+        """M x by band_apply on mass_band, O(n), equal bit for bit to
+        self.M @ x; x is a vector or a block of vectors along axis 0."""
+        return band_apply(self.mass_band, x)
 
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
         """M^{-1} r via the cached tridiagonal LDL^T factors of M.

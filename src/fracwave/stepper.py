@@ -26,7 +26,12 @@ R = 0, as at s in {0, 1}.  Otherwise conjugate gradients preconditioned by
 P finish the solve in a few products with A_s (at fractional s, B is the
 diagonal of A_s, and each product costs O(n log n) on a uniform line with
 both ends fixed and O(n^2) elsewhere): no n x n array is factored or
-copied.
+copied.  Products skip scipy.sparse and scipy.fft dispatch, which at a few
+hundred nodes costs more than the product: M x (OperatorSet.apply_mass)
+and A_s x at s in {0, 1} are taken on the held diagonals
+(operators.band_apply), bit for bit the csr products, and the sine
+backend's DSTs through scipy.fftpack (operators.SineStiffness).  Only the
+dense backend's round-off term keeps a sparse product, with A_s^+.
 Without an obstacle the active set is empty and the iteration is plain
 Newton.  The time loop starts steps 1 and 2 from the inertial
 extrapolation 2 u_{i-1} - u_{i-2} and every later step from the cubic
@@ -53,7 +58,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowupError, ConfigurationError, SolverFailure
-from .operators import OperatorSet, pt_args
+from .operators import OperatorSet, band_apply, pt_args
 from .potentials import Potential
 
 _AUTO_TOL_FLOOR = 1e-9
@@ -196,7 +201,7 @@ def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
 
 
 def _kinetic_energy(ops, v) -> float:
-    return 0.5 * float(v @ (ops.M @ v))
+    return 0.5 * float(v @ ops.apply_mass(v))
 
 
 def _fractional_energy(ops, u, au) -> float:
@@ -208,7 +213,7 @@ def _grad_and_value(ops, potential, u, u1, u2, tau):
     """(J(u), grad J(u), fractional energy, potential energy) of u; the
     last two are the terms of J that energy() reports, formed once here."""
     d = u - 2.0 * u1 + u2
-    md = ops.M @ d
+    md = ops.apply_mass(d)
     au = ops.A_s @ u
     frac = _fractional_energy(ops, u, au)
     pot = float(ops.lumps @ potential.value(u))
@@ -259,7 +264,7 @@ def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
     """
     w = 2.0 * u1 - u2
     t_a, a = ops.A_s.roundoff(np.abs(w))
-    t = (ops.M @ (2.0 * np.abs(u1) + np.abs(u2)) / tau**2
+    t = (ops.apply_mass(2.0 * np.abs(u1) + np.abs(u2)) / tau**2
          + t_a + np.abs(ops.lift_load)
          + ops.lumps * np.abs(potential.gradient(w)))
     return _AUTO_TOL_ROUNDOFF * (float(np.sqrt(max(t @ ops.solve_mass(t), 0.0))) + a)
@@ -356,10 +361,7 @@ def _newton_step(ops, curv, grad, u, obstacle, tau, stop):
         # identity
         active = tau**2 * grad / ops.lumps > u - obstacle
         pinned = np.where(active, obstacle - u, 0.0)
-        p_pinned = d * pinned
-        p_pinned[1:] += e * pinned[:-1]
-        p_pinned[:-1] += e * pinned[1:]
-        rhs -= p_pinned
+        rhs -= band_apply((d, e), pinned)
         if rest is not None:
             rhs -= rest(pinned)
         rhs[active] = pinned[active]
@@ -375,7 +377,8 @@ def _newton_step(ops, curv, grad, u, obstacle, tau, stop):
         return None
     if rest is None:
         return step
-    return _pcg(ops, factor, step, ~active, curv, tau, stop)
+    return _pcg(ops, factor, step, ~active if active.any() else None, curv,
+                tau, stop)
 
 
 def _pcg(ops, factor, x, free, curv, tau, stop):
@@ -387,18 +390,25 @@ def _pcg(ops, factor, x, free, curv, tau, stop):
     H = P + R, so the first residual is r = b - H x = -R_FF x_F, with R x
     from A_s.rest_apply; the caller skips the call where R = 0.  Stops
     once |r|_{M^-1} <= stop, or after |F| iterations, where CG terminates in
-    exact arithmetic.  Every vector is zero off F.  Returns None at a
-    direction p with p^T H p <= 0: there H_FF is not positive definite.
+    exact arithmetic.  Every vector is zero off F.  free is None when no
+    node is pinned: F is every node, and no vector needs masking.  Returns
+    None at a direction p with p^T H p <= 0: there H_FF is not positive
+    definite.
     """
-    r = np.where(free, -ops.A_s.rest_apply(np.where(free, x, 0.0)), 0.0)
+    if free is None:
+        r = -ops.A_s.rest_apply(x)
+    else:
+        r = np.where(free, -ops.A_s.rest_apply(np.where(free, x, 0.0)), 0.0)
     p = rz = None
-    for _ in range(np.count_nonzero(free)):
+    for _ in range(x.size if free is None else np.count_nonzero(free)):
         if r @ ops.solve_mass(r) <= stop**2:
             break
         z = scipy.linalg.lapack.dpttrs(*factor, r)[0]
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
-        hp = np.where(free, ops.M @ p / tau**2 + ops.A_s @ p + curv * p, 0.0)
+        hp = ops.apply_mass(p) / tau**2 + ops.A_s @ p + curv * p
+        if free is not None:
+            hp = np.where(free, hp, 0.0)
         php = p @ hp
         if not php > 0:
             return None

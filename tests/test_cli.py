@@ -475,6 +475,28 @@ class TestMainExitCodes:
         assert named in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, named, owner", [
+        (["run"], {"preset": "gl_interface", "x_max": -1}, "x_max", "need b > a"),
+        (["run"], {"preset": "eigenmode", "potential": "quadratic",
+                   "quadratic_c": -1}, "key 'quadratic_c'", "quadratic coefficient"),
+        (["run"], {"preset": "gl_interface", "gl_eps": 0}, "key 'gl_eps'",
+         "eps must be positive"),
+        (["sweep-eps", "--eps-list", "2"], {"preset": "gl_interface"},
+         "--eps-list entry 2", "need at least 2 cells"),
+    ])
+    def test_owner_errors_name_the_key(self, tmp_path, capsys, command, config,
+                                       named, owner):
+        # the library's message, with the config key or the --eps-list entry
+        # that gave the owner its argument named in front
+        path = write_config(tmp_path, config)
+        out = tmp_path / "o"
+        assert main([command[0], "--config", str(path), "--out", str(out),
+                     *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert named in err and owner in err
+        assert err.index(named) < err.index(owner)
+        assert not out.exists()
+
     def test_bad_n_list_is_2(self, tmp_path, capsys):
         path = write_config(tmp_path, {"preset": "eigenmode"})
         assert main(["converge", "--config", str(path), "--n-list", "a,b"]) == 2

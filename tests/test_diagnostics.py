@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fracwave import (ConfigurationError, SchemeConfig, SolverParams,
+from fracwave import (ConfigurationError, Mesh1D, SchemeConfig, SolverParams,
                       build_mesh, build_operators, run)
 from fracwave.diagnostics import (check_gronwall_sequence, convergence_study,
                                   cosine_reference, discrete_gronwall_bound,
@@ -184,7 +188,54 @@ class TestConvergenceStudy:
         assert np.all(report.drifts() <= 0.0 + 1e-12)
 
 
+def loop_crossings(mesh, u):
+    """Every crossing of u in node order, one node at a time: at a zero node,
+    and by linear interpolation in a cell whose ends differ in sign."""
+    crossings = []
+    for j in range(u.size - 1):
+        if u[j] == 0.0:
+            crossings.append(float(mesh.nodes[j]))
+        elif u[j] * u[j + 1] < 0.0:
+            h = mesh.nodes[j + 1] - mesh.nodes[j]
+            crossings.append(float(mesh.nodes[j] + h * u[j] / (u[j] - u[j + 1])))
+    if u[-1] == 0.0:
+        crossings.append(float(mesh.nodes[-1]))
+    return crossings
+
+
+@st.composite
+def profiles(draw):
+    """A strictly increasing mesh of 2-30 cells and nodal values of either
+    sign, a third of them exact zeros of either sign."""
+    widths = draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=30))
+    nodes = draw(st.floats(-1.0, 1.0)) + np.concatenate(([0.0], np.cumsum(widths)))
+    value = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0),
+                      st.floats(-2.0, 2.0))
+    u = draw(st.lists(value, min_size=nodes.size, max_size=nodes.size))
+    return Mesh1D(nodes=nodes), np.array(u)
+
+
 class TestInterfaceRadius:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=profiles())
+    @example(case=(Mesh1D(nodes=np.arange(4.0)), np.array([1.0, 2.0, 3.0, 0.0])))
+    @example(case=(Mesh1D(nodes=np.arange(5.0)), np.array([1.0, -1.0, 0.0, 2.0, -0.0])))
+    def test_equals_the_per_node_loop(self, case):
+        # the innermost crossing to the bit, None without one, and the
+        # warning with the number of crossings when there are several
+        mesh, u = case
+        ref = loop_crossings(mesh, u)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            r = interface_radius(mesh, u)
+        if not ref:
+            assert r is None
+        else:
+            assert np.float64(r).tobytes() == np.float64(ref[0]).tobytes()
+        assert [str(w.message) for w in caught] == (
+            [f"{len(ref)} sign changes; reporting the innermost"] if len(ref) > 1 else [])
+        assert all(w.category is RuntimeWarning for w in caught)
+
     def test_tanh_front_located_within_a_cell(self):
         mesh = build_mesh(0, 1, 50, geometry="radial", dim=2)
         u = np.tanh((0.4 - mesh.nodes) / 0.05)

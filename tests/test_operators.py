@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -46,6 +47,11 @@ def cell_loop_forms(mesh):
         mass[c:c + 2, c:c + 2] += block
         stiff[c:c + 2, c:c + 2] += w.sum() / h**2 * np.array([[1.0, -1.0], [-1.0, 1.0]])
     return mass, stiff
+
+
+def same_bits(got, ref):
+    """Equal shapes and equal bytes: signed zeros and NaN payloads too."""
+    return got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
 def spectral_power(ops, s):
@@ -203,6 +209,43 @@ class TestSolveMass:
         x = np.random.default_rng(seed).standard_normal(ops.n_free)
         b = ops.M @ x
         assert_tridiagonal_backward_error(ops.M.toarray(), ops.solve_mass(b), b)
+
+
+class TestBandProducts:
+    # apply_mass, and @ and roundoff of the assembled backend, take M x, A_s x
+    # and |A_s| w on the held diagonals; each row sums its terms as a csr
+    # product does, so the results are csr's bit for bit
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1),
+           cols=st.sampled_from([None, 1, 3]))
+    @example(mesh=ONE_FREE_NODE, seed=0, cols=None)
+    @example(mesh=ONE_FREE_NODE, seed=0, cols=3)
+    def test_equal_to_the_csr_products(self, mesh, seed, cols):
+        zero_data = tuple(None if d is None else 0.0 for d in mesh.dirichlet)
+        ops1 = build_operators(mesh, 1.0)
+        ops0 = build_operators(dataclasses.replace(mesh, dirichlet=zero_data), 0.0)
+        rng = np.random.default_rng(seed)
+        shape = (ops1.n_free,) if cols is None else (ops1.n_free, cols)
+        # a third of the entries are zeros of either sign
+        x = np.where(rng.random(shape) < 1 / 3,
+                     np.copysign(0.0, rng.standard_normal(shape)),
+                     rng.standard_normal(shape))
+        assert same_bits(ops1.apply_mass(x), ops1.M @ x)
+        for ops in (ops1, ops0):
+            A = ops.A_s.matrix
+            assert same_bits(ops.A_s @ x, A @ x)
+            entrywise, normwise = ops.A_s.roundoff(np.abs(x))
+            assert same_bits(entrywise, abs(A) @ np.abs(x)) and normwise == 0.0
+
+    def test_rows_of_negative_zeros_give_positive_zeros(self):
+        # a row whose terms are all -0.0 sums to +0.0 in csr's product, which
+        # starts from +0.0: M (e > 0) at x = -0, K (e < 0) at x = (+0, -0, +0)
+        ops = make_line_ops(6)
+        x = np.copysign(np.zeros(ops.n_free), -1.0)
+        alternating = np.where(np.arange(ops.n_free) % 2, -0.0, 0.0)
+        assert same_bits(ops.apply_mass(x), ops.M @ x)
+        assert same_bits(ops.A_s @ alternating, ops.K @ alternating)
+        assert not np.signbit(ops.apply_mass(x)).any()
 
 
 class TestAbsApply:
@@ -575,6 +618,24 @@ class TestSineStiffness:
             assert np.sqrt(err @ ops.solve_mass(err)) <= (
                 2 * np.finfo(float).eps * ops.A_s.roundoff(w)[1]
                 + oracle_error / np.sqrt(ops.A_s.m.min()))
+
+    @pytest.mark.parametrize("cols", [None, 3])
+    @pytest.mark.parametrize("n", [1, 2, 382, 383, 1000, 1018])
+    def test_product_equals_scipy_fft_dst_bit_for_bit(self, n, cols):
+        # the backend takes its DST-I through scipy.fftpack, which runs
+        # scipy.fft's pocketfft kernel without its backend dispatch; a SciPy
+        # release that splits the two kernels fails here.  n + 1 = 383 and
+        # 1019 are prime, which SciPy transforms by Bluestein's algorithm
+        ops = make_line_ops(n + 1, s=0.5)
+        assert isinstance(ops.A_s, SineStiffness) and ops.n_free == n
+        x = np.random.default_rng(n).standard_normal((n,) if cols is None else (n, cols))
+        mu = ops.A_s.mu if cols is None else ops.A_s.mu[:, None]
+
+        def dst(y):
+            return scipy.fft.dst(y, type=1, norm="ortho", axis=0)
+
+        assert same_bits(operators._dst(x), dst(x))
+        assert same_bits(ops.A_s @ x, dst(mu * dst(x)))
 
     @pytest.mark.parametrize("n_cells", [2, 17, 48])
     def test_spectrum_matches_the_eigensolve(self, n_cells):

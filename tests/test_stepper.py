@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.fft
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +12,7 @@ from fracwave import (BlowupError, ConfigurationError, Mesh1D, SchemeConfig,
                       SolverFailure, SolverParams, build_operators, el_residual,
                       energy, eval_interpolants, minimize_step, run,
                       step_functional, stepper, vi_residuals)
+from fracwave.operators import AssembledStiffness, SineStiffness
 from fracwave.potentials import double_well, gl_scaled, zero_potential
 from fracwave.stepper import effective_v0
 
@@ -465,6 +468,38 @@ class TestRun:
             tracemalloc.stop()
         assert np.all(np.isfinite(traj.states))
         assert peak <= 64 * 8 * ops.n_free
+
+
+class TestNoDispatchOnTheHotPath:
+    # minimize_step takes M x and the assembled A_s x on the held diagonals,
+    # and the sine backend's DSTs through scipy.fftpack: with csr products
+    # and scipy.fft.dst made to raise, a step still runs, with and without
+    # nodes pinned to the obstacle
+    @pytest.mark.parametrize("contact", [False, True])
+    @pytest.mark.parametrize("s, backend", [(1.0, AssembledStiffness),
+                                            (0.5, SineStiffness)])
+    def test_step_runs_without_csr_products_or_scipy_fft_dst(
+            self, monkeypatch, s, backend, contact):
+        ops = make_line_ops(64, s=s)
+        assert type(ops.A_s) is backend
+        x = ops.mesh.nodes[ops.mesh.free]
+        # moving down onto g = -0.1: the inertial extrapolation reaches -0.15
+        u1, u2 = -0.1 * np.sin(np.pi * x), -0.05 * np.sin(np.pi * x)
+        g = np.full(ops.n_free, -0.1) if contact else None
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy.sparse or scipy.fft dispatch on the hot path")
+
+        for name in ("__matmul__", "__rmatmul__"):
+            monkeypatch.setattr(scipy.sparse.csr_array, name, refuse)
+        monkeypatch.setattr(scipy.fft, "dst", refuse)
+        with pytest.raises(AssertionError, match="hot path"):
+            ops.M @ x
+        with pytest.raises(AssertionError, match="hot path"):
+            scipy.fft.dst(x, type=1)
+        result = minimize_step(ops, double_well(), u1, u2, 0.01, obstacle=g)
+        assert result.iterations >= 1 and result.residual <= result.tol
+        assert contact == (g is not None and np.any(result.u == g))
 
 
 def gl_front_config(n_cells, n_steps):
