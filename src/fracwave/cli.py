@@ -73,7 +73,7 @@ class RunConfigFile:
     init_mode: str = "standard"
     k_max: int | None = None
     tol: float | None = None
-    max_iter: int = 100
+    max_iter: int = SolverParams.max_iter
     precondition: str = "off"        # accepted for older configs; no effect
     # output
     snapshot_stride: int = 10
@@ -135,6 +135,10 @@ def _coerce(key: str, value):
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"key '{key}' must be {name}"
                                  + (" or null" if nullable else ""))
+    # json reads NaN and Infinity, 1e400 as inf, and 10**400 as an int that
+    # float() cannot take; the comparisons are exact for ints, False for NaN
+    if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ConfigurationError(f"key '{key}' must be a finite number")
     return kind(value)
 
 

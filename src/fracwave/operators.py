@@ -3,11 +3,11 @@
 Piecewise-linear elements on an interval, optionally carrying the radial
 volume weight r**(d-1) so that radially symmetric problems in d ambient
 dimensions reduce to one dimension.  Mass and stiffness forms are assembled
-over the unconstrained ("free") nodes as sparse tridiagonal arrays; fixed
-endpoint values enter through a precomputed load offset.  The order-s
-stiffness A_s is one object, whose class build_operators chooses: the
-assembled form itself at the endpoints, A_0 = M and A_1 = K
-(AssembledStiffness); between them, on a uniform line with both ends fixed,
+over the unconstrained ("free") nodes as symmetric tridiagonal matrices held
+as their two diagonals (Tridiagonal); fixed endpoint values enter through a
+precomputed load offset.  The order-s stiffness A_s is one object, whose
+class build_operators chooses: the assembled form itself at the endpoints,
+A_0 = M and A_1 = K; between them, on a uniform line with both ends fixed,
 the sine-transform diagonalization A_s = S diag(m_k (kappa_k/m_k)**s) S of
 the Toeplitz pair (SineStiffness); and on every other mesh the dense spectral
 power A_s = (M Phi) Lambda**s (M Phi)^T (SpectralStiffness), with the
@@ -23,7 +23,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 
 from .errors import ConfigurationError, NumericError
 
@@ -139,24 +138,22 @@ def _assemble_all_nodes(mesh: Mesh1D):
 
 def _tridiagonal(left, cross, right, lo, hi):
     """Sum of the cell blocks [[left, cross], [cross, right]] at nodes c, c+1,
-    restricted to the node range lo:hi, as a sparse tridiagonal array."""
+    restricted to the node range lo:hi."""
     main = (np.r_[left, 0.0] + np.r_[0.0, right])[lo:hi]
-    off = cross[lo:hi - 1]
-    return scipy.sparse.diags_array([off, main, off], offsets=[-1, 0, 1],
-                                    format="csr")
+    return Tridiagonal(main, cross[lo:hi - 1])
 
 
 def band_apply(band, x):
     """B x for the symmetric tridiagonal B with diagonals band = (d, e); x
     is a vector or a block of vectors along axis 0.
 
-    Row j is formed as (d_j x_j + e_(j-1) x_(j-1)) + e_j x_(j+1).  SciPy's
-    csr product sums the row's stored entries in column order from 0,
+    Row j is formed as (d_j x_j + e_(j-1) x_(j-1)) + e_j x_(j+1).  A csr
+    product sums the row's stored entries in column order from 0,
     ((0 + e_(j-1) x_(j-1)) + d_j x_j) + e_j x_(j+1), and fl(a + b) =
     fl(b + a), so the two agree bit for bit except where every term is
-    -0.0: there csr's sum gives +0.0, which the final + 0.0 restores.
-    Taking the product here skips scipy.sparse's dispatch, which at a few
-    hundred nodes costs more than the O(n) product."""
+    -0.0: there the sum from +0.0 gives +0.0, which the final + 0.0
+    restores.  The products therefore equal SciPy's csr products bit for
+    bit, which the tests check."""
     d, e = band
     if np.ndim(x) == 2:
         d, e = d[:, None], e[:, None]
@@ -181,14 +178,20 @@ def _fix_signs(phi):
     phi *= np.where(phi[j, np.arange(phi.shape[1])] < 0, -1.0, 1.0)
 
 
+def _norm_1(A):
+    """|A|_1 of the symmetric tridiagonal A: its largest absolute row sum."""
+    d, e = A.band
+    return float(band_apply((np.abs(d), np.abs(e)), np.ones(d.size)).max())
+
+
 def spectral_decompose(M, K):
     """Generalized symmetric eigenpairs K phi = lambda M phi.
 
-    M and K may be dense or sparse; only eigh's arguments are dense copies,
-    and the residual check below uses the sparse forms.  Returns (lam, Phi)
-    with lam ascending and Phi^T M Phi = identity.  Eigenvector signs are
-    fixed so the largest-magnitude entry is positive, which keeps runs
-    reproducible across invocations.
+    M and K are the Tridiagonal forms; only eigh's arguments are dense
+    copies, and the residual check below takes band products.  Returns
+    (lam, Phi) with lam ascending and Phi^T M Phi = identity.  Eigenvector
+    signs are fixed so the largest-magnitude entry is positive, which keeps
+    runs reproducible across invocations.
 
     Every pair must satisfy the backward-error bound
 
@@ -206,7 +209,6 @@ def spectral_decompose(M, K):
     2-40 cells), 34x (line, 100 cells) and 1,400x (radial, 2,400 cells)
     below it; a corrupted pair exceeds it by orders of magnitude.
     """
-    M, K = scipy.sparse.csr_array(M), scipy.sparse.csr_array(K)
     try:
         lam, phi = scipy.linalg.eigh(K.toarray(), M.toarray())
     except scipy.linalg.LinAlgError as exc:
@@ -214,7 +216,7 @@ def spectral_decompose(M, K):
     _fix_signs(phi)
     resid = np.linalg.norm(K @ phi - (M @ phi) * lam, axis=0)
     bound = ((lam.size + 4) * np.finfo(float).eps / 2.0
-             * (abs(K).sum(axis=0).max() + np.abs(lam).max() * abs(M).sum(axis=0).max())
+             * (_norm_1(K) + np.abs(lam).max() * _norm_1(M))
              * np.linalg.norm(phi, axis=0))
     worst = float(np.max(resid / bound))
     if worst > 1.0:
@@ -223,36 +225,43 @@ def spectral_decompose(M, K):
     return lam, phi
 
 
-class AssembledStiffness:
-    """A_s at s in {0, 1}: the assembled sparse tridiagonal K (s = 1) or M
-    (s = 0) itself, held as matrix for the public API.  Its band part B is
-    all of A_s, so R = A_s - B = 0 and rest_apply is None.  Products are
-    taken on the held diagonals band = (d, e) by band_apply, O(n) and equal
-    bit for bit to matrix @ x.
+class Tridiagonal:
+    """A symmetric tridiagonal matrix held as its diagonals band = (d, e):
+    the mass and stiffness forms M and K, and A_s at s in {0, 1}, where
+    build_operators makes A_0 the object M and A_1 the object K.  Products
+    (@) are taken by band_apply, O(n), on a vector or a block of vectors
+    along axis 0; toarray() gives a dense copy.  As an order-s stiffness
+    its band part B is all of it, so R = A_s - B = 0 and rest_apply is None.
 
     Round-off model: componentwise.  roundoff(w) gives the entrywise term
-    |A_s| w, band_apply on (|d|, |e|), and no normwise term.  A
-    row of A_s w has three terms and errs by gamma_3 ~ 1.5 eps relative to
-    |A_s| |w|, so the worst case of the round-off floor's t
-    (stepper._roundoff_floor) is 2.5 to 3 eps per entry, which roundings of
-    either sign seldom reach; its c = 2 sits just below it.  Measured at
-    s = 1, Newton's residual stalls 6 to 8 times below the floor (3.7e-9
-    against 3.0e-8 on 4,800 radial cells with the eps-scaled well, 1.0e-6
-    against 6.6e-6 on 102,400 line cells).
+    |A_s| w, band_apply on (|d|, |e|), and no normwise term.  A row of A_s w
+    has three terms and errs by gamma_3 ~ 1.5 eps relative to |A_s| |w|, so
+    the worst case of the round-off floor's t (stepper._roundoff_floor) is
+    2.5 to 3 eps per entry, which roundings of either sign seldom reach;
+    its c = 2 sits just below it.  Measured at s = 1, Newton's residual
+    stalls 6 to 8 times below the floor (3.7e-9 against 3.0e-8 on 4,800
+    radial cells with the eps-scaled well, 1.0e-6 against 6.6e-6 on
+    102,400 line cells).
     """
 
     rest_apply = None
 
-    def __init__(self, matrix):
-        self.matrix = matrix
-        self.band = (matrix.diagonal(), matrix.diagonal(1))
-        self._abs_band = (np.abs(self.band[0]), np.abs(self.band[1]))
+    def __init__(self, d, e):
+        self.band = (d, e)
 
     def __matmul__(self, x):
         return band_apply(self.band, x)
 
+    def toarray(self):
+        d, e = self.band
+        dense = np.diag(d)
+        j = np.arange(e.size)
+        dense[j, j + 1] = dense[j + 1, j] = e
+        return dense
+
     def roundoff(self, w):
-        return band_apply(self._abs_band, w), 0.0
+        d, e = self.band
+        return band_apply((np.abs(d), np.abs(e)), w), 0.0
 
     def spectrum(self, M, K):
         """The eigenpairs of (K, M), computed here on request."""
@@ -268,11 +277,14 @@ class SpectralStiffness:
 
     Round-off model: componentwise.  roundoff(w) gives no normwise term and
     the entrywise term |A_s| w = 2 A_s^+ w - A_s w, from
-    |a| = 2 max(a, 0) - a, with the sparse A_s^+ = max(A_s, 0) built here:
-    O(n^2), one Newton product, with no second dense array held.  On the
-    meshes checked (line and radial, 200 cells) nnz(A_s^+)/n is 1 for
-    s >= 0.5, 1.04 at s = 0.25 and 2.99 at s = 0.1, so A_s^+ holds O(n).  A row of A_s w has n terms,
-    so its worst case is gamma_n ~ n eps / 2 relative to |A_s| |w|, and the
+    |a| = 2 max(a, 0) - a, with A_s^+ = max(A_s, 0) built here and held as
+    the coordinates plus = (rows, cols, vals) of its nonzero entries in row
+    order: O(n^2), one Newton product, with no second dense array held.
+    The product sums each row's terms in column order from 0, as a csr
+    product does, by np.bincount.  On the meshes checked (line and radial,
+    200 cells) the number of entries over n is 1 for s >= 0.5, 1.04 at
+    s = 0.25 and 2.99 at s = 0.1, so A_s^+ holds O(n).  A row of A_s w has
+    n terms, so its worst case is gamma_n ~ n eps / 2 relative to |A_s| |w|, and the
     round-off floor's c = 2 rests on measurement, not on that derivation: at
     s = 1/2 the residual stalls 48 times below the floor (7.2e-11 against
     3.5e-9 on 1,600 radial cells with the eps-scaled well).
@@ -286,7 +298,9 @@ class SpectralStiffness:
         self.matrix = y @ y.T
         del y   # n x n: gone before the A_s^+ temporary
         self.band = (np.diagonal(self.matrix).copy(), np.zeros(lam.size - 1))
-        self.plus = scipy.sparse.csr_array(np.maximum(self.matrix, 0.0))
+        plus = np.maximum(self.matrix, 0.0)
+        rows, cols = np.nonzero(plus)
+        self.plus = (rows, cols, plus[rows, cols])
 
     def __matmul__(self, x):
         return self.matrix @ x
@@ -295,7 +309,9 @@ class SpectralStiffness:
         return self.matrix @ x - self.band[0] * x
 
     def roundoff(self, w):
-        return 2.0 * (self.plus @ w) - self.matrix @ w, 0.0
+        rows, cols, vals = self.plus
+        return (2.0 * np.bincount(rows, vals * w[cols], minlength=w.size)
+                - self.matrix @ w, 0.0)
 
     def spectrum(self, M, K):
         """The eigenpairs this power was formed from."""
@@ -320,8 +336,9 @@ def _toeplitz_symbol(A, half_angle):
     the means of its diagonal and off-diagonal), at sin(theta_k / 2) =
     half_angle, as (a + 2 b) - 4 b sin^2(theta_k / 2): cos(theta_k) rounds
     near 1, and the low modes of K would lose relative accuracy to it."""
-    a = A.diagonal().mean()
-    b = A.diagonal(1).mean() if A.shape[0] > 1 else 0.0
+    d, e = A.band
+    a = d.mean()
+    b = e.mean() if e.size else 0.0
     return (a + 2.0 * b) - 4.0 * b * half_angle**2
 
 
@@ -363,7 +380,7 @@ class SineStiffness:
 
     def __init__(self, M, K, s: float):
         import scipy.fftpack   # see _dst
-        n = M.shape[0]
+        n = M.band[0].size
         half_angle = np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1))
         self.m = _toeplitz_symbol(M, half_angle)
         self.kappa = _toeplitz_symbol(K, half_angle)
@@ -404,18 +421,16 @@ class OperatorSet:
     """Assembled forms and order-s stiffness for one mesh.
 
     Immutable after construction; shared freely across runs.  M and K are
-    sparse tridiagonal arrays (scipy.sparse, csr format) for the public API
-    and the diagnostics; the solver takes M x by apply_mass, on the held
-    diagonals, with no scipy.sparse dispatch.  A_s is the order-s stiffness,
-    an AssembledStiffness at s in {0, 1}, a SineStiffness at fractional s on
-    a uniform line with both ends fixed and a SpectralStiffness otherwise;
-    each provides products (@), the (d, e) diagonals of a tridiagonal band part B, rest_apply for
+    Tridiagonal: M x is ops.M @ x, and M.band holds M's diagonals (d, e).
+    A_s is the order-s stiffness: the object K at s = 1 and M at s = 0, a
+    SineStiffness at fractional s on a uniform line with both ends fixed
+    and a SpectralStiffness otherwise; each provides products (@), the
+    (d, e) diagonals of a tridiagonal band part B, rest_apply for
     R = A_s - B (None where R = 0) and roundoff(w), the entrywise and
     normwise terms of its round-off model for the product with w (see each
-    class), and spectrum(M, K) for the eigenpairs.  mass_band
-    holds M's diagonals (d, e), and mass_chol the factors (d, e) of its
-    tridiagonal LDL^T factorization (LAPACK dpttrf: D = diag(d), L unit
-    lower bidiagonal with subdiagonal e).  The spectrum (lam, Phi) is
+    class), and spectrum(M, K) for the eigenpairs.  mass_chol holds the
+    factors (d, e) of M's tridiagonal LDL^T factorization (LAPACK dpttrf:
+    D = diag(d), L unit lower bidiagonal with subdiagonal e).  The spectrum (lam, Phi) is
     computed on first use, and kept.  lift_load and lift_const carry the
     coupling of free nodes to fixed endpoint values through the order-1
     stiffness, so build_operators admits nonzero Dirichlet data only at
@@ -423,19 +438,18 @@ class OperatorSet:
     """
 
     mesh: Mesh1D
-    M: scipy.sparse.csr_array
-    K: scipy.sparse.csr_array
+    M: Tridiagonal
+    K: Tridiagonal
     s: float
-    A_s: AssembledStiffness | SineStiffness | SpectralStiffness
+    A_s: Tridiagonal | SineStiffness | SpectralStiffness
     lumps: np.ndarray
     lift_load: np.ndarray
     lift_const: float
-    mass_band: tuple
     mass_chol: tuple
 
     @property
     def n_free(self) -> int:
-        return self.M.shape[0]
+        return self.M.band[0].size
 
     @cached_property
     def _spectrum(self):
@@ -450,11 +464,6 @@ class OperatorSet:
     def Phi(self) -> np.ndarray:
         """M-orthonormal eigenvectors, one per column of lam's order."""
         return self._spectrum[1]
-
-    def apply_mass(self, x: np.ndarray) -> np.ndarray:
-        """M x by band_apply on mass_band, O(n), equal bit for bit to
-        self.M @ x; x is a vector or a block of vectors along axis 0."""
-        return band_apply(self.mass_band, x)
 
     def solve_mass(self, r: np.ndarray) -> np.ndarray:
         """M^{-1} r via the cached tridiagonal LDL^T factors of M.
@@ -485,7 +494,7 @@ def _is_toeplitz(mesh: Mesh1D, *forms) -> bool:
     nodes = mesh.nodes
     tol = 16 * np.finfo(float).eps * np.abs(nodes).max() / np.diff(nodes).min()
     for A in forms:
-        for diag in (A.diagonal(), A.diagonal(1)):
+        for diag in A.band:
             if diag.size and np.abs(diag - diag.mean()).max() > tol * abs(diag.mean()):
                 return False
     return True
@@ -523,13 +532,12 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     # sums over all nodes), so the lumped measure equals the domain measure
     # minus the constrained-node lumps
     lumps = (np.r_[left + cross, 0.0] + np.r_[0.0, right + cross])[lo:hi]
-    mass_band = (M.diagonal(), M.diagonal(1))
-    d, e, info = scipy.linalg.lapack.dpttrf(*pt_args(*mass_band))
+    d, e, info = scipy.linalg.lapack.dpttrf(*pt_args(*M.band))
     if info:
         raise NumericError(f"the mass matrix does not factor: LAPACK dpttrf "
                            f"returned info {info}")
     if s in (0.0, 1.0):
-        A_s = AssembledStiffness(K if s else M)
+        A_s = K if s else M
     elif (mesh.geometry == "line" and None not in mesh.dirichlet
           and _is_toeplitz(mesh, M, K)):
         A_s = SineStiffness(M, K, s)
@@ -537,8 +545,7 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
         A_s = SpectralStiffness(M, spectral_decompose(M, K), s)
     return OperatorSet(
         mesh=mesh, M=M, K=K, s=float(s), A_s=A_s, lumps=lumps,
-        lift_load=lift_load, lift_const=float(lift_const), mass_band=mass_band,
-        mass_chol=(d, e),
+        lift_load=lift_load, lift_const=float(lift_const), mass_chol=(d, e),
     )
 
 

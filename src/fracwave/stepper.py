@@ -26,12 +26,10 @@ R = 0, as at s in {0, 1}.  Otherwise conjugate gradients preconditioned by
 P finish the solve in a few products with A_s (at fractional s, B is the
 diagonal of A_s, and each product costs O(n log n) on a uniform line with
 both ends fixed and O(n^2) elsewhere): no n x n array is factored or
-copied.  Products skip scipy.sparse and scipy.fft dispatch, which at a few
-hundred nodes costs more than the product: M x (OperatorSet.apply_mass)
-and A_s x at s in {0, 1} are taken on the held diagonals
-(operators.band_apply), bit for bit the csr products, and the sine
-backend's DSTs through scipy.fftpack (operators.SineStiffness).  Only the
-dense backend's round-off term keeps a sparse product, with A_s^+.
+copied.  M x, and A_s x at s in {0, 1}, are band products on the held
+diagonals (operators.Tridiagonal); the sine backend takes its DSTs through
+scipy.fftpack, which skips scipy.fft's dispatch, at a few hundred nodes
+costlier than the transform (operators.SineStiffness).
 Without an obstacle the active set is empty and the iteration is plain
 Newton.  The time loop starts steps 1 and 2 from the inertial
 extrapolation 2 u_{i-1} - u_{i-2} and every later step from the cubic
@@ -63,7 +61,6 @@ from .potentials import Potential
 
 _AUTO_TOL_FLOOR = 1e-9
 _AUTO_TOL_ROUNDOFF = 2.0 * np.finfo(float).eps
-_DEFAULT_MAX_ITER = 100
 # CG on a Newton system stops once its residual, which is the linearized
 # gradient at the new iterate, is at most this fraction of the step's tol in
 # the M^-1 norm of the stationarity test.  The inexact solve then moves the
@@ -92,11 +89,11 @@ class SolverParams:
     """
 
     tol: float | None = None
-    max_iter: int = _DEFAULT_MAX_ITER
+    max_iter: int = 100
 
     def __post_init__(self):
-        if self.tol is not None and not self.tol > 0:
-            raise ConfigurationError("tol must be positive")
+        if self.tol is not None and not 0 < self.tol < np.inf:
+            raise ConfigurationError("tol must be positive and finite")
         if self.max_iter < 1:
             raise ConfigurationError("max_iter must be >= 1")
 
@@ -201,7 +198,7 @@ def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
 
 
 def _kinetic_energy(ops, v) -> float:
-    return 0.5 * float(v @ ops.apply_mass(v))
+    return 0.5 * float(v @ (ops.M @ v))
 
 
 def _fractional_energy(ops, u, au) -> float:
@@ -213,7 +210,7 @@ def _grad_and_value(ops, potential, u, u1, u2, tau):
     """(J(u), grad J(u), fractional energy, potential energy) of u; the
     last two are the terms of J that energy() reports, formed once here."""
     d = u - 2.0 * u1 + u2
-    md = ops.apply_mass(d)
+    md = ops.M @ d
     au = ops.A_s @ u
     frac = _fractional_energy(ops, u, au)
     pot = float(ops.lumps @ potential.value(u))
@@ -256,15 +253,15 @@ def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
     difference (u - 2 u1) + u2 errs by at most u (|u| + 2|u1|) <=
     eps (2|u1| + |u2|), which M / tau^2 carries; summing the four terms
     adds up to 1.5 eps of t.  The round-off of A_s w follows the model of
-    A_s's class (operators.AssembledStiffness, SineStiffness,
-    SpectralStiffness), which gives (t_A, a) = A_s.roundoff(|w|): an
-    entrywise term, |A_s| |w| for a product that errs componentwise, and a
-    normwise bound a on the M^-1 norm for one that errs normwise.  The
-    class also gives the grounds for c = 2 and the cost of the term.
+    A_s's class (operators.Tridiagonal, SineStiffness, SpectralStiffness),
+    which gives (t_A, a) = A_s.roundoff(|w|): an entrywise term, |A_s| |w|
+    for a product that errs componentwise, and a normwise bound a on the
+    M^-1 norm for one that errs normwise.  The class also gives the grounds
+    for c = 2 and the cost of the term.
     """
     w = 2.0 * u1 - u2
     t_a, a = ops.A_s.roundoff(np.abs(w))
-    t = (ops.apply_mass(2.0 * np.abs(u1) + np.abs(u2)) / tau**2
+    t = (ops.M @ (2.0 * np.abs(u1) + np.abs(u2)) / tau**2
          + t_a + np.abs(ops.lift_load)
          + ops.lumps * np.abs(potential.gradient(w)))
     return _AUTO_TOL_ROUNDOFF * (float(np.sqrt(max(t @ ops.solve_mass(t), 0.0))) + a)
@@ -351,8 +348,8 @@ def _newton_step(ops, curv, grad, u, obstacle, tau, stop):
     solve to the M^-1 residual stop.
     """
     rest = ops.A_s.rest_apply
-    d = ops.mass_band[0] / tau**2 + curv + ops.A_s.band[0]
-    e = ops.mass_band[1] / tau**2 + ops.A_s.band[1]
+    d = ops.M.band[0] / tau**2 + curv + ops.A_s.band[0]
+    e = ops.M.band[1] / tau**2 + ops.A_s.band[1]
     rhs = -grad
     active = np.zeros(ops.n_free, dtype=bool)
     if obstacle is not None:
@@ -406,7 +403,7 @@ def _pcg(ops, factor, x, free, curv, tau, stop):
         z = scipy.linalg.lapack.dpttrs(*factor, r)[0]
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
-        hp = ops.apply_mass(p) / tau**2 + ops.A_s @ p + curv * p
+        hp = ops.M @ p / tau**2 + ops.A_s @ p + curv * p
         if free is not None:
             hp = np.where(free, hp, 0.0)
         php = p @ hp

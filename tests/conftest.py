@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import strategies as st
 
 from fracwave import (Mesh1D, SchemeConfig, build_mesh, build_operators,
                       spectral_decompose)
-from fracwave.operators import SineStiffness, SpectralStiffness
+from fracwave.operators import SineStiffness, SpectralStiffness, Tridiagonal
 from fracwave.potentials import zero_potential
 
 U = np.finfo(float).eps / 2
@@ -57,12 +56,13 @@ def uniform_lines(draw):
 
 
 def dense_A_s(ops):
-    """A_s as a dense array: the storage of the assembled and spectral
+    """A_s as a dense array: the storage of the tridiagonal and spectral
     backends, and A_s @ I for the sine backend, which stores none."""
     if isinstance(ops.A_s, SineStiffness):
         return ops.A_s @ np.eye(ops.n_free)
-    A = ops.A_s.matrix
-    return A.toarray() if scipy.sparse.issparse(A) else A
+    if isinstance(ops.A_s, Tridiagonal):
+        return ops.A_s.toarray()
+    return ops.A_s.matrix
 
 
 def spectral_oracle(ops):

@@ -214,7 +214,7 @@ def test_criterion_08_appendix_suite():
         c = ops.lam[0] ** (-s / 2.0)
         for _ in range(1000):
             u = rng.standard_normal(ops.n_free)
-            lhs = np.sqrt(u @ ops.M @ u)
+            lhs = np.sqrt(u @ (ops.M @ u))
             rhs = c * seminorm_s(ops, u)
             worst_slack = max(worst_slack, lhs - rhs)
             poincare_ok &= lhs <= rhs + 1e-12
@@ -257,7 +257,7 @@ def test_criterion_10_operator_identities():
             target = getattr(ops, form)
             mphi = ops.M @ ops.Phi
             power = (mphi * ops.lam**s) @ mphi.T
-            checks.append(ops.A_s.matrix is target)
+            checks.append(ops.A_s is target)
             checks.append(np.max(np.abs(power - target.toarray()))
                           <= 1e-10 * np.max(np.abs(target.toarray())))
         oph = make_line_ops(n, s=0.5)

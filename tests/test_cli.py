@@ -282,8 +282,11 @@ class TestCmdRun:
                                        "n_steps": 40, "T": 0.02,
                                        "snapshot_stride": 10})
         cfg = parse_config(path)
-        written = cmd_run(cfg, tmp_path / "out")
-        traj = fracwave.run(build_problem(cfg))
+        # 20 cells leave the preset's interface under-resolved
+        with pytest.warns(UserWarning, match="under-resolved"):
+            written = cmd_run(cfg, tmp_path / "out")
+        with pytest.warns(UserWarning, match="under-resolved"):
+            traj = fracwave.run(build_problem(cfg))
         energy_rows = [(i, i * traj.tau, *traj.energies[i],
                         traj.residuals[i - 1] if i else 0.0,
                         traj.iterations[i - 1] if i else 0)
@@ -431,6 +434,9 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "step 1" in capsys.readouterr().err
 
+    # main reports the warnings the active filters let through, and this
+    # config under-resolves the interface, which the default filters report
+    @pytest.mark.filterwarnings("always:.*under-resolved:UserWarning")
     def test_non_convex_step_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "preset": "eigenmode", "n_cells": 8, "T": 1.0, "n_steps": 2,
@@ -461,6 +467,13 @@ class TestMainExitCodes:
         (["sweep-eps", "--eps-list", "0.1"],
          {"preset": "gl_interface", "s": 0.5, "dirichlet_right": 0.0},
          "assumes s = 1"),
+        # json reads NaN and Infinity (also 1e400), and 10**400 as an int
+        (["run"], {"preset": "eigenmode", "tol": float("inf")}, "'tol' must be a finite"),
+        (["run"], {"preset": "eigenmode", "T": float("inf")}, "'T' must be a finite"),
+        (["run"], {"preset": "obstacle_wave", "obstacle_value": float("nan")},
+         "'obstacle_value' must be a finite"),
+        (["run"], {"preset": "eigenmode", "x_max": -float("inf")}, "'x_max' must be a finite"),
+        (["run"], {"preset": "eigenmode", "u0_amp": 10**400}, "'u0_amp' must be a finite"),
     ])
     def test_config_error_is_2_before_any_file(self, tmp_path, capsys, monkeypatch,
                                                command, config, named):
@@ -527,6 +540,8 @@ class TestMainExitCodes:
             warnings.simplefilter("error")
             build_problem(sub)
 
+    # as a user's default filters do, let main record the warning
+    @pytest.mark.filterwarnings("always:.*under-resolved:UserWarning")
     def test_under_resolved_warning(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "preset": "gl_interface", "n_cells": 5, "n_steps": 4, "T": 0.01})

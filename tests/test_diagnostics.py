@@ -399,7 +399,7 @@ class TestRadialFrontAgainstReference:
             traj = run(cfg)
             ref = oracle_mol(cfg)
             gap = traj.u(n) - ref.terminal()
-            gaps.append(float(np.sqrt(gap @ ops.M @ gap)))
+            gaps.append(float(np.sqrt(gap @ (ops.M @ gap))))
         assert all(g <= 2e-3 for g in gaps)
         assert gaps[0] / gaps[1] >= 1.5
         assert gaps[1] / gaps[2] >= 1.5

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.fft
 import scipy.linalg
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -12,8 +13,7 @@ from fracwave import (ConfigurationError, Mesh1D, NumericError, SchemeConfig,
                       build_mesh, build_operators, fractional_apply,
                       poincare_constant, run, seminorm_s, spectral_decompose)
 from fracwave import cli, operators
-from fracwave.operators import (AssembledStiffness, SineStiffness,
-                                SpectralStiffness)
+from fracwave.operators import SineStiffness, SpectralStiffness, Tridiagonal
 from fracwave.potentials import double_well, zero_potential
 
 from conftest import (U, U_EXT, assert_tridiagonal_backward_error, dense_A_s,
@@ -24,7 +24,7 @@ ONE_FREE_NODE = Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0))
 
 
 def forms(mesh):
-    """Dense copies of the sparse M and K."""
+    """Dense copies of M and K."""
     ops = build_operators(mesh, 1.0)
     return ops.M.toarray(), ops.K.toarray()
 
@@ -54,10 +54,10 @@ def same_bits(got, ref):
     return got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
 
-def spectral_power(ops, s):
-    """(M Phi) Lambda^s (M Phi)^T from the operator set's own spectrum."""
-    mphi = ops.M @ ops.Phi
-    return (mphi * np.maximum(ops.lam, 0.0) ** s) @ mphi.T
+def csr(A):
+    """SciPy's csr array of the Tridiagonal A: the reference for its
+    products, whose summation order they keep."""
+    return scipy.sparse.csr_array(A.toarray())
 
 
 class TestBuildMesh:
@@ -171,16 +171,16 @@ class TestSparseFormsAgainstDenseReference:
         ops1 = build_operators(mesh, 1.0)
         zero_data = tuple(None if d is None else 0.0 for d in mesh.dirichlet)
         ops0 = build_operators(dataclasses.replace(mesh, dirichlet=zero_data), 0.0)
-        assert ops1.A_s.matrix is ops1.K and ops0.A_s.matrix is ops0.M
+        assert ops1.A_s is ops1.K and ops0.A_s is ops0.M
         assert close(ops1.M.toarray(), ref_M) and close(ops1.K.toarray(), ref_K)
-        assert close(ops0.A_s.matrix.toarray(), ref_M)
+        assert close(ops0.A_s.toarray(), ref_M)
         assert close(ops1.lumps, mass.sum(axis=1)[free])
         assert close(ops1.lift_load, stiff[np.ix_(free, fixed)] @ g)
         assert close(np.array([ops1.lift_const]),
                      np.array([0.5 * g @ stiff[np.ix_(fixed, fixed)] @ g]))
         u = np.random.default_rng(seed).standard_normal(ops1.n_free)
         for ops, ref in ((ops1, ref_K), (ops0, ref_M)):
-            A = ops.A_s.matrix.toarray()
+            A = ops.A_s.toarray()
             assert np.array_equal(A, A.T)
             # nonnegative up to the round-off of the quadratic form's terms
             terms = np.abs(u) @ np.abs(A) @ np.abs(u)
@@ -212,8 +212,8 @@ class TestSolveMass:
 
 
 class TestBandProducts:
-    # apply_mass, and @ and roundoff of the assembled backend, take M x, A_s x
-    # and |A_s| w on the held diagonals; each row sums its terms as a csr
+    # Tridiagonal's @ and roundoff take M x, A_s x and |A_s| w at s in
+    # {0, 1} on the held diagonals; each row sums its terms as a csr
     # product does, so the results are csr's bit for bit
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(mesh=meshes(), seed=st.integers(0, 2**32 - 1),
@@ -230,9 +230,9 @@ class TestBandProducts:
         x = np.where(rng.random(shape) < 1 / 3,
                      np.copysign(0.0, rng.standard_normal(shape)),
                      rng.standard_normal(shape))
-        assert same_bits(ops1.apply_mass(x), ops1.M @ x)
+        assert same_bits(ops1.M @ x, csr(ops1.M) @ x)
         for ops in (ops1, ops0):
-            A = ops.A_s.matrix
+            A = csr(ops.A_s)
             assert same_bits(ops.A_s @ x, A @ x)
             entrywise, normwise = ops.A_s.roundoff(np.abs(x))
             assert same_bits(entrywise, abs(A) @ np.abs(x)) and normwise == 0.0
@@ -243,9 +243,9 @@ class TestBandProducts:
         ops = make_line_ops(6)
         x = np.copysign(np.zeros(ops.n_free), -1.0)
         alternating = np.where(np.arange(ops.n_free) % 2, -0.0, 0.0)
-        assert same_bits(ops.apply_mass(x), ops.M @ x)
-        assert same_bits(ops.A_s @ alternating, ops.K @ alternating)
-        assert not np.signbit(ops.apply_mass(x)).any()
+        assert same_bits(ops.M @ x, csr(ops.M) @ x)
+        assert same_bits(ops.A_s @ alternating, csr(ops.K) @ alternating)
+        assert not np.signbit(ops.M @ x).any()
 
 
 class TestAbsApply:
@@ -256,7 +256,7 @@ class TestAbsApply:
     def test_matches_the_entrywise_product(self, s):
         ops = make_line_ops(32, s=s)
         A_s = ops.A_s if s in (0.0, 1.0) else spectral_oracle(ops)
-        A = A_s.matrix.toarray() if s in (0.0, 1.0) else A_s.matrix
+        A = A_s.toarray() if s in (0.0, 1.0) else A_s.matrix
         w = np.abs(np.random.default_rng(9).standard_normal(ops.n_free))
         # sums of k nonnegative terms, in either order, agree to k eps; a
         # row of A_s has 3 nonzero terms at s in {0, 1}, n otherwise
@@ -269,15 +269,18 @@ class TestAbsApply:
     @pytest.mark.parametrize("geometry", ["line", "radial"])
     @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.9])
     def test_fractional_split_matches_the_dense_absolute_value(self, geometry, s):
-        # |A_s| w = 2 A_s^+ w - A_s w with the sparse A_s^+ = max(A_s, 0),
-        # which holds O(n) entries (measured: at most 3n)
+        # |A_s| w = 2 A_s^+ w - A_s w with A_s^+ = max(A_s, 0) held as the
+        # coordinates of its O(n) entries (measured: at most 3n), whose
+        # product sums each row as the csr product of A_s^+ does
         ops = (make_line_ops(200, s=s) if geometry == "line"
                else make_radial_ops(200, s=s, right=0.0))
         A_s = spectral_oracle(ops)
         w = np.abs(np.random.default_rng(3).standard_normal(ops.n_free))
         assert np.allclose(A_s.roundoff(w)[0], np.abs(A_s.matrix) @ w,
                            rtol=1e-14, atol=0.0)
-        assert A_s.plus.nnz <= 3 * ops.n_free
+        plus = scipy.sparse.csr_array(np.maximum(A_s.matrix, 0.0))
+        assert same_bits(A_s.roundoff(w)[0], 2.0 * (plus @ w) - A_s.matrix @ w)
+        assert A_s.plus[2].size <= 3 * ops.n_free
 
 
 class TestStiffnessBackends:
@@ -302,7 +305,7 @@ class TestStiffnessBackends:
         widths = np.diff(mesh.nodes)
         uniform = np.ptp(widths) <= 1e-9 * widths.min()
         if s in (0.0, 1.0):
-            assert isinstance(ops.A_s, AssembledStiffness)
+            assert ops.A_s is (ops.K if s else ops.M)
         elif mesh.geometry == "line" and None not in mesh.dirichlet and uniform:
             assert isinstance(ops.A_s, SineStiffness)
             self.check_sine(ops, seed)
@@ -410,7 +413,7 @@ class TestSpectralDecompose:
 
     def test_mass_orthonormality(self):
         ops = make_radial_ops(24)
-        gram = ops.Phi.T @ ops.M @ ops.Phi
+        gram = ops.Phi.T @ (ops.M @ ops.Phi)
         assert np.max(np.abs(gram - np.eye(ops.n_free))) < 1e-10
 
     def test_eigenvalues_ascending_and_positive_with_constraint(self):
@@ -419,23 +422,14 @@ class TestSpectralDecompose:
         assert ops.lam[0] > 0
 
     def test_standalone_call_on_assembled_forms(self):
-        mesh = build_mesh(0, 1, 12, dirichlet=(0.0, 0.0))
-        M, K = forms(mesh)
-        lam, phi = spectral_decompose(M, K)
+        ops = build_operators(build_mesh(0, 1, 12, dirichlet=(0.0, 0.0)), 1.0)
+        lam, phi = spectral_decompose(ops.M, ops.K)
+        M = ops.M.toarray()
         assert lam.shape == (11,)
         assert np.allclose(phi.T @ M @ phi, np.eye(11), atol=1e-12)
         # deterministic sign convention: dominant entry positive
         for k in range(11):
             assert phi[np.argmax(np.abs(phi[:, k])), k] > 0
-
-    @pytest.mark.parametrize("geometry", ["line", "radial"])
-    def test_sparse_forms_give_the_dense_result(self, geometry):
-        # only eigh's arguments are densified, so the eigenpairs are the same
-        # bits whichever form is passed
-        ops = make_line_ops(48) if geometry == "line" else make_radial_ops(48)
-        lam, phi = spectral_decompose(ops.M, ops.K)
-        lam_d, phi_d = spectral_decompose(ops.M.toarray(), ops.K.toarray())
-        assert np.array_equal(lam, lam_d) and np.array_equal(phi, phi_d)
 
     @pytest.mark.parametrize("geometry", ["line", "radial"])
     @pytest.mark.parametrize("s", [0.1, 0.5])
@@ -488,7 +482,7 @@ class TestSpectralDecompose:
             # a free end keeps the line on the spectral backend at s = 1/2
             ops = make_line_ops(16, s=s, dirichlet=(0.0, None))
             assert len(calls) == builds
-            lam, phi = spectral_decompose(ops.M.toarray(), ops.K.toarray())
+            lam, phi = spectral_decompose(ops.M, ops.K)
             assert np.array_equal(ops.lam, lam) and np.array_equal(ops.Phi, phi)
             assert len(calls) == 1
 
@@ -500,7 +494,7 @@ class TestSpectralDecompose:
 
         monkeypatch.setattr(operators, "spectral_decompose", refuse)
         ops = make_radial_ops(2000, s=1.0)
-        assert ops.A_s.matrix is ops.K
+        assert ops.A_s is ops.K
         r = ops.mesh.nodes[ops.mesh.free]
         cfg = SchemeConfig(T=0.003, n_steps=3, ops=ops, potential=zero_potential(),
                            u0=np.tanh((0.4 - r) / 0.1), v0=np.zeros(ops.n_free))
@@ -509,20 +503,38 @@ class TestSpectralDecompose:
 
 
 class TestFractionalOperator:
-    def test_endpoint_identities(self):
-        # A_s is the assembled form at s in {0, 1}; the spectral power must
-        # reproduce it
-        for maker in (make_line_ops, lambda n, s: make_radial_ops(n, s=s, right=0.0)):
-            ops1 = maker(16, s=1.0)
-            assert ops1.A_s.matrix is ops1.K
-            K = ops1.K.toarray()
-            assert np.allclose(spectral_power(ops1, 1.0), K, rtol=1e-10,
-                               atol=1e-10 * np.abs(K).max())
-            ops0 = maker(16, s=0.0)
-            assert ops0.A_s.matrix is ops0.M
-            M = ops0.M.toarray()
-            assert np.allclose(spectral_power(ops0, 0.0), M, rtol=1e-10,
-                               atol=1e-10 * np.abs(M).max())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(mesh=meshes(), dim=st.integers(1, 4))
+    @example(mesh=ONE_FREE_NODE, dim=1)
+    def test_endpoint_identities(self, mesh, dim):
+        # A_s is the object K at s = 1 and M at s = 0, and the dense spectral
+        # power Y Lambda^s Y^T, Y = M Phi, reproduces it.  spectral_decompose's
+        # model has eigh solve the reduced pencil C = L^-1 K L^-T backward
+        # stably, so Y Lambda Y^T = L Z Lambda Z^T L^T = L (C + E) L^T with
+        # |L E L^T|_2 <= n u max|lam| |M|_2, the |K|_1 term covering the
+        # reduction; at s = 0, Y Y^T = L Z Z^T L^T, off M by the
+        # orthogonality of Z and the back-transform, which the same model
+        # bounds by (n + 4) u (|M|_1 + |M|_1).  Forming Y (three terms a row)
+        # and the power (n terms an entry) adds gamma_(n+3) |Y| Lambda^s |Y|^T.
+        # Measured: at most 0.57 of the bound on 20,000 random meshes of
+        # 2-40 cells, radial dimension 1-4
+        mesh = dataclasses.replace(
+            mesh, dim=dim if mesh.geometry == "radial" else mesh.dim,
+            dirichlet=tuple(None if d is None else 0.0 for d in mesh.dirichlet))
+
+        def norm_1(B):
+            return np.abs(B).sum(axis=0).max()
+
+        for s in (0.0, 1.0):
+            ops = build_operators(mesh, s)
+            assert ops.A_s is (ops.K if s else ops.M)
+            A, M, n = ops.A_s.toarray(), ops.M.toarray(), ops.n_free
+            power = np.maximum(ops.lam, 0.0) ** s
+            Y = ops.M @ ops.Phi
+            gamma = (n + 3) * U / (1 - (n + 3) * U)
+            bound = ((n + 4) * U * (norm_1(A) + power.max() * norm_1(M))
+                     + gamma * (np.abs(Y) * power) @ np.abs(Y).T)
+            assert np.all(np.abs((Y * power) @ Y.T - A) <= bound)
 
     def test_endpoint_apply(self):
         ops1 = make_line_ops(16, s=1.0)
@@ -707,7 +719,7 @@ class TestSeminorm:
         ops = make_line_ops(32, s=1.0)
         rng = np.random.default_rng(5)
         u = rng.standard_normal(ops.n_free)
-        assert seminorm_s(ops, u) == pytest.approx(np.sqrt(u @ ops.K @ u), rel=1e-12)
+        assert seminorm_s(ops, u) == pytest.approx(np.sqrt(u @ (ops.K @ u)), rel=1e-12)
 
 
 class TestPoincare:
@@ -716,7 +728,7 @@ class TestPoincare:
         assert poincare_constant(ops) == 1.0
         rng = np.random.default_rng(2)
         u = rng.standard_normal(ops.n_free)
-        assert np.sqrt(u @ ops.M @ u) == pytest.approx(seminorm_s(ops, u), rel=1e-12)
+        assert np.sqrt(u @ (ops.M @ u)) == pytest.approx(seminorm_s(ops, u), rel=1e-12)
 
     @pytest.mark.parametrize("s", [0.0, 0.5, 1.0])
     def test_inequality_random_vectors(self, s):
@@ -725,12 +737,12 @@ class TestPoincare:
         rng = np.random.default_rng(17)
         for _ in range(200):
             u = rng.standard_normal(ops.n_free)
-            assert np.sqrt(u @ ops.M @ u) <= c * seminorm_s(ops, u) + 1e-12
+            assert np.sqrt(u @ (ops.M @ u)) <= c * seminorm_s(ops, u) + 1e-12
 
     def test_equality_at_ground_mode(self):
         ops = make_line_ops(16, s=0.5)
         u = ops.Phi[:, 0]
-        assert np.sqrt(u @ ops.M @ u) == pytest.approx(
+        assert np.sqrt(u @ (ops.M @ u)) == pytest.approx(
             poincare_constant(ops) * seminorm_s(ops, u), rel=1e-12)
 
     def test_requires_constraint(self):
@@ -764,7 +776,7 @@ class TestLift:
         u = 1.0 - 2.0 * x
         assert np.max(np.abs(ops.K @ u + ops.lift_load)) < 1e-12
         # full-domain energy of the linear profile: (1/2) int (u')^2 = 2
-        energy = 0.5 * u @ ops.K @ u + u @ ops.lift_load + ops.lift_const
+        energy = 0.5 * u @ (ops.K @ u) + u @ ops.lift_load + ops.lift_const
         assert energy == pytest.approx(2.0, rel=1e-12)
 
     def test_lumps_measure_domain_minus_constrained_hats(self):
