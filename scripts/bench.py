@@ -24,8 +24,10 @@ runs the time loop.  Both checkouts run every size.
 
 The states section runs each workload's seed-0 config once per checkout,
 in a fresh process, and records its Newton iterations, the SHA-256 of the
-bytes of its states and whether the two sides' states are byte-equal: a
-refactor that claims the same results shows it there.
+bytes of its states and whether the two sides' states are byte-equal.  It
+also runs `cli.cmd_run` on that config and records the SHA-256 of every
+file it writes and whether the two sides' files are byte-equal: a refactor
+that claims the same results, or the same output files, shows it there.
 """
 
 import argparse
@@ -85,19 +87,27 @@ def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
 
 def states_point(root: Path, workload: str) -> dict:
     """The seed-0 run of a workload's config (perfbench's make_config), in
-    this process with fracwave from root/src: its Newton iterations and the
-    SHA-256 of its states."""
+    this process with fracwave from root/src: its Newton iterations, the
+    SHA-256 of its states, and the SHA-256 of each file cli.cmd_run writes
+    for it."""
     use_checkout(root)
     sys.path.insert(0, str(root / "perfbench"))
     from fracwave import cli, run
     from workloads import make_config
 
+    def sha256(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(make_config(workload, 0)))
-        traj = run(cli.build_problem(cli.parse_config(path)))
+        cfg = cli.parse_config(path)
+        traj = run(cli.build_problem(cfg))
+        written = cli.cmd_run(cfg, Path(tmp) / "out")
+        outputs = {p.name: sha256(p.read_bytes()) for p in written.values()}
     return {"newton_iters": int(traj.iterations.sum()),
-            "states_sha256": hashlib.sha256(traj.states.tobytes()).hexdigest()}
+            "states_sha256": sha256(traj.states.tobytes()),
+            "outputs_sha256": outputs}
 
 
 def subprocess_json(args) -> dict:
@@ -178,8 +188,9 @@ def main(argv=None):
         runs = {side: subprocess_json([__file__, "--root", root,
                                        "--states-point", workload])
                 for side, root in sides.items()}
-        states[workload] = {**runs, "states_equal": (runs["parent"]["states_sha256"]
-                                                     == runs["change"]["states_sha256"])}
+        states[workload] = {**runs, **{
+            f"{kind}_equal": runs["parent"][f"{kind}_sha256"] == runs["change"][f"{kind}_sha256"]
+            for kind in ("states", "outputs")}}
     rev = subprocess.run(["git", "-C", sides["parent"], "rev-parse", "--short", "HEAD"],
                          capture_output=True, text=True, check=True).stdout.strip()
     command = ["python3", "scripts/bench.py", "--parent", f"<checkout of {rev}>",

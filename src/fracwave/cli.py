@@ -280,16 +280,17 @@ def build_problem(cfg: RunConfigFile) -> SchemeConfig:
     return scheme
 
 
-def _csv_line(values) -> str:
-    """Values as one CSV line, each printed as a float to 17 significant
-    digits: an integer below 2**53 prints bare, and nan as "nan"."""
-    return ",".join(map("{:.17g}".format, np.asarray(values, dtype=float).tolist()))
+# every value of every output file: a float to 17 significant digits, so an
+# integer below 2**53 prints bare, and nan, inf and -0 as such
+_FMT = "%.17g"
 
 
-def _write_csv(path: Path, header, rows, footer_comments=()):
-    # one row at a time, so that no second copy of a large table is held
-    lines = [",".join(header), *map(_csv_line, rows), *footer_comments]
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(path: Path, names, table, footer: str = "") -> Path:
+    """The float table as CSV under a header row of names, in one pass,
+    then the footer lines."""
+    np.savetxt(path, table, fmt=_FMT, delimiter=",", header=",".join(names),
+               footer=footer, comments="")
+    return path
 
 
 def _echo_config(cfg: RunConfigFile, out_dir: Path):
@@ -309,32 +310,30 @@ def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
     mesh = scheme.ops.mesh
     n = traj.n_steps
 
-    energy_rows = []
-    for i in range(n + 1):
-        kin, frac, pot, total = traj.energies[i]
-        resid = traj.residuals[i - 1] if i >= 1 else 0.0
-        iters = traj.iterations[i - 1] if i >= 1 else 0
-        energy_rows.append((i, i * traj.tau, kin, frac, pot, total, resid, iters))
-    epath = out_dir / "energy.csv"
-    _write_csv(epath, ["step", "t", "kinetic", "fractional", "potential",
-                       "total", "residual", "iterations"], energy_rows)
-    written["energy"] = epath
+    steps = np.arange(n + 1)
+    written["energy"] = _write_table(
+        out_dir / "energy.csv",
+        ["step", "t", "kinetic", "fractional", "potential", "total", "residual",
+         "iterations"],
+        np.column_stack((steps, steps * traj.tau, traj.energies,
+                         np.r_[0.0, traj.residuals], np.r_[0, traj.iterations])))
 
-    snap_steps = list(range(0, n + 1, cfg.snapshot_stride))
-    if snap_steps[-1] != n:
-        snap_steps.append(n)
-    snap_rows = [(i * traj.tau, *mesh.embed(traj.u(i))) for i in snap_steps]
-    spath = out_dir / "snapshots.csv"
-    _write_csv(spath, ["t", _csv_line(mesh.nodes)], snap_rows)
-    written["snapshots"] = spath
+    snap_steps = np.r_[0:n:cfg.snapshot_stride, n]
+    snapshots = np.empty((snap_steps.size, 1 + mesh.nodes.size))
+    snapshots[:, 0] = snap_steps * traj.tau
+    for row, i in zip(snapshots[:, 1:], snap_steps):
+        row[:] = mesh.embed(traj.u(i))
+    written["snapshots"] = _write_table(
+        out_dir / "snapshots.csv", ["t", *(_FMT % x for x in mesh.nodes)], snapshots)
 
     if (mesh.geometry == "radial" and scheme.potential.kind == "gl_scaled"
             and cfg.u0_kind == "tanh_front"):
         trace = track_interface(traj, cfg.u0_r0, stride=cfg.snapshot_stride)
-        ipath = out_dir / "interface.csv"
-        _write_csv(ipath, ["t", "measured_radius", "reference_radius", "rel_error"],
-                   zip(trace.times, trace.measured, trace.reference, trace.rel_errors))
-        written["interface"] = ipath
+        written["interface"] = _write_table(
+            out_dir / "interface.csv",
+            ["t", "measured_radius", "reference_radius", "rel_error"],
+            np.column_stack((trace.times, trace.measured, trace.reference,
+                             trace.rel_errors)))
     return written
 
 
@@ -350,17 +349,15 @@ def cmd_converge(cfg: RunConfigFile, n_list, out_dir) -> dict:
     base = build_problem(cfg)
     report = convergence_study(base, n_list)
     out_dir = Path(out_dir)
-    written = {"config": _echo_config(cfg, out_dir)}
     c_drift = fit_drift_constant(report.rows[-1],
                                  scale=1.0 + abs(base.T))
-    rows = [(r.n, r.tau, r.error, r.max_drift) for r in report.rows]
-    footer = [f"# {name}={_csv_line([value])}" for name, value in
-              (("error_slope", report.error_slope),
-               ("drift_slope", report.drift_slope), ("c_drift", c_drift))]
-    cpath = out_dir / "convergence.csv"
-    _write_csv(cpath, ["n", "tau", "error_T", "max_drift"], rows, footer)
-    written["convergence"] = cpath
-    return written
+    footer = "\n".join(f"# {name}={_FMT % value}" for name, value in
+                       (("error_slope", report.error_slope),
+                        ("drift_slope", report.drift_slope), ("c_drift", c_drift)))
+    return {"config": _echo_config(cfg, out_dir),
+            "convergence": _write_table(
+                out_dir / "convergence.csv", ["n", "tau", "error_T", "max_drift"],
+                [(r.n, r.tau, r.error, r.max_drift) for r in report.rows], footer)}
 
 
 def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
@@ -397,12 +394,10 @@ def cmd_sweep_eps(cfg: RunConfigFile, eps_list, out_dir) -> dict:
         radius = interface_radius(mesh, mesh.embed(traj.u(traj.n_steps)))
         rows.append((sub.gl_eps, scaled[0], mm, np.nan if radius is None else radius))
     out_dir = Path(out_dir)
-    written = {"config": _echo_config(cfg, out_dir)}
-    gpath = out_dir / "gl_sweep.csv"
-    _write_csv(gpath, ["eps", "scaled_energy_0", "modica_mortola", "final_radius"],
-               rows)
-    written["sweep"] = gpath
-    return written
+    return {"config": _echo_config(cfg, out_dir),
+            "sweep": _write_table(
+                out_dir / "gl_sweep.csv",
+                ["eps", "scaled_energy_0", "modica_mortola", "final_radius"], rows)}
 
 
 def _parse_list(text: str, cast):
@@ -434,9 +429,11 @@ def main(argv=None) -> int:
             p.add_argument("--eps-list", required=True,
                            help="comma-separated eps values")
     args = parser.parse_args(argv)
-    # the warnings the active filters let through, each distinct one once,
-    # after the command's own output
+    # every warning the command raises, each distinct one once, after the
+    # command's own output; "always" keeps a caller's filters, such as
+    # python -W error, from turning one into a traceback
     with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = _command(args)
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"warning: {message}", file=sys.stderr)

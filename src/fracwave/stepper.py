@@ -114,23 +114,25 @@ class SchemeConfig:
     solver: SolverParams = field(default_factory=SolverParams)
 
     def validate(self):
-        if not self.T > 0:
-            raise ConfigurationError("horizon T must be positive")
+        if not 0 < self.T < np.inf:
+            raise ConfigurationError("horizon T must be positive and finite")
         if self.n_steps < 2:
             raise ConfigurationError("need n_steps >= 2")
         nf = self.ops.n_free
-        for name, vec in (("u0", self.u0), ("v0", self.v0)):
+        vectors = {"u0": self.u0, "v0": self.v0}
+        if self.obstacle is not None:
+            vectors["obstacle"] = self.obstacle
+        for name, vec in vectors.items():
             if np.shape(vec) != (nf,):
                 raise ConfigurationError(f"{name} must have length {nf}")
+            if not np.all(np.isfinite(vec)):
+                raise ConfigurationError(f"{name} must be finite at every node")
         if self.init_mode not in ("standard", "smoothed"):
             raise ConfigurationError(f"unknown init_mode {self.init_mode!r}")
         if self.k_max is not None and self.k_max < 1:
             raise ConfigurationError("k_max must be >= 1")
-        if self.obstacle is not None:
-            if np.shape(self.obstacle) != (nf,):
-                raise ConfigurationError(f"obstacle must have length {nf}")
-            if np.any(self.u0 < self.obstacle):
-                raise ConfigurationError("u0 must satisfy u0 >= g at every node")
+        if self.obstacle is not None and np.any(self.u0 < self.obstacle):
+            raise ConfigurationError("u0 must satisfy u0 >= g at every node")
 
 
 class Trajectory:

@@ -99,6 +99,139 @@ def assert_tridiagonal_backward_error(A, x, b, rhs_error=0.0):
     assert np.all(resid <= bound), float(np.max(resid / bound))
 
 
+def gamma(k, u=U):
+    """gamma_k = k u / (1 - k u): a sum or dot product of k terms errs by at
+    most gamma_k times the sum of the terms' magnitudes (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.1)."""
+    return k * u / (1 - k * u)
+
+
+def norm_1(B):
+    """The 1-norm of a dense matrix, which for a symmetric one bounds its
+    2-norm."""
+    return np.abs(B).sum(axis=0).max()
+
+
+def eigen_residual_bound(ops):
+    """spectral_decompose's backward-error bound on |K phi_k - lam_k M phi_k|_2
+    for each pair, (n + 4) u (|K|_1 + max|lam| |M|_1) |phi_k|_2."""
+    return ((ops.n_free + 4) * U
+            * (norm_1(ops.K.toarray()) + np.abs(ops.lam).max() * norm_1(ops.M.toarray()))
+            * np.linalg.norm(ops.Phi, axis=0))
+
+
+def endpoint_power_bound(ops, s):
+    """(Y Lambda^s Y^T, Y = M Phi, and an entrywise bound on its distance from
+    A_s) at s in {0, 1}.  spectral_decompose's model has eigh solve the
+    reduced pencil C = L^-1 K L^-T backward stably, so Y Lambda Y^T =
+    L Z Lambda Z^T L^T = L (C + E) L^T with |L E L^T|_2 <= n u max|lam| |M|_2,
+    the |K|_1 term covering the reduction; at s = 0, Y Y^T = L Z Z^T L^T, off
+    M by the orthogonality of Z and the back-transform, which the same model
+    bounds by (n + 4) u (|M|_1 + |M|_1).  Forming Y (three terms a row) and
+    the power (n terms an entry) adds gamma_(n+3) |Y| Lambda^s |Y|^T."""
+    n = ops.n_free
+    power = np.maximum(ops.lam, 0.0) ** s
+    Y = ops.M @ ops.Phi
+    bound = ((n + 4) * U * (norm_1(ops.A_s.toarray()) + power.max() * norm_1(ops.M.toarray()))
+             + gamma(n + 3) * (np.abs(Y) * power) @ np.abs(Y).T)
+    return (Y * power) @ Y.T, bound
+
+
+# The sine backend's operators in exact arithmetic are S diag(.) S, with S
+# the orthonormal DST-I and the symbol (m, kappa, mu) it holds.  The bounds
+# below carry its results to the assembled pair (K, M): the pair's distance
+# from Toeplitz is measured, and the symbol's rounding is bounded.
+def toeplitz_gap(A):
+    """A bound on |A - S diag(sym) S|_2, with sym the symbol SineStiffness
+    forms from the tridiagonal form A by _toeplitz_symbol (m from M, kappa
+    from K): A's distance, by the 1-norm, from the Toeplitz T of its
+    diagonals' means (a, b), in extended precision, plus the rounding of
+    (a + 2b) - 4b sin^2(theta_k / 2) against T's eigenvalues.  To first
+    order, with one u more in each coefficient for the rest: the means
+    err by gamma_n (a sum in any order, then a quotient); sin(theta_k / 2)
+    by 5 u, its argument by 3 u (pi, a product, a quotient), which sin
+    passes on at most once on [0, pi/2], and sin itself by 2 u; its square
+    and the product with 4b by 12 u; each sum by u."""
+    ext = np.longdouble
+    d, e = (np.asarray(v, dtype=ext) for v in A.band)
+    n = d.size
+    a, b = d.mean(), (e.mean() if e.size else ext(0))
+    size = abs(a) + 2 * abs(b)
+    distance = (np.abs(d - a).max() + 2 * np.abs(e - b).max(initial=0)
+                + gamma(n, U_EXT) * size)
+    sin2 = np.sin(np.arccos(ext(-1)) * np.arange(1, n + 1) / (2 * (n + 1))) ** 2
+    rounding = (2 * U * abs(a + 2 * b) + gamma(n + 1) * size
+                + (13 * U + gamma(n + 1)) * 4 * abs(b) * sin2.max())
+    return float(distance + rounding)
+
+
+# mu = m (kappa / m)^s errs by at most 6 u relative to its formula in m and
+# kappa: the quotient by u, which the power passes on at most s <= 1 times,
+# the power by 2 u (one ulp) and the product by u, with one u for the rest
+MU_ROUNDING = 6 * U
+
+
+def sine_identity_error(ops):
+    """A bound on |A_s @ I - S diag(mu) S|_2 on the sine backend: the worst
+    case of SineStiffness's model, 30 log2(n + 1) u max(mu) per unit column,
+    over n columns by the Frobenius norm."""
+    n = ops.n_free
+    return np.sqrt(n) * 30 * np.log2(n + 1) * U * ops.A_s.mu.max()
+
+
+def half_power_composition(ops):
+    """(A M^-1 A with A = A_s @ I and M^-1 A by np.linalg.solve, and an
+    entrywise bound on its distance from K) on the sine backend at s = 1/2.
+
+    With the held symbol, S diag(mu) S M'^-1 S diag(mu) S = K' exactly, for
+    M' = S diag(m) S and K' = S diag(mu^2 / m) S.  So the result is off K by
+    |K' - K|_2 <= eps_K, toeplitz_gap(K) plus the rounding of mu^2 / m =
+    kappa (1 + MU_ROUNDING)^2, by max(mu)^2 eps_M / (m_min (m_min - eps_M))
+    for using M in place of M' (eps_M = toeplitz_gap(M), and lambda_min(M)
+    >= m_min - eps_M), and by (2 max(mu) + e) e / lambda_min(M)
+    for the products' error e (sine_identity_error).  The solve is LU with
+    partial pivoting: M is column diagonally dominant with nonnegative
+    entries, so no rows swap, the factors are nonnegative, and (M + dM) X =
+    A with |dM| <= gamma_3n |L||U| <= gamma_3n / (1 - gamma_n) M (Higham,
+    Thms 9.3, 9.4), which adds |dM|_2 |A|_2^2 / (lambda_min (lambda_min -
+    |dM|_2)).  The last product adds gamma_n |A||X|."""
+    n, sym, M = ops.n_free, ops.A_s, ops.M.toarray()
+    assert np.all(2 * np.diag(M) > np.abs(M).sum(axis=0))
+    eps_M = toeplitz_gap(ops.M)
+    eps_K = toeplitz_gap(ops.K) + ((1 + MU_ROUNDING)**2 - 1) * sym.kappa.max()
+    lam_min, mu_max = sym.m.min() - eps_M, sym.mu.max()
+    e = sine_identity_error(ops)
+    dM = gamma(3 * n) / (1 - gamma(n)) * (sym.m.max() + eps_M)
+    A = ops.A_s @ np.eye(n)
+    X = np.linalg.solve(M, A)
+    bound = (eps_K + mu_max**2 * eps_M / (sym.m.min() * lam_min)
+             + (2 * mu_max + e) * e / lam_min
+             + dM * (mu_max + e)**2 / (lam_min * (lam_min - dM))
+             + gamma(n) * np.abs(A) @ np.abs(X))
+    return A @ X, bound
+
+
+def sine_eigen_residual_bound(ops):
+    """The bound on |K phi_k - lam_k M phi_k|_2 for the sine backend's closed
+    form pairs.  phi_k = s_k / sqrt(m_k) is exact for (K', M') = (S diag(kappa)
+    S, S diag(m) S) with lam_k = kappa_k / m_k, which rounds by u.  Each entry
+    of the computed phi_k errs by at most 10 u: the argument pi q / (n + 1)
+    by 3 u (pi, product, quotient), which sin, at most x cot x <= 1 times as
+    sensitive on [0, pi/2], passes on, plus 2 u for sin itself, 3.5 u for
+    sqrt(2 / (n + 1)) / sqrt(m_k) and u for the product.  So the residual is
+    at most (eps_K + lam_k eps_M + u kappa_k) |phi_k| + 10 u (|K'|_2 +
+    lam_k |M'|_2) |phi_k| in exact arithmetic, with |phi_k| <= |phi^_k| /
+    (1 - 10 u), and forming it adds gamma_4 (|K|_1 + lam_k |M|_1) |phi^_k|
+    and u times itself, and its 2-norm, n squares and a root, gamma_(n+1):
+    together at most a factor 1 + gamma_(n+2)."""
+    sym, lam = ops.A_s, ops.lam
+    eps_M, eps_K = toeplitz_gap(ops.M), toeplitz_gap(ops.K)
+    scale = norm_1(ops.K.toarray()) + eps_K + lam * (norm_1(ops.M.toarray()) + eps_M)
+    return (((eps_K + lam * eps_M + U * sym.kappa) / (1 - 10 * U)
+             + (10 * U / (1 - 10 * U) + gamma(4)) * scale)
+            * np.linalg.norm(ops.Phi, axis=0) * (1 + gamma(ops.n_free + 2)))
+
+
 def eigenmode_config(ops, k=1, amp=1.0, T=1.0, n_steps=128, potential=None,
                      **kwargs):
     """Obstacle-free run started at rest on one eigenmode."""

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import typing
 import warnings
 from pathlib import Path
@@ -16,9 +17,11 @@ from hypothesis import strategies as st
 import fracwave
 from fracwave import ConfigurationError, cli
 from fracwave.cli import (PRESETS, RunConfigFile, _echo_config, _sweep_configs,
-                          _write_csv, build_problem, cmd_converge, cmd_run,
-                          cmd_sweep_eps, main, parse_config)
-from fracwave.diagnostics import oracle_recurrence
+                          _write_table, build_problem, cmd_converge, cmd_run,
+                          cmd_sweep_eps, fit_drift_constant, main, parse_config)
+from fracwave.diagnostics import (convergence_study, gl_energy_accounting,
+                                  interface_radius, oracle_recurrence,
+                                  track_interface)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -273,7 +276,8 @@ class TestCmdRun:
         # integers print bare, whether int or integral float; nan as "nan"
         rows = [(0, 0.0, -0.0, 900.0, np.int64(7), 2**52 + 1),
                 (1, 0.1, np.nan, -np.inf, 1e-300, 1.0 / 3.0)]
-        _write_csv(tmp_path / "a.csv", ["a", "b", "c", "d", "e", "f"], rows)
+        _write_table(tmp_path / "a.csv", ["a", "b", "c", "d", "e", "f"],
+                     np.array(rows, dtype=float))
         assert (tmp_path / "a.csv").read_bytes() == \
             per_value_text(["a", "b", "c", "d", "e", "f"], rows).encode()
 
@@ -298,6 +302,40 @@ class TestCmdRun:
         snap_rows = [(i * traj.tau, *mesh.embed(traj.u(i))) for i in range(0, 41, 10)]
         assert written["snapshots"].read_bytes() == per_value_text(
             ["t"] + [per_value(x) for x in mesh.nodes], snap_rows).encode()
+
+    def test_interface_csv_keeps_the_per_value_text(self, tmp_path):
+        path = write_config(tmp_path, {
+            "preset": "gl_interface", "gl_eps": 0.1, "n_cells": 20,
+            "n_steps": 40, "T": 0.04, "snapshot_stride": 10})
+        cfg = parse_config(path)
+        written = cmd_run(cfg, tmp_path / "out")
+        traj = fracwave.run(build_problem(cfg))
+        trace = track_interface(traj, cfg.u0_r0, stride=10)
+        assert written["interface"].read_bytes() == per_value_text(
+            ["t", "measured_radius", "reference_radius", "rel_error"],
+            zip(trace.times, trace.measured, trace.reference,
+                trace.rel_errors)).encode()
+
+    def test_snapshot_output_holds_one_table(self, tmp_path, monkeypatch):
+        # 41 snapshot rows of 2,001 nodes: writing holds the float table and
+        # one formatted row at a time; a Python float and a string held per
+        # value would trace about 12 times the table's bytes
+        path = write_config(tmp_path, {"n_cells": 2000, "n_steps": 40, "T": 0.02,
+                                       "u0_kind": "sine", "snapshot_stride": 1})
+        cfg = parse_config(path)
+        scheme = build_problem(cfg)
+        traj = fracwave.run(scheme)
+        monkeypatch.setattr(cli, "build_problem", lambda cfg: scheme)
+        monkeypatch.setattr(cli, "run", lambda scheme: traj)
+        tracemalloc.start()
+        try:
+            written = cmd_run(cfg, tmp_path / "out")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = 41 * (1 + 2001) * 8
+        assert len(written["snapshots"].read_text().splitlines()) == 1 + 41
+        assert peak <= 2.5 * table_bytes
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_config(tmp_path, {"preset": "obstacle_wave", "n_steps": 16,
@@ -358,6 +396,24 @@ class TestCmdConverge:
             assert r[2] == "nan"
             assert float(r[3]) <= c * float(r[1])
 
+    @pytest.mark.parametrize("preset", ["eigenmode", "obstacle_wave"])
+    def test_convergence_csv_keeps_the_per_value_text(self, tmp_path, preset):
+        # obstacle runs have no reference: nan errors and a nan error_slope
+        path = write_config(tmp_path, {"preset": preset, "n_cells": 16,
+                                       "T": 0.25})
+        cfg = parse_config(path)
+        written = cmd_converge(cfg, [8, 16, 32], tmp_path / "out")
+        base = build_problem(cfg)
+        report = convergence_study(base, [8, 16, 32])
+        rows = [(r.n, r.tau, r.error, r.max_drift) for r in report.rows]
+        footer = [("error_slope", report.error_slope),
+                  ("drift_slope", report.drift_slope),
+                  ("c_drift", fit_drift_constant(report.rows[-1],
+                                                 scale=1.0 + abs(base.T)))]
+        assert written["convergence"].read_bytes() == (
+            per_value_text(["n", "tau", "error_T", "max_drift"], rows)
+            + "".join(f"# {name}={per_value(v)}\n" for name, v in footer)).encode()
+
     def test_unconstrained_drift_rows_bounded(self, tmp_path):
         path = write_config(tmp_path, {"preset": "eigenmode", "n_cells": 32,
                                        "T": 0.5})
@@ -388,6 +444,23 @@ class TestCmdSweep:
         _, rows = read_csv(written["sweep"])
         scaled = [float(r[1]) for r in rows]
         assert max(scaled) / min(scaled) <= 4.0
+
+    def test_sweep_csv_keeps_the_per_value_text(self, tmp_path):
+        path = write_config(tmp_path, {
+            "preset": "gl_interface", "T": 0.02, "n_steps": 10})
+        cfg = parse_config(path)
+        written = cmd_sweep_eps(cfg, [0.1, 0.05], tmp_path / "out")
+        rows = []
+        for sub in _sweep_configs(cfg, [0.1, 0.05]):
+            traj = fracwave.run(build_problem(sub))
+            mesh = traj.config.ops.mesh
+            scaled, mm = gl_energy_accounting(traj, sub.gl_eps, traj.config.ops)
+            radius = interface_radius(mesh, mesh.embed(traj.u(traj.n_steps)))
+            rows.append((sub.gl_eps, scaled[0], mm,
+                         np.nan if radius is None else radius))
+        assert written["sweep"].read_bytes() == per_value_text(
+            ["eps", "scaled_energy_0", "modica_mortola", "final_radius"],
+            rows).encode()
 
     def test_requires_scaled_double_well(self, tmp_path):
         path = write_config(tmp_path, {"preset": "eigenmode"})
@@ -434,9 +507,6 @@ class TestMainExitCodes:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
         assert "step 1" in capsys.readouterr().err
 
-    # main reports the warnings the active filters let through, and this
-    # config under-resolves the interface, which the default filters report
-    @pytest.mark.filterwarnings("always:.*under-resolved:UserWarning")
     def test_non_convex_step_is_3(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "preset": "eigenmode", "n_cells": 8, "T": 1.0, "n_steps": 2,
@@ -540,11 +610,34 @@ class TestMainExitCodes:
             warnings.simplefilter("error")
             build_problem(sub)
 
-    # as a user's default filters do, let main record the warning
-    @pytest.mark.filterwarnings("always:.*under-resolved:UserWarning")
+    # main records every warning, whatever the filters (pytest's turn
+    # warnings into errors)
     def test_under_resolved_warning(self, tmp_path, capsys):
         path = write_config(tmp_path, {
             "preset": "gl_interface", "n_cells": 5, "n_steps": 4, "T": 0.01})
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         err = capsys.readouterr().err
         assert "under-resolved" in err and "h <= eps/2" in err
+
+    @pytest.mark.parametrize("config, code", [
+        ({"preset": "gl_interface", "n_cells": 20, "n_steps": 4, "T": 0.002}, 0),
+        ({"preset": "eigenmode", "n_cells": 8, "T": 1.0, "n_steps": 2,
+          "potential": "double_well", "gl_eps": 0.05, "u0_kind": "sine",
+          "u0_amp": 0.01}, 3),
+    ])
+    def test_exit_codes_hold_under_w_error(self, tmp_path, config, code):
+        # both configs under-resolve the interface; python -W error turns
+        # that warning into an exception unless main records it
+        path = write_config(tmp_path, config)
+        src = str(Path(fracwave.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fracwave.cli",
+                               "run", "--config", str(path), "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == code
+        assert "warning: eps=0.05 < 2h=" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert (out / "effective_config.json").is_file()
+        assert (out / "energy.csv").is_file() == (code == 0)

@@ -386,6 +386,20 @@ class TestRun:
             SchemeConfig(T=1.0, n_steps=8, ops=ops64, potential=zero_potential(),
                          u0=z, v0=z, k_max=0).validate()
 
+    @pytest.mark.parametrize("field, named", [("T", "horizon T"), ("u0", "u0"),
+                                              ("v0", "v0"), ("obstacle", "obstacle")])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_input_rejected(self, ops64, field, named, bad):
+        # a configuration error before the first step, not a blowup in it
+        z = np.zeros(ops64.n_free)
+        kwargs = dict(T=1.0, u0=z, v0=z, obstacle=z - 1.0)
+        if field == "T":
+            kwargs["T"] = bad
+        else:
+            kwargs[field] = np.where(np.arange(ops64.n_free) == 5, bad, kwargs[field])
+        with pytest.raises(ConfigurationError, match=f"{named} must be .*finite"):
+            run(SchemeConfig(n_steps=8, ops=ops64, potential=zero_potential(), **kwargs))
+
     def test_solver_failure_reports_step(self, ops64):
         cfg = eigenmode_config(ops64, k=1, n_steps=8, potential=double_well(),
                                solver=SolverParams(max_iter=1))
