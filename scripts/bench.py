@@ -7,9 +7,13 @@ DIR is a checkout of the commit to compare against (`git clone . DIR` and
 `git -C DIR checkout REV`).  For each workload and seed, perfbench/run.py
 --trace 0 runs once in each checkout, alternating which runs first, so that
 a drift in machine speed does not favour one side.  Each metric records
-both sides' medians and quartiles and the number of seed pairs in which the
-change reads lower: a gain needs at least 9 of 10 pairs, and a median
-difference larger than the parent's interquartile range.  Next to the
+both sides' medians and quartiles, the number of seed pairs in which the
+change reads lower, and two verdicts against BENCHMARK.json's metric
+table (every metric there reads better lower): gain_resolved, when the
+change reads lower in at least 9 of 10 pairs and its median lies below
+the parent's by more than the parent's interquartile range, and
+worse_beyond_bound, when its median lies above the parent's by more than
+the metric's relative bound.  Next to the
 metrics, each workload keeps both sides' inner (Newton) iteration counts
 per seed, from the info line of perfbench/run.py, so that a change in time
 splits into iterations and cost per iteration.
@@ -44,6 +48,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gl_interface", "obstacle_wave", "frac_line")
 METRICS = ("wall_s", "setup_s", "solve_s", "peak_rss_mb", "ref_err")
+# the relative worsening BENCHMARK.json allows each end-to-end metric; all
+# of them read better lower, and one that does not has no entry here
+BOUNDS = {m["name"]: m["bound"]
+          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+          if m["better"] == "lower"}
 LADDERS = {
     "gl_interface": ({"preset": "gl_interface", "n_steps": 20, "T": 0.001},
                      (400, 1600, 6400, 25600, 102400)),
@@ -132,13 +141,18 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return {"inner_iters": iters, **{m: result["metrics"][m]["value"] for m in METRICS}}
 
 
-def summary(parent: list, change: list) -> dict:
-    """Per-seed values, median and quartiles of each side, and in how many
-    seed pairs the change reads lower than the parent."""
+def summary(metric: str, parent: list, change: list) -> dict:
+    """Per-seed values, median and quartiles of each side, in how many seed
+    pairs the change reads lower than the parent, and the two verdicts on
+    the metric (see the module docstring)."""
     out = {side: {"per_seed": v, "median": statistics.median(v),
                   "quartiles": statistics.quantiles(v, n=4)}
            for side, v in (("parent", parent), ("change", change))}
-    out["change_lower_pairs"] = sum(c < p for p, c in zip(parent, change))
+    out["change_lower_pairs"] = lower = sum(c < p for p, c in zip(parent, change))
+    q1, _, q3 = out["parent"]["quartiles"]
+    gain = out["parent"]["median"] - out["change"]["median"]
+    out["gain_resolved"] = 10 * lower >= 9 * len(parent) and gain > q3 - q1
+    out["worse_beyond_bound"] = -gain > BOUNDS[metric] * out["parent"]["median"]
     return out
 
 
@@ -171,7 +185,7 @@ def main(argv=None):
             for side in sorted(sides, reverse=bool(i % 2)):
                 runs[side].append(perfbench(sides[side], workload, seed, args.seconds))
                 print(workload, seed, side, runs[side][-1], file=sys.stderr)
-        bench[workload] = {metric: summary([r[metric] for r in runs["parent"]],
+        bench[workload] = {metric: summary(metric, [r[metric] for r in runs["parent"]],
                                            [r[metric] for r in runs["change"]])
                            for metric in METRICS}
         bench[workload]["inner_iters"] = {side: [r["inner_iters"] for r in runs[side]]

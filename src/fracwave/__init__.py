@@ -15,7 +15,7 @@ from .potentials import (DoubleWellPotential, Potential, QuadraticPotential,
                          gl_scaled, quadratic, zero_potential)
 from .stepper import (SchemeConfig, SolverParams, StepResult, Trajectory,
                       el_residual, energy, eval_interpolants, minimize_step,
-                      run, step_functional, vi_residuals)
+                      run, step_functional, step_gradient, vi_residuals)
 from .diagnostics import (ConvergenceReport, InterfaceTrace, MolReference,
                           RefinementRow, check_gronwall_sequence,
                           convergence_study, cosine_reference,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .diagnostics import (RefinementRow, convergence_study,
                           gl_energy_accounting, interface_radius,
-                          require_interface_accounting, track_interface)
+                          sharp_interface_fault, track_interface)
 from .errors import BlowupError, ConfigurationError, NumericError, SolverFailure
 from .operators import Mesh1D, build_mesh, build_operators
 from .potentials import (Potential, double_well, gl_scaled, quadratic,
@@ -301,8 +301,10 @@ def _echo_config(cfg: RunConfigFile, out_dir: Path):
 
 
 def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
-    """Single trajectory; writes energy.csv, snapshots.csv, and, for radial
-    interface scenarios, interface.csv.  Returns the written paths."""
+    """Single trajectory; writes energy.csv, snapshots.csv, and, for a
+    tanh front whose cosine law holds, interface.csv: a circle (radial,
+    dim 2) in a model with a sharp-interface limit (sharp_interface_fault).
+    Returns the written paths."""
     scheme = build_problem(cfg)
     out_dir = Path(out_dir)
     written = {"config": _echo_config(cfg, out_dir)}
@@ -326,8 +328,8 @@ def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
     written["snapshots"] = _write_table(
         out_dir / "snapshots.csv", ["t", *(_FMT % x for x in mesh.nodes)], snapshots)
 
-    if (mesh.geometry == "radial" and scheme.potential.kind == "gl_scaled"
-            and cfg.u0_kind == "tanh_front"):
+    if (mesh.geometry == "radial" and mesh.dim == 2 and cfg.u0_kind == "tanh_front"
+            and sharp_interface_fault(scheme.potential, scheme.ops.s) is None):
         trace = track_interface(traj, cfg.u0_r0, stride=cfg.snapshot_stride)
         written["interface"] = _write_table(
             out_dir / "interface.csv",
@@ -363,19 +365,18 @@ def cmd_converge(cfg: RunConfigFile, n_list, out_dir) -> dict:
 def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
     """cfg at each eps of the sweep, with the mesh re-derived so h = eps/2
     and the front width following eps, each checked as parse_config checks
-    a config and against the interface accounting's preconditions."""
-    if cfg.gl_eps is None or cfg.potential != "double_well":
-        raise ConfigurationError("sweep-eps needs an eps-scaled double-well config")
+    a config.  The sharp-interface limit must hold (sharp_interface_fault);
+    every eps then meets the interface accounting's preconditions."""
+    fault = sharp_interface_fault(_potential(cfg), cfg.s)
+    if fault is not None:
+        raise ConfigurationError(f"sweep-eps {fault}")
     subs = []
     for eps in eps_list:
         sub = dataclasses.replace(cfg, gl_eps=float(eps), u0_width=None)
-        entry = f"--eps-list entry {eps:g}"
-        # the potential rejects eps <= 0 before eps sizes the mesh
-        with _source(entry):
-            pot = _potential(sub)
-        require_interface_accounting(pot, sub.s, sub.gl_eps)
-        sub.n_cells = int(np.ceil(2.0 * (cfg.x_max - cfg.x_min) / eps))
-        with _source(entry):
+        with _source(f"--eps-list entry {eps:g}"):
+            # the potential rejects eps <= 0 before eps sizes the mesh
+            _potential(sub)
+            sub.n_cells = int(np.ceil(2.0 * (cfg.x_max - cfg.x_min) / eps))
             _mesh(sub)
         subs.append(sub)
     return subs

@@ -11,9 +11,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .operators import Mesh1D, OperatorSet
-from .potentials import Potential
-from .stepper import (SchemeConfig, Trajectory, _grad_and_value, effective_v0,
-                      run)
+from .potentials import DoubleWellPotential, Potential
+from .stepper import SchemeConfig, Trajectory, effective_v0, run, step_gradient
 
 _GRONWALL_SLACK = 1e-12
 
@@ -277,6 +276,20 @@ def require_interface_accounting(potential: Potential, s: float, eps: float):
                                  f"({potential.eps})")
 
 
+def sharp_interface_fault(potential: Potential, s: float) -> str | None:
+    """Why the sharp-interface limit of the eps-scaled model does not hold
+    for this potential and order s, or None when it does.  The limit is what
+    the CLI measures fronts against: the collapse R0 cos(t / R0) of a
+    circular front (track_interface) and the interface energy of the eps
+    sweep.  It needs s = 1 and the eps-scaled double well, whose two wells
+    the front joins."""
+    if potential.kind != "gl_scaled" or potential.inner.kind != DoubleWellPotential.kind:
+        return "needs an eps-scaled double-well config"
+    if s != 1.0:
+        return "assumes s = 1"
+    return None
+
+
 def gl_energy_accounting(traj: Trajectory, eps: float, ops: OperatorSet):
     """(series of eps * E_i, space-time interface-energy sum).
 
@@ -326,8 +339,7 @@ def no_contact_check(traj: Trajectory, g: np.ndarray, delta: float):
         return mask, 0.0
     worst = 0.0
     for i in range(1, traj.n_steps + 1):
-        r = _grad_and_value(ops, traj.config.potential, traj.u(i), traj.u(i - 1),
-                            traj.u(i - 2), traj.tau)[1]
+        r = step_gradient(ops, traj.config.potential, traj, i)
         val = float(np.sqrt(np.sum(r[mask] ** 2 / ops.lumps[mask])))
         worst = max(worst, val)
     return mask, worst

@@ -480,6 +480,12 @@ class OperatorSet:
             raise ValueError(f"illegal value in argument {-info} of LAPACK dpttrs")
         return x
 
+    def dual_norm(self, r: np.ndarray) -> float:
+        """|r|_{M^-1} = sqrt(r . M^-1 r), the norm of a residual (a
+        functional on the free nodes) dual to the M-norm; round-off that
+        takes r . M^-1 r below 0 reads 0."""
+        return float(np.sqrt(max(r @ self.solve_mass(r), 0.0)))
+
 
 def _is_toeplitz(mesh: Mesh1D, *forms) -> bool:
     """Whether each diagonal of each form is constant to within the

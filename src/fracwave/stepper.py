@@ -12,7 +12,11 @@ nodal max with g the exact projection in the lumped metric.
 
 Minimization uses one semismooth-Newton method, the primal-dual active-set
 iteration, for both admissible sets (Hintermueller, Ito & Kunisch, SIAM J.
-Optim. 13 (2002) 865-888).  Each iteration takes the Hessian
+Optim. 13 (2002) 865-888), in one loop (minimize_step): evaluate J and
+grad J at the iterate, check that both are finite, measure stationarity
+(the M^-1 norm of the projected gradient, ops.dual_norm, and under an
+obstacle the dual-sign term), stop below the step's tolerance, and
+otherwise take a Newton step.  Each iteration takes the Hessian
 
     H = M / tau^2 + A_s + diag(m_j W''(u_j))
 
@@ -45,7 +49,11 @@ SolverFailure.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
-smoothed initialization is selected.
+smoothed initialization is selected.  run writes each step's energy row
+as the step finishes, from v_i and the functional's last evaluation.  The
+checks of a finished trajectory (el_residual, vi_residuals,
+diagnostics.no_contact_check) take the step's gradient grad J_i(u_i) from
+step_gradient.
 """
 
 from __future__ import annotations
@@ -139,28 +147,21 @@ class Trajectory:
     """States u_i (i = -1..n), derived velocities, and per-step records.
 
     energies[i] is (kinetic, fractional, potential, total) at step i, equal
-    bit for bit to energy(self, i).  Row 0 is computed here; rows 1..n take
-    the fractional and potential terms from step_energies, which the last
-    evaluation of each step's functional formed, and add the kinetic term.
+    bit for bit to energy(self, i).  run fills rows 1..n as each step
+    finishes; row 0 is computed here.
     """
 
     def __init__(self, config: SchemeConfig, tau: float, states: np.ndarray,
                  iterations: np.ndarray, residuals: np.ndarray, tols: np.ndarray,
-                 step_energies: np.ndarray):
+                 energies: np.ndarray):
         self.config = config
         self.tau = float(tau)
         self.states = states              # (n + 2, n_free), row i+1 <-> u_i
         self.iterations = iterations      # (n,), solve stats for steps 1..n
         self.residuals = residuals
         self.tols = tols
-        n = config.n_steps
-        self.energies = np.empty((n + 1, 4))
+        self.energies = energies          # (n + 1, 4)
         self.energies[0] = energy(self, 0)
-        for i in range(1, n + 1):
-            # one row at a time: a vectorized table holds n x n_free temporaries
-            kin = _kinetic_energy(config.ops, self.v(i))
-            frac, pot = step_energies[i - 1]
-            self.energies[i] = kin, frac, pot, kin + frac + pot
 
     @property
     def n_steps(self) -> int:
@@ -175,9 +176,6 @@ class Trajectory:
         if not 0 <= i <= self.n_steps:
             raise ConfigurationError(f"velocity index {i} out of range")
         return (self.states[i + 1] - self.states[i]) / self.tau
-
-    def times(self) -> np.ndarray:
-        return self.tau * np.arange(self.n_steps + 1)
 
 
 @dataclass(frozen=True)
@@ -199,13 +197,18 @@ def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
                            np.asarray(u2, dtype=float), tau)[0]
 
 
-def _kinetic_energy(ops, v) -> float:
-    return 0.5 * float(v @ (ops.M @ v))
+def _state_energies(ops, potential, u, au):
+    """(fractional, potential) energy of the state u, with au = A_s u:
+    0.5 u.A_s u + u.lift_load + lift_const, and lumps . W(u)."""
+    return (0.5 * float(u @ au) + float(u @ ops.lift_load) + ops.lift_const,
+            float(ops.lumps @ potential.value(u)))
 
 
-def _fractional_energy(ops, u, au) -> float:
-    """0.5 u.A_s u + u.lift_load + lift_const, with au = A_s u."""
-    return 0.5 * float(u @ au) + float(u @ ops.lift_load) + ops.lift_const
+def _energy_row(ops, v, frac, pot):
+    """(kinetic, fractional, potential, total) at velocity v, given the
+    state's fractional and potential energies."""
+    kin = 0.5 * float(v @ (ops.M @ v))
+    return kin, frac, pot, kin + frac + pot
 
 
 def _grad_and_value(ops, potential, u, u1, u2, tau):
@@ -214,8 +217,7 @@ def _grad_and_value(ops, potential, u, u1, u2, tau):
     d = u - 2.0 * u1 + u2
     md = ops.M @ d
     au = ops.A_s @ u
-    frac = _fractional_energy(ops, u, au)
-    pot = float(ops.lumps @ potential.value(u))
+    frac, pot = _state_energies(ops, potential, u, au)
     j = float(d @ md) / (2.0 * tau**2) + frac + pot
     grad = md / tau**2 + au + ops.lift_load + ops.lumps * potential.gradient(u)
     return j, grad, frac, pot
@@ -231,12 +233,10 @@ def _stationarity(ops, u, grad, obstacle) -> float:
     vanishes on the active set, grad . slack = pg . slack <= |pg|_{M^-1}
     |slack|_M, and the product stays below the projected norm."""
     if obstacle is None:
-        return float(np.sqrt(max(grad @ ops.solve_mass(grad), 0.0)))
-    active = u <= obstacle
-    pg = np.where(active, np.minimum(grad, 0.0), grad)
-    pg_norm = float(np.sqrt(max(pg @ ops.solve_mass(pg), 0.0)))
+        return ops.dual_norm(grad)
+    pg = np.where(u <= obstacle, np.minimum(grad, 0.0), grad)
     dual_violation = max(0.0, -float(np.min(grad / ops.lumps)))
-    return max(pg_norm, dual_violation)
+    return max(ops.dual_norm(pg), dual_violation)
 
 
 def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
@@ -266,7 +266,7 @@ def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
     t = (ops.M @ (2.0 * np.abs(u1) + np.abs(u2)) / tau**2
          + t_a + np.abs(ops.lift_load)
          + ops.lumps * np.abs(potential.gradient(w)))
-    return _AUTO_TOL_ROUNDOFF * (float(np.sqrt(max(t @ ops.solve_mass(t), 0.0))) + a)
+    return _AUTO_TOL_ROUNDOFF * (ops.dual_norm(t) + a)
 
 
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
@@ -292,30 +292,26 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
     if obstacle is not None and np.any(u < obstacle):
         raise ConfigurationError("warm start is infeasible for the obstacle")
+    floor = _roundoff_floor(ops, potential, u1, u2, tau)
+    tol = _AUTO_TOL_FLOOR + floor if solver.tol is None else solver.tol
 
-    j, grad, frac, pot = _grad_and_value(ops, potential, u, u1, u2, tau)
-    if not (np.isfinite(j) and np.all(np.isfinite(grad))):
-        raise BlowupError("non-finite functional or gradient at warm start")
-    res = _stationarity(ops, u, grad, obstacle)
-    tol = solver.tol
-    if tol is None:
-        tol = _AUTO_TOL_FLOOR + _roundoff_floor(ops, potential, u1, u2, tau)
-
-    best, best_res = u, res
-    iters = 0
-    j_path = [j]
-    while res > tol:
-        if iters >= solver.max_iter:
-            message = (f"no convergence in {solver.max_iter} iterations "
-                       f"(residual {best_res:.3e} > tol {tol:.3e})")
-            if solver.tol is not None:
-                floor = _roundoff_floor(ops, potential, u1, u2, tau)
-                message += f"; this step's round-off floor is {floor:.3e}"
-                if tol < floor:
-                    message += (", above the explicit tol: the residual cannot "
-                                "be resolved below it; raise tol or leave it unset")
-            raise SolverFailure(message, best=best, residual=best_res,
-                                iterations=iters)
+    best, best_res = u, np.inf
+    j_path = []
+    for iters in range(solver.max_iter + 1):
+        j, grad, frac, pot = _grad_and_value(ops, potential, u, u1, u2, tau)
+        if not (np.isfinite(j) and np.all(np.isfinite(grad))):
+            where = "during Newton iteration" if iters else "at warm start"
+            raise BlowupError(f"non-finite functional or gradient {where}")
+        res = _stationarity(ops, u, grad, obstacle)
+        j_path.append(j)
+        if res < best_res:
+            best, best_res = u, res
+        if res <= tol:
+            return StepResult(u=u, iterations=iters, residual=res, tol=tol,
+                              j_path=tuple(j_path), frac_energy=frac,
+                              pot_energy=pot)
+        if iters == solver.max_iter:
+            break
         step = _newton_step(ops, ops.lumps * potential.curvature(u), grad, u,
                             obstacle, tau, _CG_TOL_FRACTION * tol)
         if step is None:
@@ -326,16 +322,15 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
         u = u + step
         if obstacle is not None:
             u = np.maximum(u, obstacle)
-        j, grad, frac, pot = _grad_and_value(ops, potential, u, u1, u2, tau)
-        if not (np.isfinite(j) and np.all(np.isfinite(grad))):
-            raise BlowupError("non-finite functional or gradient during Newton iteration")
-        iters += 1
-        res = _stationarity(ops, u, grad, obstacle)
-        j_path.append(j)
-        if res < best_res:
-            best, best_res = u, res
-    return StepResult(u=u, iterations=iters, residual=res, tol=tol,
-                      j_path=tuple(j_path), frac_energy=frac, pot_energy=pot)
+    message = (f"no convergence in {solver.max_iter} iterations "
+               f"(residual {best_res:.3e} > tol {tol:.3e})")
+    if solver.tol is not None:
+        message += f"; this step's round-off floor is {floor:.3e}"
+        if tol < floor:
+            message += (", above the explicit tol: the residual cannot "
+                        "be resolved below it; raise tol or leave it unset")
+    raise SolverFailure(message, best=best, residual=best_res,
+                        iterations=solver.max_iter)
 
 
 def _newton_step(ops, curv, grad, u, obstacle, tau, stop):
@@ -454,7 +449,7 @@ def run(config: SchemeConfig) -> Trajectory:
     iterations = np.zeros(n, dtype=int)
     residuals = np.zeros(n)
     tols = np.zeros(n)
-    step_energies = np.zeros((n, 2))
+    energies = np.empty((n + 1, 4))
 
     for i in range(1, n + 1):
         if i >= 3:
@@ -480,9 +475,9 @@ def run(config: SchemeConfig) -> Trajectory:
         iterations[i - 1] = result.iterations
         residuals[i - 1] = result.residual
         tols[i - 1] = result.tol
-        step_energies[i - 1] = result.frac_energy, result.pot_energy
-    return Trajectory(config, tau, states, iterations, residuals, tols,
-                      step_energies)
+        energies[i] = _energy_row(ops, (states[i + 1] - states[i]) / tau,
+                                  result.frac_energy, result.pot_energy)
+    return Trajectory(config, tau, states, iterations, residuals, tols, energies)
 
 
 def energy(traj: Trajectory, i: int):
@@ -490,10 +485,8 @@ def energy(traj: Trajectory, i: int):
     recomputed from the states."""
     ops = traj.config.ops
     u = traj.u(i)
-    kin = _kinetic_energy(ops, traj.v(i))
-    frac = _fractional_energy(ops, u, ops.A_s @ u)
-    pot = float(ops.lumps @ traj.config.potential.value(u))
-    return kin, frac, pot, kin + frac + pot
+    return _energy_row(ops, traj.v(i),
+                       *_state_energies(ops, traj.config.potential, u, ops.A_s @ u))
 
 
 def eval_interpolants(traj: Trajectory, t: float):
@@ -517,17 +510,24 @@ def eval_interpolants(traj: Trajectory, t: float):
     return u_bar, u_lin, traj.v(i)
 
 
+def step_gradient(ops: OperatorSet, potential: Potential, traj: Trajectory,
+                  i: int) -> np.ndarray:
+    """grad J_i(u_i): the gradient of step i's functional, with inertia
+    history (u_{i-1}, u_{i-2}), at the state u_i the step returned; the
+    discrete Euler-Lagrange residual of step i (1 <= i <= n)."""
+    if not 1 <= i <= traj.n_steps:
+        raise ConfigurationError(f"step index {i} out of range")
+    return _grad_and_value(ops, potential, traj.u(i), traj.u(i - 1), traj.u(i - 2),
+                           traj.tau)[1]
+
+
 def el_residual(ops: OperatorSet, potential: Potential, traj: Trajectory,
                 i: int) -> float:
     """Mass-weighted norm of the discrete Euler-Lagrange residual at step i.
 
     At most the solver tolerance after a converged obstacle-free step.
     """
-    if not 1 <= i <= traj.n_steps:
-        raise ConfigurationError(f"step index {i} out of range")
-    r = _grad_and_value(ops, potential, traj.u(i), traj.u(i - 1), traj.u(i - 2),
-                        traj.tau)[1]
-    return float(np.sqrt(max(r @ ops.solve_mass(r), 0.0)))
+    return ops.dual_norm(step_gradient(ops, potential, traj, i))
 
 
 def vi_residuals(ops: OperatorSet, potential: Potential, traj: Trajectory,
@@ -538,10 +538,7 @@ def vi_residuals(ops: OperatorSet, potential: Potential, traj: Trajectory,
     (lumped-mass scaling, must be >= -tol) and |r . (u_i - g)| (must be
     <= tol * (1 + |u_i - g|_M)).  Thresholds are enforced by tests.
     """
-    if not 1 <= i <= traj.n_steps:
-        raise ConfigurationError(f"step index {i} out of range")
-    r = _grad_and_value(ops, potential, traj.u(i), traj.u(i - 1), traj.u(i - 2),
-                        traj.tau)[1]
+    r = step_gradient(ops, potential, traj, i)
     min_dual = float(np.min(r / ops.lumps))
     complementarity = abs(float(r @ (traj.u(i) - g)))
     return min_dual, complementarity

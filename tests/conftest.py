@@ -112,12 +112,14 @@ def norm_1(B):
     return np.abs(B).sum(axis=0).max()
 
 
-def eigen_residual_bound(ops):
+def eigen_residual_bound(ops, spectrum=None):
     """spectral_decompose's backward-error bound on |K phi_k - lam_k M phi_k|_2
-    for each pair, (n + 4) u (|K|_1 + max|lam| |M|_1) |phi_k|_2."""
+    for each pair of spectrum (default ops's), (n + 4) u (|K|_1 + max|lam|
+    |M|_1) |phi_k|_2."""
+    lam, phi = (ops.lam, ops.Phi) if spectrum is None else spectrum
     return ((ops.n_free + 4) * U
-            * (norm_1(ops.K.toarray()) + np.abs(ops.lam).max() * norm_1(ops.M.toarray()))
-            * np.linalg.norm(ops.Phi, axis=0))
+            * (norm_1(ops.K.toarray()) + np.abs(lam).max() * norm_1(ops.M.toarray()))
+            * np.linalg.norm(phi, axis=0))
 
 
 def endpoint_power_bound(ops, s):
@@ -209,6 +211,65 @@ def half_power_composition(ops):
              + dM * (mu_max + e)**2 / (lam_min * (lam_min - dM))
              + gamma(n) * np.abs(A) @ np.abs(X))
     return A @ X, bound
+
+
+def sine_against_dense_power(ops):
+    """(D, bound): the dense spectral power D of ops's pair at ops.s
+    (spectral_oracle), and a bound on every entry of A_s @ I - D on the sine
+    backend, derived from the two backends' models.
+
+    With (m, kappa) the held symbol, M' = S diag(m) S and K' = S diag(kappa)
+    S lie within eps_M, eps_K of M and K (toeplitz_gap); their pairs are
+    lam'_k = kappa_k / m_k, phi'_k = s_k / sqrt(m_k), and the sine backend
+    forms A' = S diag(m lam'^s) S.  Its products err by at most
+    30 log2(n + 1) u max(mu) a column (SineStiffness's worst case) and its
+    symbol by MU_ROUNDING.  The dense power sums lam^_k^s (M phi^_k)
+    (M phi^_k)^T over eigh's pairs, whose residuals spectral_decompose
+    holds below rho_k (eigen_residual_bound).  Against (K', M') the
+    residual is at most rho'_k = rho_k + (eps_K + lam^_k eps_M) |phi^_k|;
+    for z = M'^(1/2) phi^_k = c s_k + z_perp this gives |c| |lam^_k -
+    lam'_k| <= eta and |z_perp| <= eta / delta_k (the sin theta bound), with
+    eta = rho'_k / sqrt(min m) and delta_k = min over j != k of |lam'_j -
+    lam^_k|, the uniform line's eigenvalue gap.  Then M phi^_k = c sqrt(m_k)
+    s_k + e with |e| <= sqrt(max m) eta / delta_k + eps_M |phi^_k|, and c^2
+    = |z|^2 - |z_perp|^2 with |z|^2 within eps_M |phi^_k|^2 of phi^_k^T M
+    phi^_k (formed in extended precision), so each mode's term is off
+    lam'_k^s m_k s_k s_k^T by at most |lam^^s c^2 - lam'^s| m_k +
+    lam^^s (2 |c| sqrt(m_k) |e| + |e|^2), with |lam^^s - lam'^s| <= s
+    min(lam^, lam')^(s-1) eta / |c|.  Forming D (M phi^ three terms a row,
+    the power 2 u, the products, n terms an entry) adds gamma_(n+12)
+    (|M||Phi^|) Lambda^^s (|M||Phi^|)^T entrywise."""
+    ext = np.longdouble
+    n, sym, s = ops.n_free, ops.A_s, ops.s
+    oracle = spectral_oracle(ops)
+    lam, phi = oracle.spectrum(ops.M, ops.K)
+    M = ops.M.toarray()
+    eps_M, eps_K = toeplitz_gap(ops.M), toeplitz_gap(ops.K)
+    m = sym.m.astype(ext)
+    lam_t = sym.kappa.astype(ext) / m
+    norm_phi = np.linalg.norm(phi, axis=0)
+    rho = eigen_residual_bound(ops, (lam, phi))
+    eta = (rho + (eps_K + lam * eps_M) * norm_phi) / np.sqrt(float(m.min()))
+    modes = 0.0
+    for k in range(n):
+        delta = float(np.abs(np.delete(lam_t, k) - ext(lam[k])).min(initial=np.inf))
+        z_perp = eta[k] / delta
+        f = phi[:, k].astype(ext)
+        nu = (float(abs(f @ M.astype(ext) @ f - 1))
+              + gamma(4 * n, U_EXT) * float(np.abs(f) @ np.abs(M) @ np.abs(f)))
+        z2_hi = 1 + nu + eps_M * norm_phi[k]**2
+        c2_lo = 1 - nu - eps_M * norm_phi[k]**2 - z_perp**2
+        lt_s = float(lam_t[k]) ** s
+        dpow = s * min(lam[k], float(lam_t[k])) ** (s - 1) * eta[k] / np.sqrt(c2_lo)
+        e = np.sqrt(float(m.max())) * z_perp + eps_M * norm_phi[k]
+        modes += ((dpow * z2_hi + lt_s * max(z2_hi - 1, 1 - c2_lo)) * float(m[k])
+                  + (lt_s + dpow) * (2 * np.sqrt(z2_hi * float(m[k])) * e + e**2))
+    abs_y = np.abs(M) @ np.abs(phi)
+    forming = gamma(n + 12) * (abs_y * np.maximum(lam, 0.0) ** s) @ abs_y.T
+    mu_max = sym.mu.max()
+    bound = ((30 * np.log2(n + 1) * U + MU_ROUNDING / (1 - MU_ROUNDING)) * mu_max
+             + modes + forming)
+    return oracle.matrix, bound
 
 
 def sine_eigen_residual_bound(ops):

@@ -264,6 +264,21 @@ class TestCmdRun:
         assert float(rows[0][2]) == pytest.approx(0.4)
         assert all(float(r[3]) < 0.5 for r in rows)
 
+    @pytest.mark.parametrize("override", [
+        # s = 1/2: the cosine law R0 cos(t / R0) is the s = 1 limit
+        {"s": 0.5, "dirichlet_right": None},
+        # a single well: the front joins no second phase
+        {"potential": "quadratic"},
+        # a sphere: R'^2 = 1 - (R / R0)^4, not the circle's cosine
+        {"dim": 3},
+    ])
+    def test_no_interface_csv_where_the_cosine_law_fails(self, tmp_path, override):
+        path = write_config(tmp_path, {"preset": "gl_interface", "n_cells": 80,
+                                       "n_steps": 60, "T": 0.06, **override})
+        written = cmd_run(parse_config(path), tmp_path / "out")
+        assert "interface" not in written
+        assert not (tmp_path / "out" / "interface.csv").exists()
+
     def test_obstacle_preset_needs_few_newton_iterations(self, tmp_path):
         path = write_config(tmp_path, {"preset": "obstacle_wave"})
         written = cmd_run(parse_config(path), tmp_path / "out")
@@ -544,6 +559,9 @@ class TestMainExitCodes:
          "'obstacle_value' must be a finite"),
         (["run"], {"preset": "eigenmode", "x_max": -float("inf")}, "'x_max' must be a finite"),
         (["run"], {"preset": "eigenmode", "u0_amp": 10**400}, "'u0_amp' must be a finite"),
+        (["sweep-eps", "--eps-list", "0.1"],
+         {"preset": "gl_interface", "potential": "quadratic"},
+         "sweep-eps needs an eps-scaled double-well config"),
     ])
     def test_config_error_is_2_before_any_file(self, tmp_path, capsys, monkeypatch,
                                                command, config, named):

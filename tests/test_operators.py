@@ -19,8 +19,8 @@ from fracwave.potentials import double_well, zero_potential
 from conftest import (MU_ROUNDING, U, U_EXT, assert_tridiagonal_backward_error,
                       dense_A_s, eigen_residual_bound, endpoint_power_bound, gamma,
                       half_power_composition, make_line_ops, make_radial_ops,
-                      meshes, norm_1, sine_identity_error, sine_oracle,
-                      spectral_oracle, toeplitz_gap, uniform_lines)
+                      meshes, norm_1, sine_against_dense_power, sine_identity_error,
+                      sine_oracle, spectral_oracle, toeplitz_gap, uniform_lines)
 
 ONE_FREE_NODE = Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0))
 
@@ -381,12 +381,18 @@ class TestStiffnessBackends:
         assert abs(y @ (ops.A_s @ x) - x @ (ops.A_s @ y)) <= 2 * bound + 2 * n * U * (
             np.abs(y) @ np.abs(ops.A_s @ x) + np.abs(x) @ np.abs(ops.A_s @ y))
         assert x @ (ops.A_s @ x) >= -(4 * log_n + n) * U * unit * np.linalg.norm(x)
-        # the same operator as the dense spectral power of (K, M): its
-        # eigensolve and the pair's rounding away from Toeplitz leave at
-        # most 8 (n + 4) eps max|A_s| (measured on 400 uniform lines)
-        D = spectral_oracle(ops).matrix
-        assert np.max(np.abs(ops.A_s @ np.eye(n) - D)) <= (
-            32 * (n + 4) * np.finfo(float).eps * np.abs(D).max())
+        # the same operator as the dense spectral power of (K, M), within
+        # the bound derived from both backends' models where it is the
+        # tighter one: at one free node only, 0.2-0.3x the measured constant
+        # 32 (n + 4) eps max|A_s|.  From two nodes on it exceeds the
+        # constant, 1.2-2.2x at two and up to 2,000x at 39 (the eigensolve's
+        # backward error is worst case over every mode, and the low modes'
+        # gaps are small against max(lam)), so the constant stays there.
+        # Measured on uniform lines of 2-40 cells, the error reaches
+        # 11.4 (n + 4) eps max|A_s| (s = 0.01, 26 free nodes on [0.7, 0.8])
+        D, derived = sine_against_dense_power(ops)
+        assert np.all(np.abs(ops.A_s @ np.eye(n) - D) <= np.minimum(
+            derived, 32 * (n + 4) * np.finfo(float).eps * np.abs(D).max()))
 
 
 class TestSpectralDecompose:

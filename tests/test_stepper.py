@@ -12,11 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracwave import (BlowupError, ConfigurationError, Mesh1D, SchemeConfig,
-                      SolverFailure, SolverParams, build_operators, el_residual,
-                      energy, eval_interpolants, minimize_step, run,
-                      step_functional, stepper, vi_residuals)
+                      SolverFailure, SolverParams, build_mesh, build_operators,
+                      el_residual, energy, eval_interpolants, minimize_step, run,
+                      step_functional, step_gradient, stepper, vi_residuals)
 from fracwave.operators import SineStiffness, Tridiagonal
-from fracwave.potentials import double_well, gl_scaled, zero_potential
+from fracwave.potentials import double_well, gl_scaled, quadratic, zero_potential
 from fracwave.stepper import effective_v0
 
 from conftest import (RESIDUAL_ROUNDING, U, assert_tridiagonal_backward_error,
@@ -867,3 +867,71 @@ class TestResiduals:
             assert min_dual >= -tol
             assert compl <= tol * (1 + np.sqrt(slack @ (ops64.M @ slack)))
         assert touched
+
+    def test_step_gradient_is_the_last_evaluation_of_the_step(self, ops64):
+        # the gradient the step's stationarity test measured: its M^-1 norm
+        # is the recorded residual, bit for bit, on an obstacle-free run
+        cfg = eigenmode_config(ops64, k=1, n_steps=8, potential=double_well())
+        traj = run(cfg)
+        for i in range(1, 9):
+            r = step_gradient(ops64, cfg.potential, traj, i)
+            assert ops64.dual_norm(r) == traj.residuals[i - 1]
+            assert el_residual(ops64, cfg.potential, traj, i) == traj.residuals[i - 1]
+        for i in (0, 9):
+            with pytest.raises(ConfigurationError, match="step index"):
+                step_gradient(ops64, cfg.potential, traj, i)
+
+
+@st.composite
+def obstacle_runs(draw):
+    """Obstacle configs on line meshes of 8-64 cells with both ends fixed at
+    0, uniform or not, at s in {1/2, 1}, with the zero, quadratic or
+    double-well potential, an obstacle at or below u0 (constant, or a random
+    smooth profile) and tau with 1/tau^2 above max(-W'') = 6."""
+    n_cells = draw(st.integers(8, 64))
+    if draw(st.booleans()):
+        mesh = build_mesh(0.0, 1.0, n_cells, dirichlet=(0.0, 0.0))
+    else:
+        widths = draw(st.lists(st.floats(0.5, 2.0), min_size=n_cells,
+                               max_size=n_cells))
+        mesh = Mesh1D(nodes=np.r_[0.0, np.cumsum(widths)] / sum(widths),
+                      dirichlet=(0.0, 0.0))
+    ops = build_operators(mesh, draw(st.sampled_from([0.5, 1.0])))
+    potential = draw(st.sampled_from([zero_potential(), double_well(),
+                                      quadratic(draw(st.floats(0.0, 10.0)))]))
+    x = mesh.nodes[mesh.free] / mesh.nodes[-1]
+    amp = st.floats(-1.0, 1.0)
+    u0 = draw(amp) * np.sin(np.pi * x) + draw(amp) * np.sin(2 * np.pi * x)
+    v0 = 5.0 * draw(amp) * np.sin(np.pi * x) + draw(amp) * np.sin(3 * np.pi * x)
+    profile = (draw(amp) * np.sin(np.pi * x) + draw(amp) * np.cos(3 * np.pi * x)
+               if draw(st.booleans()) else np.zeros_like(x))
+    # the profile shifted to touch u0 from below; the minimum undoes the
+    # shift's rounding
+    g = (np.minimum(profile - np.max(profile - u0), u0)
+         - draw(st.sampled_from([0.0, 0.01, 0.3])))
+    n_steps = draw(st.integers(2, 12))
+    tau = draw(st.floats(0.005, 0.4))
+    return SchemeConfig(T=tau * n_steps, n_steps=n_steps, ops=ops,
+                        potential=potential, u0=u0, v0=v0, obstacle=g)
+
+
+class TestVariationalInequalityProperty:
+    # every trajectory run returns is feasible and meets criterion 06's
+    # budget at every step: min dual density >= -10 tol, complementarity
+    # <= 10 tol (1 + |u_i - g|_M).  A SolverFailure is run's stated
+    # contract for a step it cannot resolve; any other exception fails
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(cfg=obstacle_runs())
+    def test_every_returned_trajectory_meets_the_budget(self, cfg):
+        try:
+            traj = run(cfg)
+        except SolverFailure:
+            return
+        ops, g = cfg.ops, cfg.obstacle
+        assert np.all(traj.states[1:] >= g)
+        for i in range(1, traj.n_steps + 1):
+            min_dual, compl = vi_residuals(ops, cfg.potential, traj, i, g)
+            tol = traj.tols[i - 1]
+            slack = traj.u(i) - g
+            assert min_dual >= -10 * tol
+            assert compl <= 10 * tol * (1 + np.sqrt(slack @ (ops.M @ slack)))
