@@ -32,6 +32,9 @@ bytes of its states and whether the two sides' states are byte-equal.  It
 also runs `cli.cmd_run` on that config and records the SHA-256 of every
 file it writes and whether the two sides' files are byte-equal: a refactor
 that claims the same results, or the same output files, shows it there.
+The same section runs each study command of STUDIES once per checkout
+(`cli.cmd_sweep_eps` and `cli.cmd_converge`) and records the SHA-256 of
+every file it writes and whether the two sides' files are byte-equal.
 """
 
 import argparse
@@ -60,6 +63,12 @@ LADDERS = {
                    "potential": "double_well", "u0_kind": "sine", "u0_amp": 0.5,
                    "v0_kind": "sine", "v0_amp": 1.0},
                   (400, 800, 1600, 6400, 25600, 102400)),
+}
+# name: (cli command, its config, its list argument)
+STUDIES = {
+    "sweep_eps": ("cmd_sweep_eps", {"preset": "gl_interface", "T": 0.02, "n_steps": 10},
+                  [0.1, 0.05]),
+    "converge": ("cmd_converge", {"preset": "eigenmode"}, [32, 64, 128]),
 }
 
 
@@ -94,6 +103,11 @@ def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
                                  / 1024, 1)}
 
 
+def sha256_files(written: dict) -> dict:
+    """The SHA-256 of each file a cli command wrote, by file name."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written.values()}
+
+
 def states_point(root: Path, workload: str) -> dict:
     """The seed-0 run of a workload's config (perfbench's make_config), in
     this process with fracwave from root/src: its Newton iterations, the
@@ -104,19 +118,29 @@ def states_point(root: Path, workload: str) -> dict:
     from fracwave import cli, run
     from workloads import make_config
 
-    def sha256(data: bytes) -> str:
-        return hashlib.sha256(data).hexdigest()
-
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(make_config(workload, 0)))
         cfg = cli.parse_config(path)
         traj = run(cli.build_problem(cfg))
-        written = cli.cmd_run(cfg, Path(tmp) / "out")
-        outputs = {p.name: sha256(p.read_bytes()) for p in written.values()}
+        outputs = sha256_files(cli.cmd_run(cfg, Path(tmp) / "out"))
     return {"newton_iters": int(traj.iterations.sum()),
-            "states_sha256": sha256(traj.states.tobytes()),
+            "states_sha256": hashlib.sha256(traj.states.tobytes()).hexdigest(),
             "outputs_sha256": outputs}
+
+
+def study_point(root: Path, study: str) -> dict:
+    """A study command of STUDIES, in this process with fracwave from
+    root/src: the SHA-256 of each file it writes."""
+    use_checkout(root)
+    from fracwave import cli
+
+    command, config, values = STUDIES[study]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        written = getattr(cli, command)(cli.parse_config(path), values, Path(tmp) / "out")
+        return {"outputs_sha256": sha256_files(written)}
 
 
 def subprocess_json(args) -> dict:
@@ -164,6 +188,7 @@ def main(argv=None):
     p.add_argument("--out", type=Path)
     p.add_argument("--ladder-point", nargs=2, help=argparse.SUPPRESS)
     p.add_argument("--states-point", help=argparse.SUPPRESS)
+    p.add_argument("--study-point", help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.ladder_point:
@@ -172,6 +197,9 @@ def main(argv=None):
         return
     if args.states_point:
         print(json.dumps(states_point(args.root, args.states_point)))
+        return
+    if args.study_point:
+        print(json.dumps(study_point(args.root, args.study_point)))
         return
     if args.parent is None or args.out is None:
         p.error("--parent and --out are required")
@@ -205,6 +233,13 @@ def main(argv=None):
         states[workload] = {**runs, **{
             f"{kind}_equal": runs["parent"][f"{kind}_sha256"] == runs["change"][f"{kind}_sha256"]
             for kind in ("states", "outputs")}}
+    studies = {}
+    for study, (command, config, values) in STUDIES.items():
+        runs = {side: subprocess_json([__file__, "--root", root, "--study-point", study])
+                for side, root in sides.items()}
+        studies[study] = {"command": command, "config": config, "values": values, **runs,
+                          "outputs_equal": (runs["parent"]["outputs_sha256"]
+                                            == runs["change"]["outputs_sha256"])}
     rev = subprocess.run(["git", "-C", sides["parent"], "rev-parse", "--short", "HEAD"],
                          capture_output=True, text=True, check=True).stdout.strip()
     command = ["python3", "scripts/bench.py", "--parent", f"<checkout of {rev}>",
@@ -219,7 +254,7 @@ def main(argv=None):
                       "order": "parent and change alternate first per seed",
                       "workloads": bench},
         "ladders": ladders,
-        "states": {"seed": 0, "workloads": states},
+        "states": {"seed": 0, "workloads": states, "studies": studies},
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .diagnostics import (RefinementRow, convergence_study,
+from .diagnostics import (RefinementRow, convergence_study, cosine_law_fault,
                           gl_energy_accounting, interface_radius,
                           sharp_interface_fault, track_interface)
 from .errors import BlowupError, ConfigurationError, NumericError, SolverFailure
@@ -302,8 +302,8 @@ def _echo_config(cfg: RunConfigFile, out_dir: Path):
 
 def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
     """Single trajectory; writes energy.csv, snapshots.csv, and, for a
-    tanh front whose cosine law holds, interface.csv: a circle (radial,
-    dim 2) in a model with a sharp-interface limit (sharp_interface_fault).
+    tanh front whose cosine law holds (diagnostics.cosine_law_fault: a
+    circle at rest in a model with a sharp-interface limit), interface.csv.
     Returns the written paths."""
     scheme = build_problem(cfg)
     out_dir = Path(out_dir)
@@ -328,8 +328,7 @@ def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
     written["snapshots"] = _write_table(
         out_dir / "snapshots.csv", ["t", *(_FMT % x for x in mesh.nodes)], snapshots)
 
-    if (mesh.geometry == "radial" and mesh.dim == 2 and cfg.u0_kind == "tanh_front"
-            and sharp_interface_fault(scheme.potential, scheme.ops.s) is None):
+    if cfg.u0_kind == "tanh_front" and cosine_law_fault(scheme) is None:
         trace = track_interface(traj, cfg.u0_r0, stride=cfg.snapshot_stride)
         written["interface"] = _write_table(
             out_dir / "interface.csv",
@@ -365,8 +364,9 @@ def cmd_converge(cfg: RunConfigFile, n_list, out_dir) -> dict:
 def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
     """cfg at each eps of the sweep, with the mesh re-derived so h = eps/2
     and the front width following eps, each checked as parse_config checks
-    a config.  The sharp-interface limit must hold (sharp_interface_fault);
-    every eps then meets the interface accounting's preconditions."""
+    a config.  The sharp-interface limit must hold
+    (diagnostics.sharp_interface_fault), the rule the interface accounting
+    of every eps applies, and it is asked before any problem is built."""
     fault = sharp_interface_fault(_potential(cfg), cfg.s)
     if fault is not None:
         raise ConfigurationError(f"sweep-eps {fault}")
@@ -390,10 +390,10 @@ def cmd_sweep_eps(cfg: RunConfigFile, eps_list, out_dir) -> dict:
     for sub in _sweep_configs(cfg, eps_list):
         scheme = build_problem(sub)
         traj = run(scheme)
-        scaled, mm = gl_energy_accounting(traj, sub.gl_eps, scheme.ops)
+        scaled, mm = gl_energy_accounting(traj)
         mesh = scheme.ops.mesh
         radius = interface_radius(mesh, mesh.embed(traj.u(traj.n_steps)))
-        rows.append((sub.gl_eps, scaled[0], mm, np.nan if radius is None else radius))
+        rows.append((sub.gl_eps, scaled[0], mm, radius))
     out_dir = Path(out_dir)
     return {"config": _echo_config(cfg, out_dir),
             "sweep": _write_table(

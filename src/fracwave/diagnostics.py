@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .operators import Mesh1D, OperatorSet
+from .operators import Mesh1D
 from .potentials import DoubleWellPotential, Potential
 from .stepper import SchemeConfig, Trajectory, effective_v0, run, step_gradient
 
@@ -197,9 +197,10 @@ def convergence_study(base_config: SchemeConfig, n_list) -> ConvergenceReport:
     )
 
 
-def interface_radius(mesh: Mesh1D, u: np.ndarray):
+def interface_radius(mesh: Mesh1D, u: np.ndarray) -> float:
     """Innermost sign change of the nodal profile u (all nodes), located by
-    linear interpolation between the bracketing nodes; None without one."""
+    linear interpolation between the bracketing nodes; nan without one, as
+    every output file writes a lost front."""
     u = np.asarray(u, dtype=float)
     if u.shape != mesh.nodes.shape:
         raise ConfigurationError("expected one value per mesh node")
@@ -207,7 +208,7 @@ def interface_radius(mesh: Mesh1D, u: np.ndarray):
     zero = u == 0.0
     crossings = np.flatnonzero(zero | np.r_[u[:-1] * u[1:] < 0.0, False])
     if crossings.size == 0:
-        return None
+        return np.nan
     if crossings.size > 1:
         warnings.warn(f"{crossings.size} sign changes; reporting the innermost",
                       RuntimeWarning, stacklevel=2)
@@ -228,6 +229,34 @@ def cosine_reference(R0: float, t: float) -> float:
     return float(R0 * np.cos(t / R0))
 
 
+def sharp_interface_fault(potential: Potential, s: float) -> str | None:
+    """Why the sharp-interface limit of the eps-scaled model does not hold
+    for this potential and order s, or None when it does.  The one model
+    rule of the interface instruments: the cosine law (cosine_law_fault),
+    the interface-energy accounting (gl_energy_accounting,
+    lagrangian_density) and the CLI's eps sweep all ask it.  It needs s = 1
+    and the eps-scaled double well, whose two wells the front joins."""
+    if potential.kind != "gl_scaled" or potential.inner.kind != DoubleWellPotential.kind:
+        return "needs an eps-scaled double-well config"
+    if s != 1.0:
+        return "assumes s = 1"
+    return None
+
+
+def cosine_law_fault(scheme: SchemeConfig) -> str | None:
+    """Why a front of this run is not measured against R0 cos(t / R0), or
+    None when it is.  The law is the sharp-interface limit
+    (sharp_interface_fault) of a circle that starts at rest: it needs a
+    radial mesh in dim 2 (a sphere collapses by another law) and an initial
+    velocity of 0 at every node, read from the built v0."""
+    mesh = scheme.ops.mesh
+    if mesh.geometry != "radial" or mesh.dim != 2:
+        return "needs a radial mesh in dim 2"
+    if np.any(scheme.v0):
+        return "needs a front at rest (v0 = 0 at every node)"
+    return sharp_interface_fault(scheme.potential, scheme.ops.s)
+
+
 @dataclass(frozen=True)
 class InterfaceTrace:
     """Measured zero-crossing radii against the cosine reference."""
@@ -239,65 +268,45 @@ class InterfaceTrace:
 
 
 def track_interface(traj: Trajectory, r0: float, stride: int = 1) -> InterfaceTrace:
-    """Sample the interface radius every `stride` steps while the reference
-    is defined, always including the final step."""
+    """The interface radius of the run against the cosine law R0 cos(t / R0),
+    at the steps np.r_[0:n:stride, n] (the rows of the CLI's snapshots)
+    while the law is defined; a lost front reads nan.  Raises
+    ConfigurationError where the law does not hold for the run
+    (cosine_law_fault)."""
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
+    fault = cosine_law_fault(traj.config)
+    if fault is not None:
+        raise ConfigurationError(f"cosine law {fault}")
     mesh = traj.config.ops.mesh
-    t_max = r0 * np.pi / 2.0
-    times, meas, refs, rel = [], [], [], []
-    steps = list(range(0, traj.n_steps + 1, stride))
-    if steps[-1] != traj.n_steps:
-        steps.append(traj.n_steps)
-    for i in steps:
-        t = i * traj.tau
-        if t >= t_max:
-            break
-        radius = interface_radius(mesh, mesh.embed(traj.u(i)))
-        ref = cosine_reference(r0, t)
-        times.append(t)
-        meas.append(np.nan if radius is None else radius)
-        refs.append(ref)
-        rel.append(np.nan if radius is None else abs(radius - ref) / r0)
-    return InterfaceTrace(times=np.array(times), measured=np.array(meas),
-                          reference=np.array(refs), rel_errors=np.array(rel))
+    steps = np.r_[0:traj.n_steps:stride, traj.n_steps]
+    steps = steps[steps * traj.tau < r0 * np.pi / 2.0]
+    times = steps * traj.tau
+    measured = np.array([interface_radius(mesh, mesh.embed(traj.u(i))) for i in steps])
+    reference = np.array([cosine_reference(r0, t) for t in times])
+    return InterfaceTrace(times=times, measured=measured, reference=reference,
+                          rel_errors=np.abs(measured - reference) / r0)
 
 
-def require_interface_accounting(potential: Potential, s: float, eps: float):
-    """Reject what gl_energy_accounting and lagrangian_density cannot
-    account for: a potential that is not the eps-scaled one of this eps, or
-    an order s other than 1."""
-    if potential.kind != "gl_scaled":
-        raise ConfigurationError("needs an eps-scaled potential")
-    if s != 1.0:
-        raise ConfigurationError("interface accounting assumes s = 1")
-    if abs(eps - potential.eps) > 1e-12 * potential.eps:
-        raise ConfigurationError(f"eps {eps} does not match the potential "
-                                 f"({potential.eps})")
+def _interface_eps(traj: Trajectory) -> float:
+    """The run's eps, where its model has a sharp-interface limit
+    (sharp_interface_fault); ConfigurationError with the reason otherwise."""
+    fault = sharp_interface_fault(traj.config.potential, traj.config.ops.s)
+    if fault is not None:
+        raise ConfigurationError(f"interface accounting {fault}")
+    return traj.config.potential.eps
 
 
-def sharp_interface_fault(potential: Potential, s: float) -> str | None:
-    """Why the sharp-interface limit of the eps-scaled model does not hold
-    for this potential and order s, or None when it does.  The limit is what
-    the CLI measures fronts against: the collapse R0 cos(t / R0) of a
-    circular front (track_interface) and the interface energy of the eps
-    sweep.  It needs s = 1 and the eps-scaled double well, whose two wells
-    the front joins."""
-    if potential.kind != "gl_scaled" or potential.inner.kind != DoubleWellPotential.kind:
-        return "needs an eps-scaled double-well config"
-    if s != 1.0:
-        return "assumes s = 1"
-    return None
-
-
-def gl_energy_accounting(traj: Trajectory, eps: float, ops: OperatorSet):
-    """(series of eps * E_i, space-time interface-energy sum).
+def gl_energy_accounting(traj: Trajectory):
+    """(series of eps * E_i, space-time interface-energy sum) of the run,
+    with eps that of its potential.  Raises ConfigurationError where the
+    run's model has no sharp-interface limit (sharp_interface_fault).
 
     The space-time sum accumulates eps * |grad_{t,x} u|^2 + W(u)/eps over the
     piecewise-constant interpolant: tau * sum_i [eps * (v_i^T M v_i
     + |grad u_i|^2) + eps * (scaled potential integral)].
     """
-    require_interface_accounting(traj.config.potential, ops.s, eps)
+    eps = _interface_eps(traj)
     kin = traj.energies[:, 0]
     frac = traj.energies[:, 1]
     pot = traj.energies[:, 2]
@@ -306,12 +315,13 @@ def gl_energy_accounting(traj: Trajectory, eps: float, ops: OperatorSet):
     return scaled, mm
 
 
-def lagrangian_density(traj: Trajectory, i: int, eps: float,
-                       ops: OperatorSet) -> np.ndarray:
-    """Scaled Lagrange density eps * [(-v^2 + |grad u|^2)/2 + W(u)/eps^2] at
-    every node, with |grad u|^2 averaged onto nodes from cell gradients."""
-    require_interface_accounting(traj.config.potential, ops.s, eps)
-    mesh = ops.mesh
+def lagrangian_density(traj: Trajectory, i: int) -> np.ndarray:
+    """Scaled Lagrange density eps * [(-v^2 + |grad u|^2)/2 + W(u)/eps^2] of
+    the run at step i and every node, with eps that of its potential and
+    |grad u|^2 averaged onto nodes from cell gradients.  Raises
+    ConfigurationError as gl_energy_accounting does."""
+    eps = _interface_eps(traj)
+    mesh = traj.config.ops.mesh
     u_full = mesh.embed(traj.u(i))
     v_full = mesh.embed(traj.v(i), boundary="zero")
     cell_grad_sq = (np.diff(u_full) / np.diff(mesh.nodes)) ** 2

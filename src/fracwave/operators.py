@@ -564,11 +564,36 @@ def fractional_apply(ops: OperatorSet, u: np.ndarray) -> np.ndarray:
 
 
 def seminorm_s(ops: OperatorSet, u: np.ndarray) -> float:
-    """Order-s seminorm sqrt(u^T A_s u)."""
+    """Order-s seminorm sqrt(u^T A_s u).
+
+    A_s as held is positive semidefinite, so the computed form q = u . y,
+    y = fl(A_s u), falls below 0 by round-off alone, and by at most
+
+        2 eps (|u| . t_A + |u|_M a) + gamma_n |u| . |y|
+
+    with (t_A, a) = A_s.roundoff(|u|) and |u|_M = sqrt(u . M u).  The
+    product errs by at most 2 eps t_A entrywise or 2 eps a in the M^-1
+    norm, the model each class of A_s states for the round-off floor
+    (c = 2); u . e <= |u|_M |e|_M^-1 carries the normwise term.  The dot
+    product of n terms, in any order, errs by at most gamma_n |u| . |y|,
+    gamma_n = n eps/2 / (1 - n eps/2) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.1).  A q below minus this bound
+    raises NumericError.
+    """
     u = np.asarray(u, dtype=float)
-    q = float(u @ fractional_apply(ops, u))
-    if q < -1e-12 * (1.0 + float(u @ u)):
-        raise NumericError(f"quadratic form returned {q:.3e} < 0")
+    y = fractional_apply(ops, u)
+    q = float(u @ y)
+    if q < 0.0:
+        eps = np.finfo(float).eps
+        gamma_n = u.size * eps / 2.0 / (1.0 - u.size * eps / 2.0)
+        abs_u = np.abs(u)
+        t_a, a = ops.A_s.roundoff(abs_u)
+        norm_m = np.sqrt(max(float(u @ (ops.M @ u)), 0.0))
+        bound = (2.0 * eps * (float(np.sum(abs_u * t_a)) + norm_m * a)
+                 + gamma_n * float(abs_u @ np.abs(y)))
+        if q < -bound:
+            raise NumericError(f"quadratic form returned {q:.3e} < 0, below its "
+                               f"round-off bound -{bound:.3e}")
     return np.sqrt(max(q, 0.0))
 
 

@@ -238,7 +238,7 @@ def test_criterion_09_gl_energy_scaling():
                            u0=np.tanh((r0 - r) / (2 * eps)),
                            v0=np.zeros(ops.n_free))
         traj = run(cfg)
-        scaled, mm = gl_energy_accounting(traj, eps, ops)
+        scaled, mm = gl_energy_accounting(traj)
         scaled0.append(float(scaled[0]))
         mms.append(mm)
     band_e = max(scaled0) / min(scaled0)

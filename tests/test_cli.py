@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fracwave
@@ -271,6 +271,8 @@ class TestCmdRun:
         {"potential": "quadratic"},
         # a sphere: R'^2 = 1 - (R / R0)^4, not the circle's cosine
         {"dim": 3},
+        # a front launched moving: the cosine law is that of a front at rest
+        {"v0_kind": "sine", "v0_amp": 2.0},
     ])
     def test_no_interface_csv_where_the_cosine_law_fails(self, tmp_path, override):
         path = write_config(tmp_path, {"preset": "gl_interface", "n_cells": 80,
@@ -278,6 +280,14 @@ class TestCmdRun:
         written = cmd_run(parse_config(path), tmp_path / "out")
         assert "interface" not in written
         assert not (tmp_path / "out" / "interface.csv").exists()
+
+    def test_interface_csv_for_a_sine_velocity_of_zero(self, tmp_path):
+        # the rule reads the built v0, not the v0_kind key
+        path = write_config(tmp_path, {"preset": "gl_interface", "n_cells": 80,
+                                       "n_steps": 60, "T": 0.06,
+                                       "v0_kind": "sine", "v0_amp": 0.0})
+        written = cmd_run(parse_config(path), tmp_path / "out")
+        assert written["interface"].is_file()
 
     def test_obstacle_preset_needs_few_newton_iterations(self, tmp_path):
         path = write_config(tmp_path, {"preset": "obstacle_wave"})
@@ -469,10 +479,9 @@ class TestCmdSweep:
         for sub in _sweep_configs(cfg, [0.1, 0.05]):
             traj = fracwave.run(build_problem(sub))
             mesh = traj.config.ops.mesh
-            scaled, mm = gl_energy_accounting(traj, sub.gl_eps, traj.config.ops)
+            scaled, mm = gl_energy_accounting(traj)
             radius = interface_radius(mesh, mesh.embed(traj.u(traj.n_steps)))
-            rows.append((sub.gl_eps, scaled[0], mm,
-                         np.nan if radius is None else radius))
+            rows.append((sub.gl_eps, scaled[0], mm, radius))
         assert written["sweep"].read_bytes() == per_value_text(
             ["eps", "scaled_energy_0", "modica_mortola", "final_radius"],
             rows).encode()
@@ -627,6 +636,24 @@ class TestMainExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             build_problem(sub)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(span=st.floats(1e-3, 1e3), offset=st.floats(-1e3, 1e3),
+           eps_per_span=st.floats(1.0 / 300.0, 1.0))
+    @example(span=1.0, offset=0.0, eps_per_span=0.1)
+    @example(span=3.0, offset=-7.0, eps_per_span=1.0 / 3.0)
+    @example(span=1e-3, offset=1e3, eps_per_span=1.0 / 300.0)
+    def test_sweep_meshes_are_resolved_at_any_scale(self, span, offset, eps_per_span):
+        # every mesh sweep-eps derives (h = eps/2, at most 600 cells here)
+        # builds with no under-resolution warning, which pytest's error
+        # filter turns into a failure
+        eps = eps_per_span * span
+        cfg = RunConfigFile(x_min=offset, x_max=offset + span, n_steps=2, T=0.01,
+                            potential="double_well", gl_eps=eps,
+                            u0_kind="tanh_front", u0_r0=offset + 0.5 * span)
+        (sub,) = _sweep_configs(cfg, [eps])
+        assert sub.n_cells <= 601
+        build_problem(sub)
 
     # main records every warning, whatever the filters (pytest's turn
     # warnings into errors)

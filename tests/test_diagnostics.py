@@ -13,7 +13,7 @@ from fracwave.diagnostics import (check_gronwall_sequence, convergence_study,
                                   interface_radius, lagrangian_density,
                                   no_contact_check, oracle_mol,
                                   oracle_recurrence, track_interface)
-from fracwave.potentials import double_well, gl_scaled, zero_potential
+from fracwave.potentials import double_well, gl_scaled, quadratic, zero_potential
 
 from conftest import eigenmode_config, make_line_ops
 
@@ -221,7 +221,7 @@ class TestInterfaceRadius:
     @example(case=(Mesh1D(nodes=np.arange(4.0)), np.array([1.0, 2.0, 3.0, 0.0])))
     @example(case=(Mesh1D(nodes=np.arange(5.0)), np.array([1.0, -1.0, 0.0, 2.0, -0.0])))
     def test_equals_the_per_node_loop(self, case):
-        # the innermost crossing to the bit, None without one, and the
+        # the innermost crossing to the bit, nan without one, and the
         # warning with the number of crossings when there are several
         mesh, u = case
         ref = loop_crossings(mesh, u)
@@ -229,7 +229,7 @@ class TestInterfaceRadius:
             warnings.simplefilter("always")
             r = interface_radius(mesh, u)
         if not ref:
-            assert r is None
+            assert np.isnan(r)
         else:
             assert np.float64(r).tobytes() == np.float64(ref[0]).tobytes()
         assert [str(w.message) for w in caught] == (
@@ -242,9 +242,9 @@ class TestInterfaceRadius:
         r = interface_radius(mesh, u)
         assert abs(r - 0.4) <= 1.0 / 50
 
-    def test_no_crossing_returns_none(self):
+    def test_no_crossing_returns_nan(self):
         mesh = build_mesh(0, 1, 10)
-        assert interface_radius(mesh, np.ones(11)) is None
+        assert np.isnan(interface_radius(mesh, np.ones(11)))
 
     def test_linear_interpolation_of_bracket(self):
         mesh = build_mesh(0, 1, 10)
@@ -311,7 +311,7 @@ class TestGlAccounting:
                            potential=gl_scaled(double_well(), eps),
                            u0=z.copy(), v0=z.copy())
         traj = run(cfg)
-        scaled, mm = gl_energy_accounting(traj, eps, ops)
+        scaled, mm = gl_energy_accounting(traj)
         assert scaled[0] == pytest.approx(float(ops.lumps.sum()) / eps, rel=1e-12)
 
     def test_well_state_has_no_potential_energy(self):
@@ -329,17 +329,30 @@ class TestGlAccounting:
         for eps in (0.1, 0.05):
             cfg, traj = small_front_run(eps=eps, n_cells=int(np.ceil(2 / eps)),
                                         n_steps=20, T=0.02)
-            scaled, _ = gl_energy_accounting(traj, eps, cfg.ops)
+            scaled, _ = gl_energy_accounting(traj)
             values.append(scaled[0])
         ratio = values[0] / values[1]
         assert 0.5 <= ratio <= 2.0
+
+    def test_rejects_a_scaled_single_well(self):
+        # eps-scaled, but no second well for a front to join
+        mesh = build_mesh(0, 1, 16, dirichlet=(0.0, 0.0))
+        ops = build_operators(mesh, 1.0)
+        z = np.zeros(ops.n_free)
+        cfg = SchemeConfig(T=0.1, n_steps=2, ops=ops,
+                           potential=gl_scaled(quadratic(1.0), 0.2), u0=z, v0=z)
+        traj = run(cfg)
+        with pytest.raises(ConfigurationError, match="double-well"):
+            gl_energy_accounting(traj)
+        with pytest.raises(ConfigurationError, match="double-well"):
+            lagrangian_density(traj, 1)
 
     def test_requires_scaled_potential(self, ops64):
         cfg = eigenmode_config(ops64, k=1, n_steps=4, T=0.1,
                                potential=double_well())
         traj = run(cfg)
         with pytest.raises(ConfigurationError):
-            gl_energy_accounting(traj, 0.1, ops64)
+            gl_energy_accounting(traj)
 
 
 class TestLagrangianDensity:
@@ -350,27 +363,29 @@ class TestLagrangianDensity:
                            potential=gl_scaled(double_well(), 0.2),
                            u0=np.ones(ops.n_free), v0=np.zeros(ops.n_free))
         traj = run(cfg)
-        dens = lagrangian_density(traj, 1, 0.2, ops)
+        dens = lagrangian_density(traj, 1)
         assert np.max(np.abs(dens)) < 1e-10
 
     def test_static_linear_profile_gradient_term(self):
-        # zero inner potential isolates the |grad u|^2 / 2 part
+        # at step 0 v = 0 and the state is the linear profile, whose
+        # |grad u|^2 / 2 is 2 at every node
         mesh = build_mesh(0, 1, 8, dirichlet=(1.0, -1.0))
         ops = build_operators(mesh, 1.0)
         x = mesh.nodes[mesh.free]
         eps = 0.5
         cfg = SchemeConfig(T=0.05, n_steps=2, ops=ops,
-                           potential=gl_scaled(zero_potential(), eps),
+                           potential=gl_scaled(double_well(), eps),
                            u0=1.0 - 2.0 * x, v0=np.zeros(ops.n_free))
         traj = run(cfg)
-        dens = lagrangian_density(traj, 2, eps, ops)
-        assert np.allclose(dens, eps * 0.5 * 4.0, rtol=1e-10)
+        dens = lagrangian_density(traj, 0)
+        expected = eps * 0.5 * 4.0 + double_well().value(1.0 - 2.0 * mesh.nodes) / eps
+        assert np.allclose(dens, expected, rtol=1e-10)
 
     def test_front_density_concentrates_near_interface(self):
         eps = 0.1
         cfg, traj = small_front_run(eps=eps, n_cells=60, n_steps=40, T=0.08)
         mesh = cfg.ops.mesh
-        dens = np.abs(lagrangian_density(traj, traj.n_steps, eps, cfg.ops))
+        dens = np.abs(lagrangian_density(traj, traj.n_steps))
         radius = interface_radius(mesh, mesh.embed(traj.u(traj.n_steps)))
         hat = np.zeros(mesh.nodes.size)
         widths = np.diff(mesh.nodes)
@@ -415,6 +430,36 @@ class TestTrackInterface:
         assert np.all(trace.measured <= 1.0)
         assert np.all(np.isfinite(trace.rel_errors))
         assert np.max(trace.rel_errors) < 0.5
+
+    def test_samples_the_snapshot_steps(self):
+        # np.r_[0:n:stride, n], the rows of the CLI's snapshots
+        cfg, traj = small_front_run(n_steps=20, T=0.02)
+        for stride, steps in ((5, [0, 5, 10, 15, 20]), (6, [0, 6, 12, 18, 20]),
+                              (40, [0, 20])):
+            trace = track_interface(traj, 0.4, stride=stride)
+            assert trace.times.tolist() == [i * traj.tau for i in steps]
+
+    def test_rejects_a_moving_front(self):
+        # the preset's front launched with v0 = 2 sin(pi r), which the
+        # cosine law of a front at rest does not describe
+        mesh = build_mesh(0, 1, 80, geometry="radial", dim=2, dirichlet=(None, -1.0))
+        ops = build_operators(mesh, 1.0)
+        r = mesh.nodes[mesh.free]
+        cfg = SchemeConfig(T=0.06, n_steps=60, ops=ops,
+                           potential=gl_scaled(double_well(), 0.05),
+                           u0=np.tanh((0.4 - r) / 0.1), v0=2.0 * np.sin(np.pi * r))
+        with pytest.raises(ConfigurationError, match="front at rest"):
+            track_interface(run(cfg), 0.4)
+
+    def test_rejects_a_line_mesh_front(self):
+        mesh = build_mesh(0, 1, 40, dirichlet=(1.0, -1.0))
+        ops = build_operators(mesh, 1.0)
+        x = mesh.nodes[mesh.free]
+        cfg = SchemeConfig(T=0.02, n_steps=10, ops=ops,
+                           potential=gl_scaled(double_well(), 0.1),
+                           u0=np.tanh((0.4 - x) / 0.2), v0=np.zeros(ops.n_free))
+        with pytest.raises(ConfigurationError, match="radial mesh in dim 2"):
+            track_interface(run(cfg), 0.4)
 
 
 @pytest.fixture(scope="module")

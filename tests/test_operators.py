@@ -736,6 +736,32 @@ class TestSeminorm:
         u = rng.standard_normal(ops.n_free)
         assert seminorm_s(ops, u) == pytest.approx(np.sqrt(u @ (ops.K @ u)), rel=1e-12)
 
+    def test_null_vector_of_a_long_free_line(self):
+        # with both ends free the constant vector is K's null vector; on
+        # 100,000 cells the computed form is -1.3e-7, inside its round-off
+        # bound (about 1.8e-5), where a fixed 1e-12 (1 + u.u) raised
+        ops = build_operators(build_mesh(0, 1, 100_000), 1.0)
+        u = np.ones(ops.n_free)
+        assert u @ (ops.K @ u) < -1e-12 * (1.0 + u @ u)
+        assert seminorm_s(ops, u) == 0.0
+
+    @pytest.mark.parametrize("backend, make_ops", [
+        (Tridiagonal, lambda: make_line_ops(32, s=1.0)),
+        (SineStiffness, lambda: make_line_ops(32, s=0.5)),
+        (SpectralStiffness, lambda: build_operators(
+            build_mesh(0, 1, 32, geometry="radial", dim=2, dirichlet=(None, 0.0)), 0.5)),
+    ], ids=["Tridiagonal", "SineStiffness", "SpectralStiffness"])
+    def test_negative_form_raises(self, monkeypatch, backend, make_ops):
+        # a product that returns -A_s u makes the form negative far beyond
+        # round-off, whether the backend's model is entrywise or normwise
+        ops = make_ops()
+        assert isinstance(ops.A_s, backend)
+        u = np.random.default_rng(5).standard_normal(ops.n_free)
+        monkeypatch.setattr(operators, "fractional_apply",
+                            lambda ops, u: -(ops.A_s @ u))
+        with pytest.raises(NumericError, match="quadratic form returned"):
+            seminorm_s(ops, u)
+
 
 class TestPoincare:
     def test_s_zero_constant_is_one(self):
