@@ -28,8 +28,10 @@ runs the time loop.  Both checkouts run every size.
 
 The states section runs each workload's seed-0 config once per checkout,
 in a fresh process, and records its Newton iterations, the SHA-256 of the
-bytes of its states and whether the two sides' states are byte-equal.  It
-also runs `cli.cmd_run` on that config and records the SHA-256 of every
+bytes of its states and whether the two sides' states are byte-equal.  Next
+to the hashes it records how far apart the two sides' states and energy
+rows are: the largest relative difference, max |change - parent| over
+max |parent| (0.0 when they are byte-equal).  It also runs `cli.cmd_run` on that config and records the SHA-256 of every
 file it writes and whether the two sides' files are byte-equal: a refactor
 that claims the same results, or the same output files, shows it there.
 The same section runs each study command of STUDIES once per checkout
@@ -47,6 +49,8 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("gl_interface", "obstacle_wave", "frac_line")
@@ -108,11 +112,12 @@ def sha256_files(written: dict) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in written.values()}
 
 
-def states_point(root: Path, workload: str) -> dict:
+def states_point(root: Path, workload: str, arrays: Path) -> dict:
     """The seed-0 run of a workload's config (perfbench's make_config), in
     this process with fracwave from root/src: its Newton iterations, the
     SHA-256 of its states, and the SHA-256 of each file cli.cmd_run writes
-    for it."""
+    for it.  Its states and energy rows are saved to the .npz file
+    arrays."""
     use_checkout(root)
     sys.path.insert(0, str(root / "perfbench"))
     from fracwave import cli, run
@@ -124,6 +129,7 @@ def states_point(root: Path, workload: str) -> dict:
         cfg = cli.parse_config(path)
         traj = run(cli.build_problem(cfg))
         outputs = sha256_files(cli.cmd_run(cfg, Path(tmp) / "out"))
+    np.savez(arrays, states=traj.states, energies=traj.energies)
     return {"newton_iters": int(traj.iterations.sum()),
             "states_sha256": hashlib.sha256(traj.states.tobytes()).hexdigest(),
             "outputs_sha256": outputs}
@@ -141,6 +147,11 @@ def study_point(root: Path, study: str) -> dict:
         path.write_text(json.dumps(config))
         written = getattr(cli, command)(cli.parse_config(path), values, Path(tmp) / "out")
         return {"outputs_sha256": sha256_files(written)}
+
+
+def max_rel_diff(parent, change) -> float:
+    """max |change - parent| over max |parent|."""
+    return float(np.abs(change - parent).max() / np.abs(parent).max())
 
 
 def subprocess_json(args) -> dict:
@@ -187,7 +198,7 @@ def main(argv=None):
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", type=Path)
     p.add_argument("--ladder-point", nargs=2, help=argparse.SUPPRESS)
-    p.add_argument("--states-point", help=argparse.SUPPRESS)
+    p.add_argument("--states-point", nargs=2, help=argparse.SUPPRESS)
     p.add_argument("--study-point", help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
@@ -196,7 +207,8 @@ def main(argv=None):
         print(json.dumps(ladder_point(args.root, ladder, int(n_cells))))
         return
     if args.states_point:
-        print(json.dumps(states_point(args.root, args.states_point)))
+        workload, arrays = args.states_point
+        print(json.dumps(states_point(args.root, workload, Path(arrays))))
         return
     if args.study_point:
         print(json.dumps(study_point(args.root, args.study_point)))
@@ -226,13 +238,20 @@ def main(argv=None):
                          for side, root in sides.items()}}
                for name, (config, sizes) in LADDERS.items()}
     states = {}
-    for workload in WORKLOADS:
-        runs = {side: subprocess_json([__file__, "--root", root,
-                                       "--states-point", workload])
-                for side, root in sides.items()}
-        states[workload] = {**runs, **{
-            f"{kind}_equal": runs["parent"][f"{kind}_sha256"] == runs["change"][f"{kind}_sha256"]
-            for kind in ("states", "outputs")}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in WORKLOADS:
+            arrays = {side: Path(tmp) / f"{workload}_{side}.npz" for side in sides}
+            runs = {side: subprocess_json([__file__, "--root", root,
+                                           "--states-point", workload, arrays[side]])
+                    for side, root in sides.items()}
+            saved = {side: dict(np.load(path)) for side, path in arrays.items()}
+            states[workload] = {**runs, **{
+                f"{kind}_equal": (runs["parent"][f"{kind}_sha256"]
+                                  == runs["change"][f"{kind}_sha256"])
+                for kind in ("states", "outputs")}, **{
+                f"{kind}_max_rel_diff": max_rel_diff(saved["parent"][kind],
+                                                     saved["change"][kind])
+                for kind in ("states", "energies")}}
     studies = {}
     for study, (command, config, values) in STUDIES.items():
         runs = {side: subprocess_json([__file__, "--root", root, "--study-point", study])

@@ -18,6 +18,7 @@ only where something reads them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -180,8 +181,14 @@ def _fix_signs(phi):
 
 def _norm_1(A):
     """|A|_1 of the symmetric tridiagonal A: its largest absolute row sum."""
-    d, e = A.band
-    return float(band_apply((np.abs(d), np.abs(e)), np.ones(d.size)).max())
+    return float(band_apply(A.abs_band, np.ones(A.band[0].size)).max())
+
+
+def _pair_residual_scale(M, K, lam):
+    """(n + 4) u (|K|_1 + max|lam| |M|_1): spectral_decompose's bound on
+    |K phi_k - lam_k M phi_k|_2 per unit of |phi_k|_2."""
+    return ((lam.size + 4) * np.finfo(float).eps / 2.0
+            * (_norm_1(K) + np.abs(lam).max() * _norm_1(M)))
 
 
 def spectral_decompose(M, K):
@@ -215,9 +222,7 @@ def spectral_decompose(M, K):
         raise NumericError(f"generalized eigendecomposition failed: {exc}") from exc
     _fix_signs(phi)
     resid = np.linalg.norm(K @ phi - (M @ phi) * lam, axis=0)
-    bound = ((lam.size + 4) * np.finfo(float).eps / 2.0
-             * (_norm_1(K) + np.abs(lam).max() * _norm_1(M))
-             * np.linalg.norm(phi, axis=0))
+    bound = _pair_residual_scale(M, K, lam) * np.linalg.norm(phi, axis=0)
     worst = float(np.max(resid / bound))
     if worst > 1.0:
         raise NumericError(
@@ -239,9 +244,11 @@ class Tridiagonal:
     the worst case of the round-off floor's t (stepper._roundoff_floor) is
     2.5 to 3 eps per entry, which roundings of either sign seldom reach;
     its c = 2 sits just below it.  Measured at s = 1, Newton's residual
-    stalls 6 to 8 times below the floor (3.7e-9 against 3.0e-8 on 4,800
-    radial cells with the eps-scaled well, 1.0e-6 against 6.6e-6 on
-    102,400 line cells).
+    stalls 6 to 9 times below the floor (3.5e-9 against 3.0e-8 on the first
+    step of 4,800 radial cells with the eps-scaled well, tau = 5e-4,
+    re-measured with the pre-scaled M / tau^2 and d = u - w of
+    stepper._evaluate; 1.0e-6 against 6.6e-6 on 102,400 line cells).
+    abs_band, the band of |A_s|, is formed on first use and kept.
     """
 
     rest_apply = None
@@ -259,9 +266,14 @@ class Tridiagonal:
         dense[j, j + 1] = dense[j + 1, j] = e
         return dense
 
-    def roundoff(self, w):
+    @cached_property
+    def abs_band(self):
+        """(|d|, |e|), the band of |A|."""
         d, e = self.band
-        return band_apply((np.abs(d), np.abs(e)), w), 0.0
+        return np.abs(d), np.abs(e)
+
+    def roundoff(self, w):
+        return band_apply(self.abs_band, w), 0.0
 
     def spectrum(self, M, K):
         """The eigenpairs of (K, M), computed here on request."""
@@ -270,8 +282,16 @@ class Tridiagonal:
 
 class SpectralStiffness:
     """A_s at fractional s: the dense spectral power y y^T, y = (M Phi)
-    Lambda^(s/2), exactly symmetric because NumPy forms it by BLAS syrk.
-    Products cost O(n^2).  B is the diagonal of A_s; rest_apply forms
+    Lambda^(s/2), from the pairs of spectral_decompose(M, K), exactly
+    symmetric because NumPy forms it by BLAS syrk.  An eigenvalue counts as
+    0 where |lam_k| |M phi_k|_2 <= rho |phi_k|_2, rho the bound per unit
+    |phi_k|_2 that spectral_decompose checks the residuals against
+    (_pair_residual_scale): the term lam_k M phi_k then lies within the
+    pair's allowed backward error, and the pair does not tell lam_k from 0.
+    Taken as lam_k^(s/2), such a round-off eigenvalue gave the constant null
+    vector of a line with both ends free an order-s energy of a few percent
+    of its M-norm.  Negative eigenvalues beyond the threshold are
+    clamped to 0.  Products cost O(n^2).  B is the diagonal of A_s; rest_apply forms
     R x = A_s x - B x with one product and no n x n temporary.  It serves
     radial, free-end and nonuniform meshes, and is the small-n oracle.
 
@@ -290,11 +310,13 @@ class SpectralStiffness:
     3.5e-9 on 1,600 radial cells with the eps-scaled well).
     """
 
-    def __init__(self, M, spectrum, s: float):
-        self._spectrum = spectrum
-        lam, phi = spectrum
+    def __init__(self, M, K, s: float):
+        self._spectrum = lam, phi = spectral_decompose(M, K)
         y = M @ phi
-        y *= np.maximum(lam, 0.0) ** (s / 2.0)
+        # squared column norms by einsum: no n x n temporary
+        within = (lam**2 * np.einsum("ij,ij->j", y, y)
+                  <= _pair_residual_scale(M, K, lam)**2 * np.einsum("ij,ij->j", phi, phi))
+        y *= np.where(within, 0.0, np.maximum(lam, 0.0)) ** (s / 2.0)
         self.matrix = y @ y.T
         del y   # n x n: gone before the A_s^+ temporary
         self.band = (np.diagonal(self.matrix).copy(), np.zeros(lam.size - 1))
@@ -484,7 +506,7 @@ class OperatorSet:
         """|r|_{M^-1} = sqrt(r . M^-1 r), the norm of a residual (a
         functional on the free nodes) dual to the M-norm; round-off that
         takes r . M^-1 r below 0 reads 0."""
-        return float(np.sqrt(max(r @ self.solve_mass(r), 0.0)))
+        return math.sqrt(max(float(r @ self.solve_mass(r)), 0.0))
 
 
 def _is_toeplitz(mesh: Mesh1D, *forms) -> bool:
@@ -548,7 +570,7 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
           and _is_toeplitz(mesh, M, K)):
         A_s = SineStiffness(M, K, s)
     else:
-        A_s = SpectralStiffness(M, spectral_decompose(M, K), s)
+        A_s = SpectralStiffness(M, K, s)
     return OperatorSet(
         mesh=mesh, M=M, K=K, s=float(s), A_s=A_s, lumps=lumps,
         lift_load=lift_load, lift_const=float(lift_const), mass_chol=(d, e),
@@ -578,23 +600,28 @@ def seminorm_s(ops: OperatorSet, u: np.ndarray) -> float:
     product of n terms, in any order, errs by at most gamma_n |u| . |y|,
     gamma_n = n eps/2 / (1 - n eps/2) (Higham, Accuracy and Stability of
     Numerical Algorithms, 2nd ed., sec. 3.1).  A q below minus this bound
-    raises NumericError.
+    (_form_roundoff) raises NumericError.
     """
     u = np.asarray(u, dtype=float)
     y = fractional_apply(ops, u)
     q = float(u @ y)
     if q < 0.0:
-        eps = np.finfo(float).eps
-        gamma_n = u.size * eps / 2.0 / (1.0 - u.size * eps / 2.0)
-        abs_u = np.abs(u)
-        t_a, a = ops.A_s.roundoff(abs_u)
-        norm_m = np.sqrt(max(float(u @ (ops.M @ u)), 0.0))
-        bound = (2.0 * eps * (float(np.sum(abs_u * t_a)) + norm_m * a)
-                 + gamma_n * float(abs_u @ np.abs(y)))
+        bound = _form_roundoff(ops, u, y)
         if q < -bound:
             raise NumericError(f"quadratic form returned {q:.3e} < 0, below its "
                                f"round-off bound -{bound:.3e}")
     return np.sqrt(max(q, 0.0))
+
+
+def _form_roundoff(ops: OperatorSet, u, y) -> float:
+    """seminorm_s's bound on the round-off of u . y, y = fl(A_s u)."""
+    eps = np.finfo(float).eps
+    gamma_n = u.size * eps / 2.0 / (1.0 - u.size * eps / 2.0)
+    abs_u = np.abs(u)
+    t_a, a = ops.A_s.roundoff(abs_u)
+    norm_m = np.sqrt(max(float(u @ (ops.M @ u)), 0.0))
+    return (2.0 * eps * (float(np.sum(abs_u * t_a)) + norm_m * a)
+            + gamma_n * float(abs_u @ np.abs(y)))
 
 
 def poincare_constant(ops: OperatorSet) -> float:

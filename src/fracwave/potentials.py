@@ -4,6 +4,12 @@ second derivatives.
 All densities are non-negative and act nodewise on scalars or arrays.  The
 second derivative (`curvature`) enters the Newton system of each time step,
 whose functional stays convex while 1/tau^2 dominates max(-W'').
+
+Each potential implements one method, `evaluate(u, curvature=False)`, which
+gives (W(u), W'(u), W''(u) or None) in one pass that forms the shared
+subexpressions (u^2, 1 + u^2) once: the time step takes its potential terms
+from it.  `value`, `gradient` and `curvature` read one entry of it, so every
+route to W and its derivatives gives the same bits.
 """
 
 from __future__ import annotations
@@ -14,31 +20,32 @@ from .errors import ConfigurationError
 
 
 class Potential:
-    """Base class: the value/gradient/curvature contract."""
+    """Base class: the evaluate contract, and value, gradient and curvature
+    read off it."""
 
     kind = "abstract"
 
-    def value(self, u):
+    def evaluate(self, u, curvature=False):
+        """(W(u), W'(u), W''(u) if curvature else None)."""
         raise NotImplementedError
+
+    def value(self, u):
+        return self.evaluate(u)[0]
 
     def gradient(self, u):
-        raise NotImplementedError
+        return self.evaluate(u)[1]
 
     def curvature(self, u):
-        raise NotImplementedError
+        return self.evaluate(u, curvature=True)[2]
 
 
 class ZeroPotential(Potential):
     kind = "zero"
 
-    def value(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    def gradient(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
-
-    def curvature(self, u):
-        return np.zeros_like(np.asarray(u, dtype=float))
+    def evaluate(self, u, curvature=False):
+        # one array for all three: no caller writes into them
+        zero = np.zeros_like(np.asarray(u, dtype=float))
+        return zero, zero, zero if curvature else None
 
 
 class QuadraticPotential(Potential):
@@ -51,14 +58,10 @@ class QuadraticPotential(Potential):
             raise ConfigurationError("quadratic coefficient must be >= 0")
         self.c = float(c)
 
-    def value(self, u):
-        return 0.5 * self.c * np.asarray(u, dtype=float) ** 2
-
-    def gradient(self, u):
-        return self.c * np.asarray(u, dtype=float)
-
-    def curvature(self, u):
-        return np.full_like(np.asarray(u, dtype=float), self.c)
+    def evaluate(self, u, curvature=False):
+        u = np.asarray(u, dtype=float)
+        return (0.5 * self.c * (u * u), self.c * u,
+                np.full_like(u, self.c) if curvature else None)
 
 
 class DoubleWellPotential(Potential):
@@ -70,21 +73,18 @@ class DoubleWellPotential(Potential):
 
     kind = "double_well_rational"
 
-    def value(self, u):
-        q = np.asarray(u, dtype=float) ** 2
-        return (1.0 - q) ** 2 / (1.0 + q)
-
-    def gradient(self, u):
+    def evaluate(self, u, curvature=False):
+        """With q = u^2 and p = 1 + q: W = (1 - q)^2 / p, W' = -2 (1 - q)
+        (3 + q) / p^2 u and W'' = (2q^3 + 6q^2 + 30q - 6) / p^3, the
+        numerator in Horner form and the powers as products (p * p * p),
+        not float powers."""
         u = np.asarray(u, dtype=float)
         q = u * u
-        return -2.0 * (1.0 - q) * (3.0 + q) / (1.0 + q) ** 2 * u
-
-    def curvature(self, u):
-        """(2q^3 + 6q^2 + 30q - 6) / (1 + q)^3 with q = u^2, the numerator in
-        Horner form and the cube as p*p*p: products, not float powers."""
-        q = np.asarray(u, dtype=float) ** 2
         p = 1.0 + q
-        return (((2.0 * q + 6.0) * q + 30.0) * q - 6.0) / (p * p * p)
+        a = 1.0 - q
+        curv = ((((2.0 * q + 6.0) * q + 30.0) * q - 6.0) / (p * p * p)
+                if curvature else None)
+        return a * a / p, -2.0 * a * (3.0 + q) / (p * p) * u, curv
 
 
 class ScaledPotential(Potential):
@@ -104,14 +104,11 @@ class ScaledPotential(Potential):
         self.inner = inner
         self.eps = float(eps)
 
-    def value(self, u):
-        return self.inner.value(u) / self.eps**2
-
-    def gradient(self, u):
-        return self.inner.gradient(u) / self.eps**2
-
-    def curvature(self, u):
-        return self.inner.curvature(u) / self.eps**2
+    def evaluate(self, u, curvature=False):
+        value, slope, curv = self.inner.evaluate(u, curvature)
+        scale = self.eps**2
+        return (value / scale, slope / scale,
+                None if curv is None else curv / scale)
 
 
 def zero_potential() -> ZeroPotential:

@@ -2,8 +2,8 @@
 
 Each step minimizes the functional
 
-    J(u) = |u - 2 u_prev + u_prevprev|_M^2 / (2 tau^2)
-           + (1/2) u^T A_s u + sum_j m_j W(u_j)
+    J(u) = (1/2) (u - w)^T (M / tau^2) (u - w) + (1/2) u^T A_s u
+           + sum_j m_j W(u_j),    w = 2 u_prev - u_prevprev,
 
 over the free nodes, optionally restricted to the set {u >= g} for a nodal
 obstacle g.  The potential integral uses lumped-mass quadrature (row sums
@@ -47,6 +47,21 @@ positive definite whenever 1/tau^2 outweighs max(-W''); when P does not
 factor or CG meets a direction of non-positive curvature, the step raises
 SolverFailure.
 
+At a few hundred nodes an iterate costs numpy dispatch more than
+arithmetic, so each quantity is formed where it changes.  Per run
+(StepForms): the bands M / tau^2 and M / tau^2 + B.  At s in {0, 1} the
+band of |A_s| that the round-off floor reads is formed once and kept with
+the operators (Tridiagonal.abs_band).  Per step: the extrapolation
+w = 2 u_{i-1} - u_{i-2}, which feeds the floor and every iterate's
+d = u - w, and the floor itself.  Per iterate, one evaluation gives J,
+grad J and the two energies from the band product (M / tau^2) d, one
+product A_s u and one potential call (Potential.evaluate) that shares u^2
+between W and W', and at the warm start W'' too; then one mass solve for
+the stationarity norm, and a Newton step that adds m W'' to the held band
+and makes one dptsv call.  Under an obstacle the projection of the
+gradient and the pinning of the active nodes run only on iterates with a
+node at g or active.
+
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
 smoothed initialization is selected.  run writes each step's energy row
@@ -58,6 +73,7 @@ step_gradient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -189,19 +205,33 @@ class StepResult:
     pot_energy: float   # lumps . W(u) at u
 
 
+class StepForms:
+    """The parts of the step functional fixed for a run (one tau): M / tau^2
+    and the preconditioner's fixed part M / tau^2 + B (B = A_s.band), each
+    as tridiagonal diagonals (d, e).  run builds them once; minimize_step
+    builds them on the spot when not given them."""
+
+    def __init__(self, ops: OperatorSet, tau: float):
+        self.ops, self.tau = ops, tau
+        d, e = ops.M.band
+        self.mass = (d / tau**2, e / tau**2)
+        b_d, b_e = ops.A_s.band
+        self.precond = (self.mass[0] + b_d, self.mass[1] + b_e)
+
+
 def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
                     tau: float) -> float:
     """J(u) for inertia history (u1, u2) = (previous, one before)."""
-    u = np.asarray(u, dtype=float)
-    return _grad_and_value(ops, potential, u, np.asarray(u1, dtype=float),
-                           np.asarray(u2, dtype=float), tau)[0]
+    u1 = np.asarray(u1, dtype=float)
+    return _evaluate(ops, potential, StepForms(ops, tau), np.asarray(u, dtype=float),
+                     2.0 * u1 - np.asarray(u2, dtype=float))[0]
 
 
-def _state_energies(ops, potential, u, au):
-    """(fractional, potential) energy of the state u, with au = A_s u:
-    0.5 u.A_s u + u.lift_load + lift_const, and lumps . W(u)."""
+def _state_energies(ops, u, au, value):
+    """(fractional, potential) energy of the state u, with au = A_s u and
+    value = W(u): 0.5 u.A_s u + u.lift_load + lift_const, and lumps . W(u)."""
     return (0.5 * float(u @ au) + float(u @ ops.lift_load) + ops.lift_const,
-            float(ops.lumps @ potential.value(u)))
+            float(ops.lumps @ value))
 
 
 def _energy_row(ops, v, frac, pot):
@@ -211,59 +241,68 @@ def _energy_row(ops, v, frac, pot):
     return kin, frac, pot, kin + frac + pot
 
 
-def _grad_and_value(ops, potential, u, u1, u2, tau):
-    """(J(u), grad J(u), fractional energy, potential energy) of u; the
-    last two are the terms of J that energy() reports, formed once here."""
-    d = u - 2.0 * u1 + u2
-    md = ops.M @ d
+def _evaluate(ops, potential, forms, u, w, curvature=False):
+    """(J(u), grad J(u), fractional energy, potential energy, m W''(u) if
+    curvature else None) for the step with inertial extrapolation w =
+    2 u1 - u2, from d = u - w and one potential evaluation; the energies
+    are the terms of J that energy() reports, formed once here."""
+    d = u - w
+    md = band_apply(forms.mass, d)
     au = ops.A_s @ u
-    frac, pot = _state_energies(ops, potential, u, au)
-    j = float(d @ md) / (2.0 * tau**2) + frac + pot
-    grad = md / tau**2 + au + ops.lift_load + ops.lumps * potential.gradient(u)
-    return j, grad, frac, pot
+    value, slope, curv = potential.evaluate(u, curvature)
+    frac, pot = _state_energies(ops, u, au, value)
+    j = 0.5 * float(d @ md) + frac + pot
+    grad = md + au
+    grad += ops.lift_load
+    grad += ops.lumps * slope
+    return j, grad, frac, pot, None if curv is None else ops.lumps * curv
 
 
-def _stationarity(ops, u, grad, obstacle) -> float:
-    """Mass-weighted norm of the projected gradient; under an obstacle the
-    larger of the projected norm and the worst negative dual density (both
-    must vanish at a minimizer).
+def _stationarity(ops, grad, slack=None, density=None) -> float:
+    """Mass-weighted norm of the projected gradient; under an obstacle
+    (slack = u - g, density = grad / lumps) the larger of the projected
+    norm and the worst negative dual density (both must vanish at a
+    minimizer).  The projection changes nothing while no node is at g.
 
-    The normalized complementarity product |grad . slack| / (1 + |slack|_M),
-    slack = u - g, needs no term of its own: u is feasible, so the slack
-    vanishes on the active set, grad . slack = pg . slack <= |pg|_{M^-1}
-    |slack|_M, and the product stays below the projected norm."""
-    if obstacle is None:
+    The normalized complementarity product |grad . slack| / (1 + |slack|_M)
+    needs no term of its own: u is feasible, so the slack vanishes on the
+    active set, grad . slack = pg . slack <= |pg|_{M^-1} |slack|_M, and the
+    product stays below the projected norm."""
+    if slack is None:
         return ops.dual_norm(grad)
-    pg = np.where(u <= obstacle, np.minimum(grad, 0.0), grad)
-    dual_violation = max(0.0, -float(np.min(grad / ops.lumps)))
-    return max(ops.dual_norm(pg), dual_violation)
+    pg = (grad if slack.min() > 0.0
+          else np.where(slack > 0.0, grad, np.minimum(grad, 0.0)))
+    return max(ops.dual_norm(pg), -float(density.min()), 0.0)
 
 
-def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
+def _roundoff_floor(ops, potential, forms, u1, u2, w) -> float:
     """c eps (|t|_{M^-1} + a): the level of round-off in the computed
     residual.
 
-    With w = 2 u1 - u2 the inertial extrapolation, near which the step's
-    minimizer u lies,
+    The step's minimizer u lies near the inertial extrapolation w =
+    2 u1 - u2, formed once per step, and every evaluation takes the second
+    difference as d = u - w and its product with the pre-scaled band
+    M / tau^2 (StepForms.mass).  With
 
-        t = M (2|u1| + |u2|) / tau^2 + t_A + |lift_load| + m |W'(w)|
+        t = (M / tau^2) (2|u1| + |u2|) + t_A + |lift_load| + m |W'(w)|
 
-    sums the magnitudes of the gradient's terms (M is entrywise
-    nonnegative).  Each term is formed with a few roundings, each of at
+    the sum of the magnitudes of the gradient's terms (M is entrywise
+    nonnegative), each term is formed with a few roundings, each of at
     most u = eps/2 relative to the magnitudes it combines (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., ch. 3): the second
-    difference (u - 2 u1) + u2 errs by at most u (|u| + 2|u1|) <=
-    eps (2|u1| + |u2|), which M / tau^2 carries; summing the four terms
-    adds up to 1.5 eps of t.  The round-off of A_s w follows the model of
-    A_s's class (operators.Tridiagonal, SineStiffness, SpectralStiffness),
-    which gives (t_A, a) = A_s.roundoff(|w|): an entrywise term, |A_s| |w|
-    for a product that errs componentwise, and a normwise bound a on the
-    M^-1 norm for one that errs normwise.  The class also gives the grounds
-    for c = 2 and the cost of the term.
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3): w errs by at
+    most u (2|u1| + |u2|) and u - w by u |d|, with |d| far below |w| near
+    the minimizer, so d errs by at most eps (2|u1| + |u2|), which
+    M / tau^2 carries; scaling M's entries by 1 / tau^2 and the product
+    err relative to (M / tau^2) |d|, a smaller term.  Summing the four
+    terms adds up to 1.5 eps of t.  The round-off of A_s w follows the
+    model of A_s's class (operators.Tridiagonal, SineStiffness,
+    SpectralStiffness), which gives (t_A, a) = A_s.roundoff(|w|): an
+    entrywise term, |A_s| |w| for a product that errs componentwise, and a
+    normwise bound a on the M^-1 norm for one that errs normwise.  The class
+    also gives the grounds for c = 2 and the cost of the term.
     """
-    w = 2.0 * u1 - u2
     t_a, a = ops.A_s.roundoff(np.abs(w))
-    t = (ops.M @ (2.0 * np.abs(u1) + np.abs(u2)) / tau**2
+    t = (band_apply(forms.mass, 2.0 * np.abs(u1) + np.abs(u2))
          + t_a + np.abs(ops.lift_load)
          + ops.lumps * np.abs(potential.gradient(w)))
     return _AUTO_TOL_ROUNDOFF * (ops.dual_norm(t) + a)
@@ -271,9 +310,10 @@ def _roundoff_floor(ops, potential, u1, u2, tau) -> float:
 
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
-                  warm_start=None) -> StepResult:
+                  warm_start=None, forms: StepForms | None = None) -> StepResult:
     """Minimize the step functional by semismooth Newton from a feasible
-    warm start (default u1).
+    warm start (default u1).  forms are the run's StepForms(ops, tau),
+    built here when None.
 
     Under an obstacle, a node is active when the linearized gradient would
     push it below g, i.e. tau^2 * grad_j / m_j > u_j - g_j; active nodes are
@@ -290,19 +330,30 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
-    if obstacle is not None and np.any(u < obstacle):
+    if obstacle is not None and (u < obstacle).any():
         raise ConfigurationError("warm start is infeasible for the obstacle")
-    floor = _roundoff_floor(ops, potential, u1, u2, tau)
+    if forms is None:
+        forms = StepForms(ops, tau)
+    elif forms.ops is not ops or forms.tau != tau:
+        raise ConfigurationError("forms were built for other operators or tau")
+    w = 2.0 * u1 - u2
+    floor = _roundoff_floor(ops, potential, forms, u1, u2, w)
     tol = _AUTO_TOL_FLOOR + floor if solver.tol is None else solver.tol
 
     best, best_res = u, np.inf
     j_path = []
+    slack = density = None
     for iters in range(solver.max_iter + 1):
-        j, grad, frac, pot = _grad_and_value(ops, potential, u, u1, u2, tau)
-        if not (np.isfinite(j) and np.all(np.isfinite(grad))):
+        # the curvature from the same pass at the warm start, whose Newton
+        # step most steps take
+        j, grad, frac, pot, curv = _evaluate(ops, potential, forms, u, w,
+                                             curvature=not iters)
+        if not (math.isfinite(j) and np.isfinite(grad).all()):
             where = "during Newton iteration" if iters else "at warm start"
             raise BlowupError(f"non-finite functional or gradient {where}")
-        res = _stationarity(ops, u, grad, obstacle)
+        if obstacle is not None:
+            slack, density = u - obstacle, grad / ops.lumps
+        res = _stationarity(ops, grad, slack, density)
         j_path.append(j)
         if res < best_res:
             best, best_res = u, res
@@ -312,8 +363,15 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                               pot_energy=pot)
         if iters == solver.max_iter:
             break
-        step = _newton_step(ops, ops.lumps * potential.curvature(u), grad, u,
-                            obstacle, tau, _CG_TOL_FRACTION * tol)
+        if curv is None:
+            curv = ops.lumps * potential.curvature(u)
+        active = None
+        if obstacle is not None:
+            active = tau**2 * density > slack
+            if not active.any():
+                active = None
+        step = _newton_step(ops, forms, curv, grad, _CG_TOL_FRACTION * tol,
+                            slack, active)
         if step is None:
             raise SolverFailure(
                 "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
@@ -333,49 +391,49 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                         iterations=solver.max_iter)
 
 
-def _newton_step(ops, curv, grad, u, obstacle, tau, stop):
+def _newton_step(ops, forms, curv, grad, stop, slack=None, active=None):
     """The Newton step of H = M/tau^2 + A_s + diag(curv) at u, with the
-    active nodes pinned to g (step g_j - u_j there), or None when H on the
-    inactive nodes is not positive definite.
+    nodes of the mask active (None: no node) pinned to g (step -slack_j =
+    g_j - u_j there), or None when H on the inactive nodes is not positive
+    definite.
 
-    The tridiagonal P = M/tau^2 + B + diag(curv), with B the band part of
-    A_s (A_s.band) and the active rows and columns replaced by those of the
-    identity, is factored as L D L^T by LAPACK's dptsv.  Its solution is the
-    step where A_s = B (A_s.rest_apply is None); otherwise _pcg finishes the
-    solve to the M^-1 residual stop.
+    The tridiagonal P = M/tau^2 + B + diag(curv), from the run's band
+    forms.precond, with the active rows and columns replaced by those of
+    the identity, is factored as L D L^T by LAPACK's dptsv.  Its solution is
+    the step where A_s = B (A_s.rest_apply is None); otherwise _pcg finishes
+    the solve to the M^-1 residual stop.
     """
     rest = ops.A_s.rest_apply
-    d = ops.M.band[0] / tau**2 + curv + ops.A_s.band[0]
-    e = ops.M.band[1] / tau**2 + ops.A_s.band[1]
+    d = forms.precond[0] + curv
+    e = forms.precond[1]
     rhs = -grad
-    active = np.zeros(ops.n_free, dtype=bool)
-    if obstacle is not None:
+    if active is not None:
         # pin the active nodes to g: their columns of H = P + R move to the
         # right-hand side, their rows and columns of P become those of the
         # identity
-        active = tau**2 * grad / ops.lumps > u - obstacle
-        pinned = np.where(active, obstacle - u, 0.0)
+        pinned = np.where(active, -slack, 0.0)
         rhs -= band_apply((d, e), pinned)
         if rest is not None:
             rhs -= rest(pinned)
         rhs[active] = pinned[active]
-        e[active[1:] | active[:-1]] = 0.0
+        e = np.where(active[1:] | active[:-1], 0.0, e)
         d[active] = 1.0
     # LAPACK's ptsv directly: a wrapper's argument handling costs more than
-    # the O(n) solve at a few hundred nodes
+    # the O(n) solve at a few hundred nodes.  e is copied (overwrite_e=0):
+    # it may be the run's band
     *factor, step, info = scipy.linalg.lapack.dptsv(
-        *pt_args(d, e), rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        *pt_args(d, e), rhs, overwrite_d=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
     if info > 0:
         return None
     if rest is None:
         return step
-    return _pcg(ops, factor, step, ~active if active.any() else None, curv,
-                tau, stop)
+    return _pcg(ops, forms, factor, step, None if active is None else ~active,
+                curv, stop)
 
 
-def _pcg(ops, factor, x, free, curv, tau, stop):
+def _pcg(ops, forms, factor, x, free, curv, stop):
     """Solve H_FF x_F = b_F on the inactive nodes F (mask free) by conjugate
     gradients preconditioned with P_FF, starting from x = P^-1 b, the solve
     by the tridiagonal LDL^T factors (d, e) of P with the active nodes pinned;
@@ -400,7 +458,7 @@ def _pcg(ops, factor, x, free, curv, tau, stop):
         z = scipy.linalg.lapack.dpttrs(*factor, r)[0]
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
-        hp = ops.M @ p / tau**2 + ops.A_s @ p + curv * p
+        hp = band_apply(forms.mass, p) + ops.A_s @ p + curv * p
         if free is not None:
             hp = np.where(free, hp, 0.0)
         php = p @ hp
@@ -450,6 +508,7 @@ def run(config: SchemeConfig) -> Trajectory:
     residuals = np.zeros(n)
     tols = np.zeros(n)
     energies = np.empty((n + 1, 4))
+    forms = StepForms(ops, tau)
 
     for i in range(1, n + 1):
         if i >= 3:
@@ -464,7 +523,8 @@ def run(config: SchemeConfig) -> Trajectory:
         try:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
-                obstacle=config.obstacle, solver=config.solver, warm_start=start)
+                obstacle=config.obstacle, solver=config.solver, warm_start=start,
+                forms=forms)
         except SolverFailure as exc:
             raise SolverFailure(f"step {i}: {exc}", best=exc.best,
                                 residual=exc.residual, iterations=exc.iterations,
@@ -485,8 +545,8 @@ def energy(traj: Trajectory, i: int):
     recomputed from the states."""
     ops = traj.config.ops
     u = traj.u(i)
-    return _energy_row(ops, traj.v(i),
-                       *_state_energies(ops, traj.config.potential, u, ops.A_s @ u))
+    return _energy_row(ops, traj.v(i), *_state_energies(
+        ops, u, ops.A_s @ u, traj.config.potential.value(u)))
 
 
 def eval_interpolants(traj: Trajectory, t: float):
@@ -517,8 +577,8 @@ def step_gradient(ops: OperatorSet, potential: Potential, traj: Trajectory,
     discrete Euler-Lagrange residual of step i (1 <= i <= n)."""
     if not 1 <= i <= traj.n_steps:
         raise ConfigurationError(f"step index {i} out of range")
-    return _grad_and_value(ops, potential, traj.u(i), traj.u(i - 1), traj.u(i - 2),
-                           traj.tau)[1]
+    return _evaluate(ops, potential, StepForms(ops, traj.tau), traj.u(i),
+                     2.0 * traj.u(i - 1) - traj.u(i - 2))[1]
 
 
 def el_residual(ops: OperatorSet, potential: Potential, traj: Trajectory,
@@ -539,6 +599,6 @@ def vi_residuals(ops: OperatorSet, potential: Potential, traj: Trajectory,
     <= tol * (1 + |u_i - g|_M)).  Thresholds are enforced by tests.
     """
     r = step_gradient(ops, potential, traj, i)
-    min_dual = float(np.min(r / ops.lumps))
+    min_dual = float((r / ops.lumps).min())
     complementarity = abs(float(r @ (traj.u(i) - g)))
     return min_dual, complementarity

@@ -745,6 +745,32 @@ class TestSeminorm:
         assert u @ (ops.K @ u) < -1e-12 * (1.0 + u @ u)
         assert seminorm_s(ops, u) == 0.0
 
+    @pytest.mark.parametrize("n_cells", [50, 200, 800])
+    def test_constant_on_a_free_line_has_no_fractional_energy(self, n_cells):
+        # with both ends free the constant vector is K's null vector.  eigh
+        # returns its eigenvalue as round-off of either sign (2.4e-12,
+        # -2.3e-11 and 4.9e-11 at 50, 200 and 800 cells); taken as
+        # lam_1^(s/2), it gave the constant an order-s energy of 0.035, 0.0
+        # and 0.051.  SpectralStiffness counts it as 0, and the form is left
+        # within seminorm_s's own round-off bound
+        ops = build_operators(build_mesh(0, 1, n_cells), 0.25)
+        assert isinstance(ops.A_s, SpectralStiffness)
+        u = np.ones(ops.n_free)
+        assert seminorm_s(ops, u) ** 2 <= operators._form_roundoff(ops, u, ops.A_s @ u)
+
+    @pytest.mark.parametrize("dirichlet", [(0.0, None), (None, 0.0)])
+    def test_a_fixed_end_keeps_its_lowest_eigenvalue(self, dirichlet):
+        # lam_1 of a line with a fixed end, near (pi/2)^2, lies far above the
+        # threshold: A_s is the plain spectral power, bit for bit
+        ops = build_operators(build_mesh(0, 1, 200, dirichlet=dirichlet), 0.25)
+        assert isinstance(ops.A_s, SpectralStiffness)
+        lam, phi = ops.lam, ops.Phi
+        y = ops.M @ phi
+        y *= np.maximum(lam, 0.0) ** 0.125
+        assert np.array_equal(ops.A_s.matrix, y @ y.T)
+        assert lam[0] == pytest.approx((np.pi / 2) ** 2, rel=1e-4)
+        assert seminorm_s(ops, phi[:, 0]) == pytest.approx(lam[0] ** 0.125, rel=1e-12)
+
     @pytest.mark.parametrize("backend, make_ops", [
         (Tridiagonal, lambda: make_line_ops(32, s=1.0)),
         (SineStiffness, lambda: make_line_ops(32, s=0.5)),

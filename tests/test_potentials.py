@@ -92,6 +92,45 @@ class TestCurvature:
         assert np.all(w.curvature(np.linspace(-3, 3, 10001)) >= -6.0)
 
 
+def separate_formulas(pot, u):
+    """(W, W', W'') of pot at u, each from its own formula: q = u ** 2
+    formed anew for each, the powers as float powers."""
+    if pot.kind == "gl_scaled":
+        return tuple(x / pot.eps**2 for x in separate_formulas(pot.inner, u))
+    if pot.kind == "zero":
+        return np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
+    if pot.kind == "quadratic":
+        return 0.5 * pot.c * u ** 2, pot.c * u, np.full_like(u, pot.c)
+    q = u ** 2
+    return ((1.0 - q) ** 2 / (1.0 + q),
+            -2.0 * (1.0 - q) * (3.0 + q) / (1.0 + q) ** 2 * u,
+            (((2.0 * q + 6.0) * q + 30.0) * q - 6.0) / ((1.0 + q) * (1.0 + q) * (1.0 + q)))
+
+
+class TestSharedEvaluation:
+    # evaluate forms u^2 and 1 + u^2 once for W, W' and W''; it must give
+    # the bits of each quantity's own formula, signed zeros included, and
+    # the same W and W' whether or not W'' is asked for
+    @pytest.mark.parametrize("pot", [zero_potential(), quadratic(2.5), double_well(),
+                                     gl_scaled(double_well(), 0.05),
+                                     gl_scaled(quadratic(3.0), 0.2)],
+                             ids=["zero", "quadratic", "double_well", "scaled_well",
+                                  "scaled_quadratic"])
+    def test_equals_the_separate_formulas_bit_for_bit(self, pot):
+        rng = np.random.default_rng(45)
+        u = np.concatenate([rng.uniform(-3, 3, 1000), rng.standard_normal(200) * 1e-160,
+                            [0.0, -0.0, 1.0, -1.0, 1e200, -1e200]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = pot.evaluate(u, curvature=True)
+            without = pot.evaluate(u)
+            methods = (pot.value(u), pot.gradient(u), pot.curvature(u))
+            refs = separate_formulas(pot, u)
+        assert without[2] is None
+        for i, ref in enumerate(refs):
+            for x in (got[i], methods[i]) + ((without[i],) if i < 2 else ()):
+                assert x.shape == ref.shape and x.tobytes() == ref.tobytes(), i
+
+
 class TestNonnegativityAndSymmetry:
     @pytest.mark.parametrize("pot", [zero_potential(), quadratic(1.0), double_well(),
                                      gl_scaled(double_well(), 0.05)])

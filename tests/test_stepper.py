@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracwave import (BlowupError, ConfigurationError, Mesh1D, SchemeConfig,
                       SolverFailure, SolverParams, build_mesh, build_operators,
-                      el_residual, energy, eval_interpolants, minimize_step, run,
-                      step_functional, step_gradient, stepper, vi_residuals)
-from fracwave.operators import SineStiffness, Tridiagonal
+                      el_residual, energy, eval_interpolants, minimize_step, operators,
+                      run, step_functional, step_gradient, stepper, vi_residuals)
+from fracwave.operators import OperatorSet, SineStiffness, Tridiagonal
 from fracwave.potentials import double_well, gl_scaled, quadratic, zero_potential
 from fracwave.stepper import effective_v0
 
@@ -130,6 +131,19 @@ class TestMinimizeStep:
             minimize_step(ops64, zero_potential(), np.ones_like(z), np.ones_like(z),
                           0.1, obstacle=g, warm_start=z)
 
+    def test_forms_must_match_the_step(self, ops64):
+        # the run's forms give the bits of forms built on the spot; forms of
+        # another tau or another operator set would give another functional
+        u1 = 0.1 * ops64.Phi[:, 0]
+        u2 = 0.2 * ops64.Phi[:, 0]
+        fresh = minimize_step(ops64, double_well(), u1, u2, 0.1)
+        given = minimize_step(ops64, double_well(), u1, u2, 0.1,
+                              forms=stepper.StepForms(ops64, 0.1))
+        assert np.array_equal(fresh.u, given.u) and fresh.j_path == given.j_path
+        for forms in (stepper.StepForms(ops64, 0.2), stepper.StepForms(make_line_ops(64), 0.1)):
+            with pytest.raises(ConfigurationError, match="forms were built"):
+                minimize_step(ops64, double_well(), u1, u2, 0.1, forms=forms)
+
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_single_free_node(self, s):
         # two cells with both ends fixed leave one free node, where the step
@@ -159,9 +173,16 @@ class TestMinimizeStep:
         res = minimize_step(ops, double_well(), u1, u2, tau, obstacle=g, warm_start=u)
 
         hess0 = ops.M.toarray() / tau**2 + dense_A_s(ops)
-        j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)[:2]
+        forms, w = stepper.StepForms(ops, tau), 2.0 * u1 - u2
+
+        def evaluate(u):
+            j, grad = stepper._evaluate(ops, double_well(), forms, u, w)[:2]
+            obstacle = (u - g, grad / ops.lumps) if contact else ()
+            return j, grad, stepper._stationarity(ops, grad, *obstacle)
+
+        j, grad, res_u = evaluate(u)
         j_path = [j]
-        while stepper._stationarity(ops, u, grad, g) > res.tol:
+        while res_u > res.tol:
             hess = hess0 + np.diag(ops.lumps * double_well().curvature(u))
             step = np.zeros(ops.n_free)
             active = np.zeros(ops.n_free, dtype=bool)
@@ -172,7 +193,7 @@ class TestMinimizeStep:
             step[free] = np.linalg.solve(hess[np.ix_(free, free)],
                                          -grad[free] - hess[np.ix_(free, active)] @ step[active])
             u = u + step if g is None else np.maximum(u + step, g)
-            j, grad = stepper._grad_and_value(ops, double_well(), u, u1, u2, tau)[:2]
+            j, grad, res_u = evaluate(u)
             j_path.append(j)
         assert res.iterations == len(j_path) - 1 >= 2
         assert np.allclose(res.j_path, j_path, rtol=1e-10, atol=0.0)
@@ -245,7 +266,8 @@ class TestPinnedNewtonSolve:
         if contact:
             g = u - np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
             active = tau**2 * grad / ops.lumps > u - g
-        step = stepper._newton_step(ops, curv, grad, u, g, tau, 0.0)
+        step = stepper._newton_step(ops, stepper.StepForms(ops, tau), curv, grad, 0.0,
+                                    *((u - g, active) if contact else ()))
 
         H = ops.M.toarray() / tau**2
         H[np.diag_indices(n)] += curv
@@ -298,7 +320,8 @@ class TestPinnedNewtonSolve:
         pinned = np.where(active, (g - u) if contact else 0.0, 0.0)
         rhs = np.where(free, -grad - H @ pinned, 0.0)
         stop = 1e-8 * np.sqrt(rhs @ np.linalg.solve(M, rhs))
-        step = stepper._newton_step(ops, curv, grad, u, g, tau, stop)
+        step = stepper._newton_step(ops, stepper.StepForms(ops, tau), curv, grad, stop,
+                                    *((u - g, active) if contact else ()))
 
         assert np.array_equal(step[active], pinned[active])
         ext = np.longdouble
@@ -519,6 +542,46 @@ class TestNoDispatchOnTheHotPath:
         result = minimize_step(ops, double_well(), u1, u2, 0.01, obstacle=g)
         assert result.iterations >= 1 and result.residual <= result.tol
         assert contact == (g is not None and np.any(result.u == g))
+
+    def test_work_per_newton_iterate(self, monkeypatch):
+        # at s = 1, per step: the round-off floor takes two band products
+        # (|A_s| |w| and M/tau^2 (2|u1| + |u2|)) and one mass solve; each
+        # evaluation two band products (M/tau^2 (u - w) and A_s u) and one
+        # mass solve (the stationarity norm); each Newton iterate one dptsv,
+        # plus one product of the pinned values where a node is active.  So
+        # a step of k iterates makes 2 + 2 (k + 1) + (active iterates)
+        # products, 2 + k mass solves and k dptsv calls
+        ops = make_line_ops(64, s=1.0)
+        x = ops.mesh.nodes[ops.mesh.free]
+        u1, u2 = -0.1 * np.sin(np.pi * x), -0.05 * np.sin(np.pi * x)
+        counts = {}
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        band = counted("band", operators.band_apply)
+        monkeypatch.setattr(operators, "band_apply", band)
+        monkeypatch.setattr(stepper, "band_apply", band)
+        monkeypatch.setattr(OperatorSet, "solve_mass",
+                            counted("solve", OperatorSet.solve_mass))
+        monkeypatch.setattr(scipy.linalg.lapack, "dptsv",
+                            counted("dptsv", scipy.linalg.lapack.dptsv))
+        work = {}
+        # an obstacle far below the path, and one the step meets (g = -0.1,
+        # which the extrapolation -0.15 sin(pi x) crosses)
+        for case, g in (("free", None), ("no_contact", np.full(ops.n_free, -1.0)),
+                        ("contact", np.full(ops.n_free, -0.1))):
+            counts.update(band=0, solve=0, dptsv=0)
+            result = minimize_step(ops, double_well(), u1, u2, 0.01, obstacle=g)
+            work[case] = (result.iterations, dict(counts))
+        assert work == {"free": (2, {"band": 8, "solve": 4, "dptsv": 2}),
+                        "no_contact": (2, {"band": 8, "solve": 4, "dptsv": 2}),
+                        "contact": (3, {"band": 13, "solve": 5, "dptsv": 3})}
+        # an obstacle the step does not touch costs no product
+        assert work["no_contact"][1]["band"] <= work["free"][1]["band"]
 
     def test_scipy_sparse_is_never_imported(self):
         # in a fresh interpreter, since the tests import scipy.sparse for
