@@ -48,19 +48,19 @@ factor or CG meets a direction of non-positive curvature, the step raises
 SolverFailure.
 
 At a few hundred nodes an iterate costs numpy dispatch more than
-arithmetic, so each quantity is formed where it changes.  Per run
-(StepForms): the bands M / tau^2 and M / tau^2 + B.  At s in {0, 1} the
-band of |A_s| that the round-off floor reads is formed once and kept with
-the operators (Tridiagonal.abs_band).  Per step: the extrapolation
-w = 2 u_{i-1} - u_{i-2}, which feeds the floor and every iterate's
-d = u - w, and the floor itself.  Per iterate, one evaluation gives J,
-grad J and the two energies from the band product (M / tau^2) d, one
-product A_s u and one potential call (Potential.evaluate) that shares u^2
-between W and W', and at the warm start W'' too; then one mass solve for
-the stationarity norm, and a Newton step that adds m W'' to the held band
-and makes one dptsv call.  Under an obstacle the projection of the
-gradient and the pinning of the active nodes run only on iterates with a
-node at g or active.
+arithmetic, so each quantity is formed where it changes.  Per run: at
+s in {0, 1} the band of |A_s| that the round-off floor reads is formed
+once and kept with the operators (Tridiagonal.abs_band).  Per step: the
+band of M / tau^2 and the extrapolation w = 2 u_{i-1} - u_{i-2}, which
+feed the floor and every iterate's (M / tau^2) d with d = u - w, and the
+floor itself.  Per iterate, one evaluation gives J, grad J and the two
+energies from the band product (M / tau^2) d, one product A_s u and one
+potential call (Potential.evaluate) that shares u^2 between W and W', and
+at the warm start W'' too; then one mass solve for the stationarity norm,
+and a Newton step that sums the band M / tau^2 + B + diag(m W'') and makes
+one dptsv call.  Under an obstacle the projection of the gradient and the
+pinning of the active nodes run only on iterates with a node at g or
+active.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
@@ -205,25 +205,17 @@ class StepResult:
     pot_energy: float   # lumps . W(u) at u
 
 
-class StepForms:
-    """The parts of the step functional fixed for a run (one tau): M / tau^2
-    and the preconditioner's fixed part M / tau^2 + B (B = A_s.band), each
-    as tridiagonal diagonals (d, e).  run builds them once; minimize_step
-    builds them on the spot when not given them."""
-
-    def __init__(self, ops: OperatorSet, tau: float):
-        self.ops, self.tau = ops, tau
-        d, e = ops.M.band
-        self.mass = (d / tau**2, e / tau**2)
-        b_d, b_e = ops.A_s.band
-        self.precond = (self.mass[0] + b_d, self.mass[1] + b_e)
+def _scaled_mass(ops: OperatorSet, tau: float):
+    """The tridiagonal diagonals (d, e) of M / tau^2."""
+    d, e = ops.M.band
+    return d / tau**2, e / tau**2
 
 
 def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
                     tau: float) -> float:
     """J(u) for inertia history (u1, u2) = (previous, one before)."""
     u1 = np.asarray(u1, dtype=float)
-    return _evaluate(ops, potential, StepForms(ops, tau), np.asarray(u, dtype=float),
+    return _evaluate(ops, potential, _scaled_mass(ops, tau), np.asarray(u, dtype=float),
                      2.0 * u1 - np.asarray(u2, dtype=float))[0]
 
 
@@ -241,18 +233,20 @@ def _energy_row(ops, v, frac, pot):
     return kin, frac, pot, kin + frac + pot
 
 
-def _evaluate(ops, potential, forms, u, w, curvature=False):
+def _evaluate(ops, potential, mass, u, w, curvature=False):
     """(J(u), grad J(u), fractional energy, potential energy, m W''(u) if
     curvature else None) for the step with inertial extrapolation w =
-    2 u1 - u2, from d = u - w and one potential evaluation; the energies
-    are the terms of J that energy() reports, formed once here."""
+    2 u1 - u2 and the band mass of M / tau^2, from d = u - w and one
+    potential evaluation; the energies are the terms of J that energy()
+    reports, formed once here."""
     d = u - w
-    md = band_apply(forms.mass, d)
+    md = band_apply(mass, d)
     au = ops.A_s @ u
     value, slope, curv = potential.evaluate(u, curvature)
     frac, pot = _state_energies(ops, u, au, value)
     j = 0.5 * float(d @ md) + frac + pot
-    grad = md + au
+    grad = md  # (M / tau^2) d, summed into in place
+    grad += au
     grad += ops.lift_load
     grad += ops.lumps * slope
     return j, grad, frac, pot, None if curv is None else ops.lumps * curv
@@ -275,14 +269,14 @@ def _stationarity(ops, grad, slack=None, density=None) -> float:
     return max(ops.dual_norm(pg), -float(density.min()), 0.0)
 
 
-def _roundoff_floor(ops, potential, forms, u1, u2, w) -> float:
+def _roundoff_floor(ops, potential, mass, u1, u2, w) -> float:
     """c eps (|t|_{M^-1} + a): the level of round-off in the computed
     residual.
 
     The step's minimizer u lies near the inertial extrapolation w =
     2 u1 - u2, formed once per step, and every evaluation takes the second
     difference as d = u - w and its product with the pre-scaled band
-    M / tau^2 (StepForms.mass).  With
+    M / tau^2 (mass).  With
 
         t = (M / tau^2) (2|u1| + |u2|) + t_A + |lift_load| + m |W'(w)|
 
@@ -302,7 +296,7 @@ def _roundoff_floor(ops, potential, forms, u1, u2, w) -> float:
     also gives the grounds for c = 2 and the cost of the term.
     """
     t_a, a = ops.A_s.roundoff(np.abs(w))
-    t = (band_apply(forms.mass, 2.0 * np.abs(u1) + np.abs(u2))
+    t = (band_apply(mass, 2.0 * np.abs(u1) + np.abs(u2))
          + t_a + np.abs(ops.lift_load)
          + ops.lumps * np.abs(potential.gradient(w)))
     return _AUTO_TOL_ROUNDOFF * (ops.dual_norm(t) + a)
@@ -310,10 +304,9 @@ def _roundoff_floor(ops, potential, forms, u1, u2, w) -> float:
 
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
-                  warm_start=None, forms: StepForms | None = None) -> StepResult:
+                  warm_start=None) -> StepResult:
     """Minimize the step functional by semismooth Newton from a feasible
-    warm start (default u1).  forms are the run's StepForms(ops, tau),
-    built here when None.
+    warm start (default u1).
 
     Under an obstacle, a node is active when the linearized gradient would
     push it below g, i.e. tau^2 * grad_j / m_j > u_j - g_j; active nodes are
@@ -332,12 +325,9 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
     if obstacle is not None and (u < obstacle).any():
         raise ConfigurationError("warm start is infeasible for the obstacle")
-    if forms is None:
-        forms = StepForms(ops, tau)
-    elif forms.ops is not ops or forms.tau != tau:
-        raise ConfigurationError("forms were built for other operators or tau")
+    mass = _scaled_mass(ops, tau)
     w = 2.0 * u1 - u2
-    floor = _roundoff_floor(ops, potential, forms, u1, u2, w)
+    floor = _roundoff_floor(ops, potential, mass, u1, u2, w)
     tol = _AUTO_TOL_FLOOR + floor if solver.tol is None else solver.tol
 
     best, best_res = u, np.inf
@@ -346,7 +336,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     for iters in range(solver.max_iter + 1):
         # the curvature from the same pass at the warm start, whose Newton
         # step most steps take
-        j, grad, frac, pot, curv = _evaluate(ops, potential, forms, u, w,
+        j, grad, frac, pot, curv = _evaluate(ops, potential, mass, u, w,
                                              curvature=not iters)
         if not (math.isfinite(j) and np.isfinite(grad).all()):
             where = "during Newton iteration" if iters else "at warm start"
@@ -370,7 +360,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
             active = tau**2 * density > slack
             if not active.any():
                 active = None
-        step = _newton_step(ops, forms, curv, grad, _CG_TOL_FRACTION * tol,
+        step = _newton_step(ops, mass, curv, grad, _CG_TOL_FRACTION * tol,
                             slack, active)
         if step is None:
             raise SolverFailure(
@@ -391,21 +381,23 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                         iterations=solver.max_iter)
 
 
-def _newton_step(ops, forms, curv, grad, stop, slack=None, active=None):
+def _newton_step(ops, mass, curv, grad, stop, slack=None, active=None):
     """The Newton step of H = M/tau^2 + A_s + diag(curv) at u, with the
     nodes of the mask active (None: no node) pinned to g (step -slack_j =
     g_j - u_j there), or None when H on the inactive nodes is not positive
     definite.
 
-    The tridiagonal P = M/tau^2 + B + diag(curv), from the run's band
-    forms.precond, with the active rows and columns replaced by those of
-    the identity, is factored as L D L^T by LAPACK's dptsv.  Its solution is
-    the step where A_s = B (A_s.rest_apply is None); otherwise _pcg finishes
-    the solve to the M^-1 residual stop.
+    The tridiagonal P = M/tau^2 + B + diag(curv), from the band mass of
+    M/tau^2 and B = A_s.band, with the active rows and columns replaced by
+    those of the identity, is factored as L D L^T by LAPACK's dptsv.  Its
+    solution is the step where A_s = B (A_s.rest_apply is None); otherwise
+    _pcg finishes the solve to the M^-1 residual stop.
     """
     rest = ops.A_s.rest_apply
-    d = forms.precond[0] + curv
-    e = forms.precond[1]
+    b_d, b_e = ops.A_s.band
+    d = mass[0] + b_d
+    d += curv
+    e = mass[1] + b_e
     rhs = -grad
     if active is not None:
         # pin the active nodes to g: their columns of H = P + R move to the
@@ -419,21 +411,20 @@ def _newton_step(ops, forms, curv, grad, stop, slack=None, active=None):
         e = np.where(active[1:] | active[:-1], 0.0, e)
         d[active] = 1.0
     # LAPACK's ptsv directly: a wrapper's argument handling costs more than
-    # the O(n) solve at a few hundred nodes.  e is copied (overwrite_e=0):
-    # it may be the run's band
+    # the O(n) solve at a few hundred nodes
     *factor, step, info = scipy.linalg.lapack.dptsv(
-        *pt_args(d, e), rhs, overwrite_d=1, overwrite_b=1)
+        *pt_args(d, e), rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
     if info > 0:
         return None
     if rest is None:
         return step
-    return _pcg(ops, forms, factor, step, None if active is None else ~active,
+    return _pcg(ops, mass, factor, step, None if active is None else ~active,
                 curv, stop)
 
 
-def _pcg(ops, forms, factor, x, free, curv, stop):
+def _pcg(ops, mass, factor, x, free, curv, stop):
     """Solve H_FF x_F = b_F on the inactive nodes F (mask free) by conjugate
     gradients preconditioned with P_FF, starting from x = P^-1 b, the solve
     by the tridiagonal LDL^T factors (d, e) of P with the active nodes pinned;
@@ -458,7 +449,7 @@ def _pcg(ops, forms, factor, x, free, curv, stop):
         z = scipy.linalg.lapack.dpttrs(*factor, r)[0]
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
-        hp = band_apply(forms.mass, p) + ops.A_s @ p + curv * p
+        hp = band_apply(mass, p) + ops.A_s @ p + curv * p
         if free is not None:
             hp = np.where(free, hp, 0.0)
         php = p @ hp
@@ -508,7 +499,6 @@ def run(config: SchemeConfig) -> Trajectory:
     residuals = np.zeros(n)
     tols = np.zeros(n)
     energies = np.empty((n + 1, 4))
-    forms = StepForms(ops, tau)
 
     for i in range(1, n + 1):
         if i >= 3:
@@ -523,8 +513,7 @@ def run(config: SchemeConfig) -> Trajectory:
         try:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
-                obstacle=config.obstacle, solver=config.solver, warm_start=start,
-                forms=forms)
+                obstacle=config.obstacle, solver=config.solver, warm_start=start)
         except SolverFailure as exc:
             raise SolverFailure(f"step {i}: {exc}", best=exc.best,
                                 residual=exc.residual, iterations=exc.iterations,
@@ -577,7 +566,7 @@ def step_gradient(ops: OperatorSet, potential: Potential, traj: Trajectory,
     discrete Euler-Lagrange residual of step i (1 <= i <= n)."""
     if not 1 <= i <= traj.n_steps:
         raise ConfigurationError(f"step index {i} out of range")
-    return _evaluate(ops, potential, StepForms(ops, traj.tau), traj.u(i),
+    return _evaluate(ops, potential, _scaled_mass(ops, traj.tau), traj.u(i),
                      2.0 * traj.u(i - 1) - traj.u(i - 2))[1]
 
 

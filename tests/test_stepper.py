@@ -131,19 +131,6 @@ class TestMinimizeStep:
             minimize_step(ops64, zero_potential(), np.ones_like(z), np.ones_like(z),
                           0.1, obstacle=g, warm_start=z)
 
-    def test_forms_must_match_the_step(self, ops64):
-        # the run's forms give the bits of forms built on the spot; forms of
-        # another tau or another operator set would give another functional
-        u1 = 0.1 * ops64.Phi[:, 0]
-        u2 = 0.2 * ops64.Phi[:, 0]
-        fresh = minimize_step(ops64, double_well(), u1, u2, 0.1)
-        given = minimize_step(ops64, double_well(), u1, u2, 0.1,
-                              forms=stepper.StepForms(ops64, 0.1))
-        assert np.array_equal(fresh.u, given.u) and fresh.j_path == given.j_path
-        for forms in (stepper.StepForms(ops64, 0.2), stepper.StepForms(make_line_ops(64), 0.1)):
-            with pytest.raises(ConfigurationError, match="forms were built"):
-                minimize_step(ops64, double_well(), u1, u2, 0.1, forms=forms)
-
     @pytest.mark.parametrize("s", [0.5, 1.0])
     def test_single_free_node(self, s):
         # two cells with both ends fixed leave one free node, where the step
@@ -173,10 +160,10 @@ class TestMinimizeStep:
         res = minimize_step(ops, double_well(), u1, u2, tau, obstacle=g, warm_start=u)
 
         hess0 = ops.M.toarray() / tau**2 + dense_A_s(ops)
-        forms, w = stepper.StepForms(ops, tau), 2.0 * u1 - u2
+        mass, w = stepper._scaled_mass(ops, tau), 2.0 * u1 - u2
 
         def evaluate(u):
-            j, grad = stepper._evaluate(ops, double_well(), forms, u, w)[:2]
+            j, grad = stepper._evaluate(ops, double_well(), mass, u, w)[:2]
             obstacle = (u - g, grad / ops.lumps) if contact else ()
             return j, grad, stepper._stationarity(ops, grad, *obstacle)
 
@@ -266,7 +253,7 @@ class TestPinnedNewtonSolve:
         if contact:
             g = u - np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
             active = tau**2 * grad / ops.lumps > u - g
-        step = stepper._newton_step(ops, stepper.StepForms(ops, tau), curv, grad, 0.0,
+        step = stepper._newton_step(ops, stepper._scaled_mass(ops, tau), curv, grad, 0.0,
                                     *((u - g, active) if contact else ()))
 
         H = ops.M.toarray() / tau**2
@@ -320,7 +307,7 @@ class TestPinnedNewtonSolve:
         pinned = np.where(active, (g - u) if contact else 0.0, 0.0)
         rhs = np.where(free, -grad - H @ pinned, 0.0)
         stop = 1e-8 * np.sqrt(rhs @ np.linalg.solve(M, rhs))
-        step = stepper._newton_step(ops, stepper.StepForms(ops, tau), curv, grad, stop,
+        step = stepper._newton_step(ops, stepper._scaled_mass(ops, tau), curv, grad, stop,
                                     *((u - g, active) if contact else ()))
 
         assert np.array_equal(step[active], pinned[active])
