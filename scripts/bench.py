@@ -19,9 +19,13 @@ per seed, from the info line of perfbench/run.py, so that a change in time
 splits into iterations and cost per iteration.
 
 Each ladder runs one config at each of its mesh sizes, in both checkouts,
-one fresh process per size, so that the peak RSS is that size's own, and
-records setup (parse and build) and solve (the time loop) apart.  The s = 1
-ladder is the gl_interface preset (radial) with n_steps = 20 and T = 0.001.
+one fresh process per run, so that the peak RSS is that size's own.  Each
+size runs in LADDER_PAIRS pairs, alternating which side runs first, and
+each side records the median and the minimum of its setup (parse and
+build), solve (the time loop) and peak RSS, next to every run's value: one
+run is too noisy a sample to show a scaling change, and the minimum is the
+estimate least moved by interference.  The s = 1 ladder is the
+gl_interface preset (radial) with n_steps = 20 and T = 0.001.
 The s = 1/2 ladder is frac_line's config (uniform line, double well) with
 n_steps = 20 at the time step of frac_line; its setup builds A_s, its solve
 runs the time loop.  Both checkouts run every size.
@@ -68,6 +72,7 @@ LADDERS = {
                    "v0_kind": "sine", "v0_amp": 1.0},
                   (400, 800, 1600, 6400, 25600, 102400)),
 }
+LADDER_PAIRS = 5
 # name: (cli command, its config, its list argument)
 STUDIES = {
     "sweep_eps": ("cmd_sweep_eps", {"preset": "gl_interface", "T": 0.02, "n_steps": 10},
@@ -105,6 +110,21 @@ def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
             "newton_iters": int(traj.iterations.sum()),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                  / 1024, 1)}
+
+
+def ladder_summary(runs: list) -> dict:
+    """One side's runs of one ladder size: the median, minimum and every
+    value of setup, solve and peak RSS, and the Newton iterations, which
+    must be the same in every run."""
+    iters = {r["newton_iters"] for r in runs}
+    if len(iters) != 1:
+        sys.exit(f"ladder size {runs[0]['n_cells']}: Newton iterations differ: {iters}")
+    stats = {}
+    for metric in ("setup_s", "solve_s", "peak_rss_mb"):
+        values = [r[metric] for r in runs]
+        stats[metric] = {"median": statistics.median(values), "min": min(values),
+                         "runs": values}
+    return {"n_cells": runs[0]["n_cells"], "newton_iters": iters.pop(), **stats}
 
 
 def sha256_files(written: dict) -> dict:
@@ -231,12 +251,22 @@ def main(argv=None):
         bench[workload]["inner_iters"] = {side: [r["inner_iters"] for r in runs[side]]
                                           for side in sides}
 
-    ladders = {name: {"config": config, "sizes": list(sizes),
-                      **{side: [subprocess_json([__file__, "--root", root,
-                                                 "--ladder-point", name, n])
-                                for n in sizes]
-                         for side, root in sides.items()}}
-               for name, (config, sizes) in LADDERS.items()}
+    ladders = {}
+    for name, (config, sizes) in LADDERS.items():
+        points = {side: [] for side in sides}
+        for n in sizes:
+            runs = {side: [] for side in sides}
+            for i in range(LADDER_PAIRS):
+                for side in sorted(sides, reverse=bool(i % 2)):
+                    runs[side].append(subprocess_json(
+                        [__file__, "--root", sides[side], "--ladder-point", name, n]))
+            for side in sides:
+                points[side].append(ladder_summary(runs[side]))
+            print(name, n, {side: points[side][-1]["solve_s"] for side in sides},
+                  file=sys.stderr)
+        ladders[name] = {"config": config, "sizes": list(sizes), "pairs": LADDER_PAIRS,
+                         "order": "parent and change alternate first per pair",
+                         **points}
     states = {}
     with tempfile.TemporaryDirectory() as tmp:
         for workload in WORKLOADS:

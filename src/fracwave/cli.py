@@ -7,6 +7,12 @@ and every command echoes the fully resolved configuration next to its
 outputs so runs can be reproduced byte for byte.  No command writes a file
 before every check on its configuration has passed.  Exit codes: 0 ok,
 2 configuration error, 3 inner-solver failure, 4 numerical blowup.
+
+The rules of the eps-interface model are diagnostics', and this module
+states none of them: whether a mesh resolves the front
+(diagnostics.resolves_interface), which build_problem warns on and by
+which sweep-eps meshes each eps, when a front follows the cosine law, and
+which steps the snapshots and the interface trace sample.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import sys
 import typing
@@ -24,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .diagnostics import (RefinementRow, convergence_study, cosine_law_fault,
-                          gl_energy_accounting, interface_radius,
-                          sharp_interface_fault, track_interface)
+                          front_radius, gl_energy_accounting, resolves_interface,
+                          sampled_steps, sharp_interface_fault, track_interface)
 from .errors import BlowupError, ConfigurationError, NumericError, SolverFailure
 from .operators import Mesh1D, build_mesh, build_operators
 from .potentials import (Potential, double_well, gl_scaled, quadratic,
@@ -34,7 +41,6 @@ from .stepper import SchemeConfig, SolverParams, run
 
 _DRIFT_FIT_SAFETY = 2.0
 _DRIFT_FIT_FLOOR = 1e-10
-_RESOLUTION_ROUNDOFF = 8 * np.finfo(float).eps
 
 
 @dataclass
@@ -240,14 +246,10 @@ def build_problem(cfg: RunConfigFile) -> SchemeConfig:
     ops = build_operators(mesh, cfg.s)
     pot = _potential(cfg)
     span = cfg.x_max - cfg.x_min
-    if cfg.gl_eps is not None:
-        h = span / cfg.n_cells
-        # h = eps/2 passes: the mesh sweep-eps derives for eps may give
-        # 2h above eps by a few units of round-off
-        if cfg.gl_eps < 2.0 * h * (1.0 - _RESOLUTION_ROUNDOFF):
-            warnings.warn(f"eps={cfg.gl_eps:g} < 2h={2 * h:g}; the interface "
-                          "is under-resolved (resolution rule: h <= eps/2)",
-                          stacklevel=2)
+    if cfg.gl_eps is not None and not resolves_interface(span, cfg.n_cells, cfg.gl_eps):
+        warnings.warn(f"eps={cfg.gl_eps:g} < 2h={2 * span / cfg.n_cells:g}; the "
+                      "interface is under-resolved (resolution rule: h <= eps/2)",
+                      stacklevel=2)
 
     x = mesh.nodes[mesh.free]
 
@@ -320,7 +322,7 @@ def cmd_run(cfg: RunConfigFile, out_dir) -> dict:
         np.column_stack((steps, steps * traj.tau, traj.energies,
                          np.r_[0.0, traj.residuals], np.r_[0, traj.iterations])))
 
-    snap_steps = np.r_[0:n:cfg.snapshot_stride, n]
+    snap_steps = sampled_steps(n, cfg.snapshot_stride)
     snapshots = np.empty((snap_steps.size, 1 + mesh.nodes.size))
     snapshots[:, 0] = snap_steps * traj.tau
     for row, i in zip(snapshots[:, 1:], snap_steps):
@@ -362,21 +364,28 @@ def cmd_converge(cfg: RunConfigFile, n_list, out_dir) -> dict:
 
 
 def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
-    """cfg at each eps of the sweep, with the mesh re-derived so h = eps/2
-    and the front width following eps, each checked as parse_config checks
-    a config.  The sharp-interface limit must hold
-    (diagnostics.sharp_interface_fault), the rule the interface accounting
-    of every eps applies, and it is asked before any problem is built."""
+    """cfg at each eps of the sweep, meshed with the fewest cells that
+    resolve eps (diagnostics.resolves_interface) and with the front width
+    following eps, each checked as parse_config checks a config.  The
+    sharp-interface limit must hold (diagnostics.sharp_interface_fault),
+    the rule the interface accounting of every eps applies, and it is asked
+    before any problem is built."""
     fault = sharp_interface_fault(_potential(cfg), cfg.s)
     if fault is not None:
         raise ConfigurationError(f"sweep-eps {fault}")
+    span = cfg.x_max - cfg.x_min
     subs = []
     for eps in eps_list:
         sub = dataclasses.replace(cfg, gl_eps=float(eps), u0_width=None)
         with _source(f"--eps-list entry {eps:g}"):
-            # the potential rejects eps <= 0 before eps sizes the mesh
+            # the potential rejects eps <= 0 and nan before eps sizes the mesh
             _potential(sub)
-            sub.n_cells = int(np.ceil(2.0 * (cfg.x_max - cfg.x_min) / eps))
+            # the fewest cells that resolve eps: span / n falls as n grows,
+            # in floating point too, and the rounded 2 span / eps is off by
+            # far less than one cell
+            start = max(int(np.ceil(2.0 * span / eps)) - 1, 1)
+            sub.n_cells = next(n for n in itertools.count(start)
+                               if resolves_interface(span, n, eps))
             _mesh(sub)
         subs.append(sub)
     return subs
@@ -388,12 +397,9 @@ def cmd_sweep_eps(cfg: RunConfigFile, eps_list, out_dir) -> dict:
     the last."""
     rows = []
     for sub in _sweep_configs(cfg, eps_list):
-        scheme = build_problem(sub)
-        traj = run(scheme)
+        traj = run(build_problem(sub))
         scaled, mm = gl_energy_accounting(traj)
-        mesh = scheme.ops.mesh
-        radius = interface_radius(mesh, mesh.embed(traj.u(traj.n_steps)))
-        rows.append((sub.gl_eps, scaled[0], mm, radius))
+        rows.append((sub.gl_eps, scaled[0], mm, front_radius(traj, traj.n_steps)))
     out_dir = Path(out_dir)
     return {"config": _echo_config(cfg, out_dir),
             "sweep": _write_table(

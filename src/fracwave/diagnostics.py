@@ -1,6 +1,13 @@
 """Verification instruments: discrete Gronwall bound, energy-drift and
 convergence studies, independent reference integrators, interface tracking,
-interface-energy accounting, and no-contact residual checks."""
+interface-energy accounting, and no-contact residual checks.
+
+The rules of the eps-interface model live here, each stated once: when the
+model has a sharp-interface limit (sharp_interface_fault), when a run's
+front follows the cosine law (cosine_law_fault), when a mesh resolves the
+front (resolves_interface), which steps are sampled (sampled_steps) and
+where the front is at a step (front_radius).  The CLI asks them and states
+none of them itself."""
 
 from __future__ import annotations
 
@@ -11,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 from .operators import Mesh1D
-from .potentials import DoubleWellPotential, Potential
+from .potentials import DoubleWellPotential, Potential, ScaledPotential
 from .stepper import SchemeConfig, Trajectory, effective_v0, run, step_gradient
 
 _GRONWALL_SLACK = 1e-12
@@ -86,7 +93,6 @@ class MolReference:
 
     times: np.ndarray
     states: np.ndarray      # (n + 1, n_free)
-    velocities: np.ndarray
 
     def terminal(self) -> np.ndarray:
         return self.states[-1]
@@ -114,8 +120,7 @@ def oracle_mol(config: SchemeConfig, substeps: int = 50) -> MolReference:
     u = np.array(config.u0, dtype=float)
     v = effective_v0(config)
     states = np.empty((n + 1, ops.n_free))
-    vels = np.empty_like(states)
-    states[0], vels[0] = u, v
+    states[0] = u
     for i in range(1, n + 1):
         for _ in range(substeps):
             k1u, k1v = v, accel(u)
@@ -126,9 +131,8 @@ def oracle_mol(config: SchemeConfig, substeps: int = 50) -> MolReference:
             v = v + (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
             raise NumericError(f"reference integration blew up before step {i}")
-        states[i], vels[i] = u, v
-    return MolReference(times=tau * np.arange(n + 1), states=states,
-                        velocities=vels)
+        states[i] = u
+    return MolReference(times=tau * np.arange(n + 1), states=states)
 
 
 @dataclass(frozen=True)
@@ -229,6 +233,14 @@ def cosine_reference(R0: float, t: float) -> float:
     return float(R0 * np.cos(t / R0))
 
 
+def resolves_interface(span: float, n_cells: int, eps: float) -> bool:
+    """Whether n_cells equal cells over span resolve a front of width eps:
+    the resolution rule h = span / n_cells <= eps/2.  Its one statement:
+    the CLI warns on a config that breaks it, and sweep-eps meshes each eps
+    with the fewest cells that keep it."""
+    return span / n_cells <= eps / 2.0
+
+
 def sharp_interface_fault(potential: Potential, s: float) -> str | None:
     """Why the sharp-interface limit of the eps-scaled model does not hold
     for this potential and order s, or None when it does.  The one model
@@ -236,7 +248,8 @@ def sharp_interface_fault(potential: Potential, s: float) -> str | None:
     the interface-energy accounting (gl_energy_accounting,
     lagrangian_density) and the CLI's eps sweep all ask it.  It needs s = 1
     and the eps-scaled double well, whose two wells the front joins."""
-    if potential.kind != "gl_scaled" or potential.inner.kind != DoubleWellPotential.kind:
+    if not (isinstance(potential, ScaledPotential)
+            and isinstance(potential.inner, DoubleWellPotential)):
         return "needs an eps-scaled double-well config"
     if s != 1.0:
         return "assumes s = 1"
@@ -267,22 +280,32 @@ class InterfaceTrace:
     rel_errors: np.ndarray
 
 
+def sampled_steps(n_steps: int, stride: int) -> np.ndarray:
+    """Every stride-th step of a run of n_steps, and its last: the rows of
+    the CLI's snapshots and the samples of track_interface."""
+    return np.r_[0:n_steps:stride, n_steps]
+
+
+def front_radius(traj: Trajectory, i: int) -> float:
+    """The interface radius (interface_radius) of the run's state at step i."""
+    mesh = traj.config.ops.mesh
+    return interface_radius(mesh, mesh.embed(traj.u(i)))
+
+
 def track_interface(traj: Trajectory, r0: float, stride: int = 1) -> InterfaceTrace:
     """The interface radius of the run against the cosine law R0 cos(t / R0),
-    at the steps np.r_[0:n:stride, n] (the rows of the CLI's snapshots)
-    while the law is defined; a lost front reads nan.  Raises
-    ConfigurationError where the law does not hold for the run
-    (cosine_law_fault)."""
+    at the steps sampled_steps(n, stride) while the law is defined; a lost
+    front reads nan.  Raises ConfigurationError where the law does not hold
+    for the run (cosine_law_fault)."""
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
     fault = cosine_law_fault(traj.config)
     if fault is not None:
         raise ConfigurationError(f"cosine law {fault}")
-    mesh = traj.config.ops.mesh
-    steps = np.r_[0:traj.n_steps:stride, traj.n_steps]
+    steps = sampled_steps(traj.n_steps, stride)
     steps = steps[steps * traj.tau < r0 * np.pi / 2.0]
     times = steps * traj.tau
-    measured = np.array([interface_radius(mesh, mesh.embed(traj.u(i))) for i in steps])
+    measured = np.array([front_radius(traj, i) for i in steps])
     reference = np.array([cosine_reference(r0, t) for t in times])
     return InterfaceTrace(times=times, measured=measured, reference=reference,
                           rel_errors=np.abs(measured - reference) / r0)

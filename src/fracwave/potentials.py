@@ -23,8 +23,6 @@ class Potential:
     """Base class: the evaluate contract, and value, gradient and curvature
     read off it."""
 
-    kind = "abstract"
-
     def evaluate(self, u, curvature=False):
         """(W(u), W'(u), W''(u) if curvature else None)."""
         raise NotImplementedError
@@ -40,8 +38,6 @@ class Potential:
 
 
 class ZeroPotential(Potential):
-    kind = "zero"
-
     def evaluate(self, u, curvature=False):
         # one array for all three: no caller writes into them
         zero = np.zeros_like(np.asarray(u, dtype=float))
@@ -50,8 +46,6 @@ class ZeroPotential(Potential):
 
 class QuadraticPotential(Potential):
     """W(u) = c u^2 / 2 with c >= 0."""
-
-    kind = "quadratic"
 
     def __init__(self, c: float):
         if c < 0:
@@ -70,8 +64,6 @@ class DoubleWellPotential(Potential):
     Vanishes exactly on |u| = 1, equals 1 at the origin, and has globally
     bounded curvature (W'' >= -6, attained at the origin).
     """
-
-    kind = "double_well_rational"
 
     def evaluate(self, u, curvature=False):
         """With q = u^2 and p = 1 + q: W = (1 - q)^2 / p, W' = -2 (1 - q)
@@ -94,12 +86,10 @@ class ScaledPotential(Potential):
     the plain form with a stiff reaction term of size 1/eps^2.
     """
 
-    kind = "gl_scaled"
-
     def __init__(self, inner: Potential, eps: float):
-        if eps <= 0:
+        if not eps > 0:
             raise ConfigurationError("eps must be positive")
-        if inner.kind == "gl_scaled":
+        if isinstance(inner, ScaledPotential):
             raise ConfigurationError("nested eps-scaling is not supported")
         self.inner = inner
         self.eps = float(eps)

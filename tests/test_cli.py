@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -22,6 +23,7 @@ from fracwave.cli import (PRESETS, RunConfigFile, _echo_config, _sweep_configs,
 from fracwave.diagnostics import (convergence_study, gl_energy_accounting,
                                   interface_radius, oracle_recurrence,
                                   track_interface)
+from fracwave.potentials import QuadraticPotential
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -195,7 +197,7 @@ class TestBuildProblem:
             "quadratic_c": 2.0, "u0_kind": "sine", "u0_amp": 0.5,
             "n_steps": 8, "T": 0.5})
         scheme = build_problem(parse_config(path))
-        assert scheme.potential.kind == "quadratic"
+        assert isinstance(scheme.potential, QuadraticPotential)
         assert scheme.potential.c == 2.0
         x = scheme.ops.mesh.nodes[scheme.ops.mesh.free]
         assert np.allclose(scheme.u0, 0.5 * np.sin(np.pi * x))
@@ -571,6 +573,9 @@ class TestMainExitCodes:
         (["sweep-eps", "--eps-list", "0.1"],
          {"preset": "gl_interface", "potential": "quadratic"},
          "sweep-eps needs an eps-scaled double-well config"),
+        # a float list entry may be nan, which no comparison with 0 admits
+        (["sweep-eps", "--eps-list", "0.1,nan"], {"preset": "gl_interface"},
+         "eps must be positive"),
     ])
     def test_config_error_is_2_before_any_file(self, tmp_path, capsys, monkeypatch,
                                                command, config, named):
@@ -627,6 +632,24 @@ class TestMainExitCodes:
         with pytest.warns(UserWarning, match=r"under-resolved \(resolution rule: h <= eps/2\)"):
             build_problem(parse_config(path))
 
+    def test_h_eps_over_2_is_resolved(self, tmp_path):
+        # 2.1 / 14 is 0.15 = 0.3 / 2 in floating point; pytest's error
+        # filter fails the quiet build on any warning
+        path = write_config(tmp_path, {
+            "preset": "gl_interface", "x_max": 2.1, "gl_eps": 0.3,
+            "n_cells": 14, "n_steps": 2, "T": 0.01})
+        cfg = parse_config(path)
+        build_problem(cfg)
+        with pytest.warns(UserWarning, match="under-resolved"):
+            build_problem(dataclasses.replace(cfg, n_cells=13))
+
+    def test_sweep_takes_the_fewest_resolving_cells(self):
+        # 14 cells give h = eps/2 on [0, 2.1] at eps = 0.3, where
+        # ceil(2 * 2.1 / 0.3) = ceil(14.000000000000002) is 15
+        cfg = RunConfigFile(**dict(PRESETS["gl_interface"], x_max=2.1))
+        (sub,) = _sweep_configs(cfg, [0.3])
+        assert sub.n_cells == 14
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(eps=st.floats(1e-3, 1.0), x_max=st.floats(1.0, 4.0))
     def test_sweep_meshes_are_resolved(self, eps, x_max):
@@ -643,10 +666,12 @@ class TestMainExitCodes:
     @example(span=1.0, offset=0.0, eps_per_span=0.1)
     @example(span=3.0, offset=-7.0, eps_per_span=1.0 / 3.0)
     @example(span=1e-3, offset=1e3, eps_per_span=1.0 / 300.0)
+    @example(span=2.1, offset=0.0, eps_per_span=1.0 / 7.0)   # eps = 0.3
     def test_sweep_meshes_are_resolved_at_any_scale(self, span, offset, eps_per_span):
-        # every mesh sweep-eps derives (h = eps/2, at most 600 cells here)
-        # builds with no under-resolution warning, which pytest's error
-        # filter turns into a failure
+        # every mesh sweep-eps derives (the fewest cells with h <= eps/2,
+        # at most 600 here) builds with no under-resolution warning, which
+        # pytest's error filter turns into a failure, and one cell fewer
+        # warns where a mesh of one cell fewer exists
         eps = eps_per_span * span
         cfg = RunConfigFile(x_min=offset, x_max=offset + span, n_steps=2, T=0.01,
                             potential="double_well", gl_eps=eps,
@@ -654,6 +679,10 @@ class TestMainExitCodes:
         (sub,) = _sweep_configs(cfg, [eps])
         assert sub.n_cells <= 601
         build_problem(sub)
+        fewer = dataclasses.replace(sub, n_cells=sub.n_cells - 1)
+        if fewer.n_cells >= 2:
+            with pytest.warns(UserWarning, match="under-resolved"):
+                build_problem(fewer)
 
     # main records every warning, whatever the filters (pytest's turn
     # warnings into errors)

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from fracwave import ConfigurationError
-from fracwave.potentials import (double_well, gl_scaled, quadratic,
+from fracwave.potentials import (QuadraticPotential, ScaledPotential,
+                                 ZeroPotential, double_well, gl_scaled, quadratic,
                                  zero_potential)
 
 
@@ -95,11 +96,11 @@ class TestCurvature:
 def separate_formulas(pot, u):
     """(W, W', W'') of pot at u, each from its own formula: q = u ** 2
     formed anew for each, the powers as float powers."""
-    if pot.kind == "gl_scaled":
+    if isinstance(pot, ScaledPotential):
         return tuple(x / pot.eps**2 for x in separate_formulas(pot.inner, u))
-    if pot.kind == "zero":
+    if isinstance(pot, ZeroPotential):
         return np.zeros_like(u), np.zeros_like(u), np.zeros_like(u)
-    if pot.kind == "quadratic":
+    if isinstance(pot, QuadraticPotential):
         return 0.5 * pot.c * u ** 2, pot.c * u, np.full_like(u, pot.c)
     q = u ** 2
     return ((1.0 - q) ** 2 / (1.0 + q),

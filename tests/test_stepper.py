@@ -667,7 +667,7 @@ class TestCubicWarmStart:
         assert run(cfg).iterations.sum() < 0.8 * linear
 
     @pytest.mark.xfail(strict=True, raises=SolverFailure,
-                       reason="step 3 needs 138 active-set iterations, above "
+                       reason="step 3 needs 137 active-set iterations, above "
                               "the cap of 100: each moves the contact boundary "
                               "by a node or two")
     def test_uniform_impact_on_the_obstacle_converges(self):
