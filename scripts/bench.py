@@ -24,11 +24,15 @@ size runs in LADDER_PAIRS pairs, alternating which side runs first, and
 each side records the median and the minimum of its setup (parse and
 build), solve (the time loop) and peak RSS, next to every run's value: one
 run is too noisy a sample to show a scaling change, and the minimum is the
-estimate least moved by interference.  The s = 1 ladder is the
-gl_interface preset (radial) with n_steps = 20 and T = 0.001.
-The s = 1/2 ladder is frac_line's config (uniform line, double well) with
-n_steps = 20 at the time step of frac_line; its setup builds A_s, its solve
-runs the time loop.  Both checkouts run every size.
+estimate least moved by interference.  A ladder is named after a
+workload and runs its seed-0 config (perfbench's make_config) with its own
+n_steps and T, and n_cells set to each size.  The s = 1 ladder is
+gl_interface (radial) with n_steps = 20 and T = 0.001.  The s = 1/2 ladder
+is frac_line (uniform line, double well) with n_steps = 20 at the time
+step of frac_line; its setup builds A_s, its solve runs the time loop.
+Both checkouts run every size of the same configs, which this checkout's
+perfbench/workloads.py gives.  The workloads and the end-to-end metrics
+are the ones BENCHMARK.json lists.
 
 The states section runs each workload's seed-0 config once per checkout,
 in a fresh process, and records its Newton iterations, the SHA-256 of the
@@ -57,19 +61,17 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("gl_interface", "obstacle_wave", "frac_line")
-METRICS = ("wall_s", "setup_s", "solve_s", "peak_rss_mb", "ref_err")
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = tuple(w["name"] for w in BENCHMARK["workloads"])
+METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 # the relative worsening BENCHMARK.json allows each end-to-end metric; all
 # of them read better lower, and one that does not has no entry here
-BOUNDS = {m["name"]: m["bound"]
-          for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]
           if m["better"] == "lower"}
+# workload: (its overrides of the workload's seed-0 config, the mesh sizes)
 LADDERS = {
-    "gl_interface": ({"preset": "gl_interface", "n_steps": 20, "T": 0.001},
-                     (400, 1600, 6400, 25600, 102400)),
-    "frac_line": ({"preset": "eigenmode", "s": 0.5, "n_steps": 20, "T": 0.75 * 20 / 768,
-                   "potential": "double_well", "u0_kind": "sine", "u0_amp": 0.5,
-                   "v0_kind": "sine", "v0_amp": 1.0},
+    "gl_interface": ({"n_steps": 20, "T": 0.001}, (400, 1600, 6400, 25600, 102400)),
+    "frac_line": ({"n_steps": 20, "T": 0.75 * 20 / 768},
                   (400, 800, 1600, 6400, 25600, 102400)),
 }
 LADDER_PAIRS = 5
@@ -88,9 +90,27 @@ def use_checkout(root: Path):
     sys.path.insert(0, str(root / "src"))
 
 
-def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
-    """One size of a ladder, run in this process with fracwave from
-    root/src."""
+def use_workloads(root: Path):
+    """Import fracwave from root/src (use_checkout) and perfbench's
+    workloads from root/perfbench."""
+    use_checkout(root)
+    sys.path.insert(0, str(root / "perfbench"))
+
+
+def ladder_configs() -> dict:
+    """Each ladder's config: its workload's seed-0 config (perfbench's
+    make_config, from this checkout) with the ladder's overrides."""
+    use_workloads(ROOT)
+    from workloads import make_config
+
+    return {name: dict(make_config(name, 0), **overrides)
+            for name, (overrides, _) in LADDERS.items()}
+
+
+def ladder_point(root: Path, config: str) -> dict:
+    """One size of a ladder, its config as JSON text, run in this process
+    with fracwave from root/src; perfbench is not imported, so that the
+    peak RSS is the run's own."""
     use_checkout(root)
     import resource
     from time import perf_counter
@@ -99,13 +119,13 @@ def ladder_point(root: Path, ladder: str, n_cells: int) -> dict:
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
-        path.write_text(json.dumps(dict(LADDERS[ladder][0], n_cells=n_cells)))
+        path.write_text(config)
         t0 = perf_counter()
         scheme = cli.build_problem(cli.parse_config(path))
         t1 = perf_counter()
         traj = run(scheme)
         t2 = perf_counter()
-    return {"n_cells": n_cells, "setup_s": round(t1 - t0, 4),
+    return {"n_cells": json.loads(config)["n_cells"], "setup_s": round(t1 - t0, 4),
             "solve_s": round(t2 - t1, 4),
             "newton_iters": int(traj.iterations.sum()),
             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
@@ -138,8 +158,7 @@ def states_point(root: Path, workload: str, arrays: Path) -> dict:
     SHA-256 of its states, and the SHA-256 of each file cli.cmd_run writes
     for it.  Its states and energy rows are saved to the .npz file
     arrays."""
-    use_checkout(root)
-    sys.path.insert(0, str(root / "perfbench"))
+    use_workloads(root)
     from fracwave import cli, run
     from workloads import make_config
 
@@ -217,14 +236,13 @@ def main(argv=None):
     p.add_argument("--seeds", default="1,2,3,4,5,6,7,8,9,10")
     p.add_argument("--seconds", type=float, default=40.0)
     p.add_argument("--out", type=Path)
-    p.add_argument("--ladder-point", nargs=2, help=argparse.SUPPRESS)
+    p.add_argument("--ladder-point", help=argparse.SUPPRESS)
     p.add_argument("--states-point", nargs=2, help=argparse.SUPPRESS)
     p.add_argument("--study-point", help=argparse.SUPPRESS)
     p.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.ladder_point:
-        ladder, n_cells = args.ladder_point
-        print(json.dumps(ladder_point(args.root, ladder, int(n_cells))))
+        print(json.dumps(ladder_point(args.root, args.ladder_point)))
         return
     if args.states_point:
         workload, arrays = args.states_point
@@ -252,19 +270,22 @@ def main(argv=None):
                                           for side in sides}
 
     ladders = {}
-    for name, (config, sizes) in LADDERS.items():
+    configs = ladder_configs()
+    for name, (_, sizes) in LADDERS.items():
         points = {side: [] for side in sides}
         for n in sizes:
             runs = {side: [] for side in sides}
             for i in range(LADDER_PAIRS):
                 for side in sorted(sides, reverse=bool(i % 2)):
                     runs[side].append(subprocess_json(
-                        [__file__, "--root", sides[side], "--ladder-point", name, n]))
+                        [__file__, "--root", sides[side], "--ladder-point",
+                         json.dumps(dict(configs[name], n_cells=n))]))
             for side in sides:
                 points[side].append(ladder_summary(runs[side]))
             print(name, n, {side: points[side][-1]["solve_s"] for side in sides},
                   file=sys.stderr)
-        ladders[name] = {"config": config, "sizes": list(sizes), "pairs": LADDER_PAIRS,
+        ladders[name] = {"config": configs[name],
+                         "sizes": list(sizes), "pairs": LADDER_PAIRS,
                          "order": "parent and change alternate first per pair",
                          **points}
     states = {}

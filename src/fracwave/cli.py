@@ -1,12 +1,15 @@
 """Batch front-end: strict flat-JSON configs, scenario presets, run
 orchestration, and deterministic CSV emission.
 
-Config files are a single flat JSON object.  Unknown keys are fatal, a
-"preset" key expands a named scenario before the remaining keys override it,
-and every command echoes the fully resolved configuration next to its
-outputs so runs can be reproduced byte for byte.  No command writes a file
-before every check on its configuration has passed.  Exit codes: 0 ok,
-2 configuration error, 3 inner-solver failure, 4 numerical blowup.
+Config files are a single flat JSON object.  Unknown keys are fatal, and
+each value must have its key's type in RunConfigFile, whose Literal
+annotations list the allowed values of the enumerated keys.  A "preset" key
+expands a named scenario before the remaining keys override it, and every
+command echoes the fully resolved configuration next to its outputs so runs
+can be reproduced byte for byte.  No command writes a file before every
+check on its configuration has passed.  Exit codes: 0 ok, 2 configuration
+error, 3 inner-solver failure (the failing step set by run), 4 numerical
+blowup.
 
 The rules of the eps-interface model are diagnostics', and this module
 states none of them: whether a mesh resolves the front
@@ -45,7 +48,11 @@ _DRIFT_FIT_FLOOR = 1e-10
 
 @dataclass
 class RunConfigFile:
-    """Flat run description as read from disk (defaults already applied)."""
+    """Flat run description as read from disk (defaults already applied).
+
+    Each annotation is the type a key's JSON value must have; a Literal
+    lists the values an enumerated key allows.  geometry and init_mode are
+    checked by their owners, Mesh1D and SchemeConfig.validate."""
 
     preset: str | None = None
     # mesh
@@ -60,27 +67,28 @@ class RunConfigFile:
     s: float = 1.0
     T: float = 1.0
     n_steps: int = 128
-    potential: str = "zero"          # zero | quadratic | double_well
+    potential: typing.Literal["zero", "quadratic", "double_well"] = "zero"
     quadratic_c: float = 1.0
     gl_eps: float | None = None      # eps-scaling wrapper when set
     # initial data
-    u0_kind: str = "zero"            # zero | modes | tanh_front | sine
+    u0_kind: typing.Literal["zero", "modes", "tanh_front", "sine"] = "zero"
     u0_modes: str = ""               # "k:amp,k:amp" eigenmode combination
     u0_r0: float | None = None
     u0_width: float | None = None    # default 2 * gl_eps for tanh_front
     u0_amp: float = 1.0
-    v0_kind: str = "zero"            # zero | modes | sine
+    v0_kind: typing.Literal["zero", "modes", "sine"] = "zero"
     v0_modes: str = ""
     v0_amp: float = 1.0
     # obstacle
-    obstacle_kind: str = "none"      # none | constant
+    obstacle_kind: typing.Literal["none", "constant"] = "none"
     obstacle_value: float = 0.0
     # initialization and solver
     init_mode: str = "standard"
     k_max: int | None = None
     tol: float | None = None
     max_iter: int = SolverParams.max_iter
-    precondition: str = "off"        # accepted for older configs; no effect
+    # accepted for older configs; no effect
+    precondition: typing.Literal["off", "spectral"] = "off"
     # output
     snapshot_stride: int = 10
 
@@ -114,9 +122,12 @@ PRESETS = {
 
 
 def _hint(annotation):
-    """(type, whether null is allowed) of an annotation T or T | None."""
+    """(type, whether null is allowed, the allowed values or None) of an
+    annotation T, T | None or Literal[...] of strings."""
     args = typing.get_args(annotation)
-    return (args[0] if args else annotation), type(None) in args
+    if typing.get_origin(annotation) is typing.Literal:
+        return str, False, args
+    return (args[0] if args else annotation), type(None) in args, None
 
 
 _KEY_TYPES = {key: _hint(annotation)
@@ -125,16 +136,10 @@ _KEY_TYPES = {key: _hint(annotation)
 # never a number here, although Python counts it as an int
 _ACCEPTED = {int: ((int,), "an integer"), float: ((int, float), "a number"),
              str: ((str,), "a string")}
-# the values of the enumerated keys that only this module reads; the mesh,
-# the potential and the scheme check their own
-_CHOICES = {"u0_kind": ("zero", "modes", "tanh_front", "sine"),
-            "v0_kind": ("zero", "modes", "sine"),
-            "obstacle_kind": ("none", "constant"),
-            "precondition": ("off", "spectral")}
 
 
 def _coerce(key: str, value):
-    kind, nullable = _KEY_TYPES[key]
+    kind, nullable, allowed = _KEY_TYPES[key]
     if value is None and nullable:
         return None
     accepted, name = _ACCEPTED[kind]
@@ -145,6 +150,9 @@ def _coerce(key: str, value):
     # float() cannot take; the comparisons are exact for ints, False for NaN
     if kind is float and not -sys.float_info.max <= value <= sys.float_info.max:
         raise ConfigurationError(f"key '{key}' must be a finite number")
+    if allowed is not None and value not in allowed:
+        raise ConfigurationError(f"key '{key}' has unknown value '{value}' "
+                                 f"(allowed: {', '.join(allowed)})")
     return kind(value)
 
 
@@ -170,12 +178,6 @@ def parse_config(path) -> RunConfigFile:
     if preset is not None and preset not in PRESETS:
         raise ConfigurationError(f"unknown preset '{preset}'")
     cfg = RunConfigFile(**{**PRESETS.get(preset, {}), **given})
-
-    for key, allowed in _CHOICES.items():
-        value = getattr(cfg, key)
-        if value not in allowed:
-            raise ConfigurationError(f"key '{key}' has unknown value '{value}' "
-                                     f"(allowed: {', '.join(allowed)})")
     if cfg.snapshot_stride < 1:
         raise ConfigurationError("key 'snapshot_stride' must be >= 1")
     if cfg.u0_kind == "tanh_front":
@@ -380,10 +382,14 @@ def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
         with _source(f"--eps-list entry {eps:g}"):
             # the potential rejects eps <= 0 and nan before eps sizes the mesh
             _potential(sub)
+            cells = 2.0 * span / eps
+            if not np.isfinite(cells):
+                raise ConfigurationError(f"resolving eps needs 2 span / eps = "
+                                         f"{cells:g} cells")
             # the fewest cells that resolve eps: span / n falls as n grows,
             # in floating point too, and the rounded 2 span / eps is off by
             # far less than one cell
-            start = max(int(np.ceil(2.0 * span / eps)) - 1, 1)
+            start = max(int(np.ceil(cells)) - 1, 1)
             sub.n_cells = next(n for n in itertools.count(start)
                                if resolves_interface(span, n, eps))
             _mesh(sub)

@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A SolverFailure or BlowupError carries `step`, None where it is raised.
+When a step of the time loop raises one, `run` sets `step` to that step's
+index, puts "step i: " in front of the message and re-raises the same
+error, so every field the minimization set travels with it.
+"""
 
 
 class ConfigurationError(ValueError):
@@ -17,17 +23,16 @@ class SolverFailure(RuntimeError):
     Carries the best iterate found so the caller can inspect or report it.
     """
 
-    def __init__(self, message, *, best=None, residual=None, iterations=None, step=None):
+    step = None
+
+    def __init__(self, message, *, best=None, residual=None, iterations=None):
         super().__init__(message)
         self.best = best
         self.residual = residual
         self.iterations = iterations
-        self.step = step
 
 
 class BlowupError(RuntimeError):
     """NaN or overflow encountered while evaluating the step functional."""
 
-    def __init__(self, message, *, step=None):
-        super().__init__(message)
-        self.step = step
+    step = None

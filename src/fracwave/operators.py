@@ -3,17 +3,18 @@
 Piecewise-linear elements on an interval, optionally carrying the radial
 volume weight r**(d-1) so that radially symmetric problems in d ambient
 dimensions reduce to one dimension.  Mass and stiffness forms are assembled
-over the unconstrained ("free") nodes as symmetric tridiagonal matrices held
-as their two diagonals (Tridiagonal); fixed endpoint values enter through a
-precomputed load offset.  The order-s stiffness A_s is one object, whose
-class build_operators chooses: the assembled form itself at the endpoints,
-A_0 = M and A_1 = K; between them, on a uniform line with both ends fixed,
-the sine-transform diagonalization A_s = S diag(m_k (kappa_k/m_k)**s) S of
-the Toeplitz pair (SineStiffness); and on every other mesh the dense spectral
-power A_s = (M Phi) Lambda**s (M Phi)^T (SpectralStiffness), with the
-generalized eigenpairs K phi = lambda M phi (M-orthonormal), which
-reproduces both endpoints up to round-off.  The eigenpairs are computed
-only where something reads them.
+over the unconstrained ("free") nodes, the one contiguous slice Mesh1D.free,
+as symmetric tridiagonal matrices held as their two diagonals (Tridiagonal);
+fixed endpoint values enter through a precomputed load offset.  The order-s
+stiffness A_s is one object, whose class build_operators chooses: the
+assembled form itself at the endpoints, A_0 = M and A_1 = K; between them,
+on a uniform line with both ends fixed, the sine-transform diagonalization
+A_s = S diag(m_k (kappa_k/m_k)**s) S of the Toeplitz pair (SineStiffness);
+and on every other mesh the dense spectral power
+A_s = (M Phi) Lambda**s (M Phi)^T (SpectralStiffness), with the generalized
+eigenpairs K phi = lambda M phi (M-orthonormal), which reproduces both
+endpoints up to round-off.  The eigenpairs are computed only where
+something reads them.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ from .errors import ConfigurationError, NumericError
 class Mesh1D:
     """Nodes of a 1d interval mesh plus geometry weight and endpoint data.
 
-    nodes: strictly increasing coordinates, length n_cells + 1.
+    nodes: finite, strictly increasing coordinates, length n_cells + 1.
     geometry: "line" (unit weight) or "radial" (weight r**(dim - 1)).
     dim: ambient dimension; only meaningful for radial geometry.
-    dirichlet: (left, right) fixed endpoint values; None marks a free endpoint.
+    dirichlet: (left, right) finite fixed endpoint values; None marks a free
+    endpoint.
     """
 
     nodes: np.ndarray
@@ -48,6 +50,11 @@ class Mesh1D:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or nodes.size < 3:
             raise ConfigurationError("mesh needs at least 2 cells (3 nodes)")
+        if not np.isfinite(nodes).all():
+            raise ConfigurationError("mesh nodes must be finite")
+        if any(g is not None and not math.isfinite(g) for g in self.dirichlet):
+            raise ConfigurationError(
+                f"Dirichlet values must be finite, got {self.dirichlet}")
         if not np.all(np.diff(nodes) > 0):
             raise ConfigurationError("mesh nodes must be strictly increasing")
         if self.geometry not in ("line", "radial"):
@@ -63,23 +70,15 @@ class Mesh1D:
                 )
 
     @property
-    def n_cells(self) -> int:
-        return self.nodes.size - 1
-
-    @property
-    def free(self) -> np.ndarray:
-        """Indices of unconstrained nodes."""
-        idx = np.arange(self.nodes.size)
-        keep = np.ones(self.nodes.size, dtype=bool)
-        if self.dirichlet[0] is not None:
-            keep[0] = False
-        if self.dirichlet[1] is not None:
-            keep[-1] = False
-        return idx[keep]
+    def free(self) -> slice:
+        """The unconstrained nodes: one contiguous range, every node but
+        an end that carries a Dirichlet value."""
+        return slice(int(self.dirichlet[0] is not None),
+                     self.nodes.size - int(self.dirichlet[1] is not None))
 
     @property
     def n_free(self) -> int:
-        return self.free.size
+        return self.nodes[self.free].size
 
     def weight(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -137,11 +136,11 @@ def _assemble_all_nodes(mesh: Mesh1D):
     return mass, np.sum(w, axis=1) / h[:, 0] ** 2
 
 
-def _tridiagonal(left, cross, right, lo, hi):
+def _tridiagonal(left, cross, right, free):
     """Sum of the cell blocks [[left, cross], [cross, right]] at nodes c, c+1,
-    restricted to the node range lo:hi."""
-    main = (np.r_[left, 0.0] + np.r_[0.0, right])[lo:hi]
-    return Tridiagonal(main, cross[lo:hi - 1])
+    restricted to the free nodes (Mesh1D.free)."""
+    main = (np.r_[left, 0.0] + np.r_[0.0, right])[free]
+    return Tridiagonal(main, cross[free.start:free.stop - 1])
 
 
 def band_apply(band, x):
@@ -532,8 +531,8 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     """Forms, lift and A_s for order s.  Nonzero Dirichlet data need s = 1,
     the only order whose lift the order-1 stiffness gives.
 
-    M and K are assembled as their three diagonals on the free nodes, which
-    form one contiguous range, so setup costs O(n) time and memory at
+    M and K are assembled as their three diagonals on the free nodes, the
+    one contiguous range Mesh1D.free, so setup costs O(n) time and memory at
     s in {0, 1}.  A fractional s adds O(n log n) on a uniform line with both
     ends fixed (SineStiffness), and the dense eigensolve and A_s elsewhere.
     """
@@ -545,12 +544,11 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
             "lift of nonzero boundary values uses the order-1 stiffness")
     (left, cross, right), k = _assemble_all_nodes(mesh)
     free = mesh.free
-    lo, hi = int(free[0]), int(free[-1]) + 1
-    M = _tridiagonal(left, cross, right, lo, hi)
-    K = _tridiagonal(k, -k, k, lo, hi)
+    M = _tridiagonal(left, cross, right, free)
+    K = _tridiagonal(k, -k, k, free)
     # an end node's data couple to its one free neighbour through the end
     # cell, and to nothing else: a mesh has at least two cells
-    lift_load = np.zeros(free.size)
+    lift_load = np.zeros(mesh.n_free)
     lift_const = 0.0
     for g, end in ((mesh.dirichlet[0], 0), (mesh.dirichlet[1], -1)):
         if g is not None:
@@ -559,7 +557,7 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
     # nodal quadrature weights: the full hat integrals int phi_j w dx (row
     # sums over all nodes), so the lumped measure equals the domain measure
     # minus the constrained-node lumps
-    lumps = (np.r_[left + cross, 0.0] + np.r_[0.0, right + cross])[lo:hi]
+    lumps = (np.r_[left + cross, 0.0] + np.r_[0.0, right + cross])[free]
     d, e, info = scipy.linalg.lapack.dpttrf(*pt_args(*M.band))
     if info:
         raise NumericError(f"the mass matrix does not factor: LAPACK dpttrf "

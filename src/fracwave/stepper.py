@@ -483,7 +483,8 @@ def effective_v0(config: SchemeConfig) -> np.ndarray:
 def run(config: SchemeConfig) -> Trajectory:
     """Execute the time loop and return the full trajectory.
 
-    Solver errors are re-raised with the failing step index attached.
+    A SolverFailure or BlowupError of a step is re-raised with the step's
+    index set as its `step` and named in front of its message.
     """
     config.validate()
     ops = config.ops
@@ -514,12 +515,10 @@ def run(config: SchemeConfig) -> Trajectory:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
                 obstacle=config.obstacle, solver=config.solver, warm_start=start)
-        except SolverFailure as exc:
-            raise SolverFailure(f"step {i}: {exc}", best=exc.best,
-                                residual=exc.residual, iterations=exc.iterations,
-                                step=i) from exc
-        except BlowupError as exc:
-            raise BlowupError(f"step {i}: {exc}", step=i) from exc
+        except (SolverFailure, BlowupError) as exc:
+            exc.step = i
+            exc.args = (f"step {i}: {exc}",)
+            raise
         states[i + 1] = result.u
         iterations[i - 1] = result.iterations
         residuals[i - 1] = result.residual

@@ -82,7 +82,8 @@ KEY_HINTS = typing.get_type_hints(RunConfigFile)
 
 
 def wrong_values(hint):
-    """JSON values that a key annotated `hint` (T or T | None) must reject."""
+    """JSON values that a key annotated `hint` (T, T | None, or a Literal of
+    strings) must reject."""
     kinds = typing.get_args(hint) or (hint,)
     wrong = st.booleans() | st.lists(st.integers(), max_size=2)
     if int in kinds:
@@ -576,6 +577,21 @@ class TestMainExitCodes:
         # a float list entry may be nan, which no comparison with 0 admits
         (["sweep-eps", "--eps-list", "0.1,nan"], {"preset": "gl_interface"},
          "eps must be positive"),
+        # 2 span / eps overflows to inf: no mesh has that many cells; 1e-320
+        # is subnormal, stored as 9.99989e-321 to six digits
+        (["sweep-eps", "--eps-list", "1e-320"], {"preset": "gl_interface"},
+         "--eps-list entry 9.99989e-321: resolving eps needs 2 span / eps = inf"),
+        (["run"], [{"preset": "eigenmode"}], "must be a flat JSON object"),
+        (["run"], {"preset": "nope"}, "unknown preset 'nope'"),
+        (["run"], {"preset": "eigenmode", "u0_kind": "x"},
+         "key 'u0_kind' has unknown value 'x' (allowed: zero, modes, tanh_front, sine)"),
+        (["run"], {"preset": "eigenmode", "snapshot_stride": 0}, "'snapshot_stride'"),
+        (["run"], {"preset": "eigenmode", "u0_kind": "tanh_front"},
+         "'u0_r0' is required"),
+        (["run"], {"preset": "eigenmode", "potential": "x"},
+         "key 'potential' has unknown value 'x'"),
+        (["converge", "--n-list", ","], {"preset": "eigenmode"}, "empty list ','"),
+        (["run"], {"preset": "eigenmode", "init_mode": "x"}, "init_mode"),
     ])
     def test_config_error_is_2_before_any_file(self, tmp_path, capsys, monkeypatch,
                                                command, config, named):

@@ -106,6 +106,26 @@ class TestBuildMesh:
         with pytest.raises(ConfigurationError):
             Mesh1D(nodes=np.linspace(0, 1, 5), geometry="radial", dim=0)
 
+    @pytest.mark.parametrize("dirichlet, free", [
+        ((None, None), slice(0, 5)), ((0.0, None), slice(1, 5)),
+        ((None, 0.0), slice(0, 4)), ((0.0, 0.0), slice(1, 4))])
+    def test_free_is_one_contiguous_slice(self, dirichlet, free):
+        mesh = build_mesh(0, 1, 4, dirichlet=dirichlet)
+        assert mesh.free == free
+        assert mesh.n_free == free.stop - free.start
+
+    @pytest.mark.parametrize("build", [
+        lambda: build_mesh(0, 1, 8, dirichlet=(np.inf, 0.0)),
+        lambda: build_mesh(0, 1, 8, dirichlet=(0.0, np.nan)),
+        lambda: Mesh1D(nodes=[0, 0.5, 1, np.inf], dirichlet=(0.0, 0.0)),
+        lambda: Mesh1D(nodes=[np.nan, 0.5, 1]),
+    ], ids=["inf_dirichlet", "nan_dirichlet", "inf_node", "nan_node"])
+    def test_non_finite_data_rejected(self, build):
+        # a configuration error when the mesh is made, not a blowup at the
+        # first step of a run on it
+        with pytest.raises(ConfigurationError, match="must be finite"):
+            build()
+
     def test_negative_order_rejected(self):
         mesh = build_mesh(0, 1, 4, dirichlet=(0.0, 0.0))
         with pytest.raises(ConfigurationError):
@@ -158,7 +178,7 @@ class TestSparseFormsAgainstDenseReference:
     @example(mesh=ONE_FREE_NODE, seed=0)
     def test_forms_lift_and_band(self, mesh, seed):
         mass, stiff = cell_loop_forms(mesh)
-        free = mesh.free
+        free = np.arange(mesh.nodes.size)[mesh.free]
         fixed = np.setdiff1d(np.arange(mesh.nodes.size), free)
         g = np.array([mesh.dirichlet[0] if j == 0 else mesh.dirichlet[1]
                       for j in fixed])

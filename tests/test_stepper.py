@@ -416,7 +416,10 @@ class TestRun:
         with pytest.raises(SolverFailure) as exc_info:
             run(cfg)
         assert exc_info.value.step == 1
-        assert "step 1" in str(exc_info.value)
+        assert str(exc_info.value).startswith("step 1: no convergence in 1 iterations")
+        # the minimization's own fields travel with the error run re-raises
+        assert exc_info.value.iterations == 1
+        assert exc_info.value.residual > 0
 
     def test_overflowing_state_raises_blowup(self, ops64):
         # the rational well overflows to nan at astronomic arguments
