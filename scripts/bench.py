@@ -13,8 +13,11 @@ table (every metric there reads better lower): gain_resolved, when the
 change reads lower in at least 9 of 10 pairs and its median lies below
 the parent's by more than the parent's interquartile range, and
 worse_beyond_bound, when its median lies above the parent's by more than
-the metric's relative bound.  Next to the
-metrics, each workload keeps both sides' inner (Newton) iteration counts
+the metric's relative bound.  Next to the verdicts, pair_ratio is the
+median over seed pairs of change / parent: the two runs of a pair are
+seconds apart, so the ratio leaves out the drift in machine speed over
+minutes that the parent's quartiles take in.  It informs; the verdicts do
+not read it.  Next to the metrics, each workload keeps both sides' inner (Newton) iteration counts
 per seed, from the info line of perfbench/run.py, so that a change in time
 splits into iterations and cost per iteration.
 
@@ -217,8 +220,9 @@ def perfbench(root: Path, workload: str, seed: int, seconds: float) -> dict:
 
 def summary(metric: str, parent: list, change: list) -> dict:
     """Per-seed values, median and quartiles of each side, in how many seed
-    pairs the change reads lower than the parent, and the two verdicts on
-    the metric (see the module docstring)."""
+    pairs the change reads lower than the parent, the median per-pair ratio
+    and the two verdicts on the metric (see the module docstring).  A pair
+    whose parent reads 0 has no ratio."""
     out = {side: {"per_seed": v, "median": statistics.median(v),
                   "quartiles": statistics.quantiles(v, n=4)}
            for side, v in (("parent", parent), ("change", change))}
@@ -227,6 +231,8 @@ def summary(metric: str, parent: list, change: list) -> dict:
     gain = out["parent"]["median"] - out["change"]["median"]
     out["gain_resolved"] = 10 * lower >= 9 * len(parent) and gain > q3 - q1
     out["worse_beyond_bound"] = -gain > BOUNDS[metric] * out["parent"]["median"]
+    ratios = [c / p for p, c in zip(parent, change) if p]
+    out["pair_ratio"] = statistics.median(ratios) if ratios else None
     return out
 
 

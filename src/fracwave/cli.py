@@ -371,15 +371,19 @@ def _sweep_configs(cfg: RunConfigFile, eps_list) -> list:
     following eps, each checked as parse_config checks a config.  The
     sharp-interface limit must hold (diagnostics.sharp_interface_fault),
     the rule the interface accounting of every eps applies, and it is asked
-    before any problem is built."""
+    before any problem is built.  An entry of eps_list is a number or,
+    from the command line, its text (_number_text), which names the entry
+    in an error as the user wrote it."""
     fault = sharp_interface_fault(_potential(cfg), cfg.s)
     if fault is not None:
         raise ConfigurationError(f"sweep-eps {fault}")
     span = cfg.x_max - cfg.x_min
     subs = []
-    for eps in eps_list:
-        sub = dataclasses.replace(cfg, gl_eps=float(eps), u0_width=None)
-        with _source(f"--eps-list entry {eps:g}"):
+    for entry in eps_list:
+        eps = float(entry)
+        sub = dataclasses.replace(cfg, gl_eps=eps, u0_width=None)
+        with _source(f"--eps-list entry "
+                     f"{entry if isinstance(entry, str) else f'{eps:g}'}"):
             # the potential rejects eps <= 0 and nan before eps sizes the mesh
             _potential(sub)
             cells = 2.0 * span / eps
@@ -411,6 +415,12 @@ def cmd_sweep_eps(cfg: RunConfigFile, eps_list, out_dir) -> dict:
             "sweep": _write_table(
                 out_dir / "gl_sweep.csv",
                 ["eps", "scaled_energy_0", "modica_mortola", "final_radius"], rows)}
+
+
+def _number_text(item: str) -> str:
+    """item, stripped, once float reads it."""
+    float(item)
+    return item.strip()
 
 
 def _parse_list(text: str, cast):
@@ -462,7 +472,7 @@ def _command(args) -> int:
         elif args.command == "converge":
             cmd_converge(cfg, _parse_list(args.n_list, int), args.out)
         else:
-            cmd_sweep_eps(cfg, _parse_list(args.eps_list, float), args.out)
+            cmd_sweep_eps(cfg, _parse_list(args.eps_list, _number_text), args.out)
     except ConfigurationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

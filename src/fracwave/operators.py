@@ -251,6 +251,7 @@ class Tridiagonal:
     """
 
     rest_apply = None
+    shifted_inverse = None
 
     def __init__(self, d, e):
         self.band = (d, e)
@@ -308,6 +309,8 @@ class SpectralStiffness:
     s = 1/2 the residual stalls 48 times below the floor (7.2e-11 against
     3.5e-9 on 1,600 radial cells with the eps-scaled well).
     """
+
+    shifted_inverse = None
 
     def __init__(self, M, K, s: float):
         self._spectrum = lam, phi = spectral_decompose(M, K)
@@ -369,12 +372,27 @@ class SineStiffness:
     s_k = sqrt(2/(n+1)) sin(j k pi/(n+1)), diagonalizes both: M = S diag(m) S
     and K = S diag(kappa) S, so lambda_k = kappa_k / m_k, Phi = S
     diag(m^-1/2) and A_s = S diag(mu) S with mu_k = m_k lambda_k^s.  Only
-    the symbol (m, kappa, mu) is held, O(n); m and kappa come from the
-    assembled diagonals of M and K.  A product is two DSTs (_dst, through
-    scipy.fftpack), O(n log n); x may be a block of vectors along axis 0.
+    the symbol (m, kappa, mu) is held, O(n), with m_min = min m; m and
+    kappa come from the assembled diagonals of M and K.  A product is two
+    DSTs (_dst, through scipy.fftpack), O(n log n); x may be a block of
+    vectors along axis 0.
     B is the diagonal of A_s, d_j = sum_k mu_k s_jk^2 = (sum mu -
     Re F_(n+1)([0, mu])_j) / (n + 1), one FFT of length n + 1; rest_apply
     forms R x = A_s x - d x.
+
+    The same basis inverts the Newton step's quadratic part:
+    shifted_inverse(c, r) = S diag(1 / (c m + mu)) S r, two DSTs, is
+    (c M' + A_s)^-1 r for M' = S diag(m) S, and shifted_floor(c) =
+    min_k (c m_k + mu_k) (1 - 2 eps) - c mass_gap bounds the eigenvalues of
+    c M + A_s from below (Weyl), c >= 0.  mass_gap = 2 gap (a + 2 b), with
+    (a, b) the means of M's diagonals, both positive, and gap the relative
+    spread build_operators' Toeplitz rule admits (_toeplitz_tol), bounds
+    |M - M'|_2: gap (a + 2 b) bounds M's 1-norm distance from the Toeplitz
+    matrix of (a, b), and as much again the rounding of m against that
+    matrix's eigenvalues, at most about (2 n + 17) u (a + 2 b)
+    (tests/conftest.py, toeplitz_gap) against gap >= 16 (n + 1) u.  The
+    factor 1 - 2 eps covers the rounding of c m + mu.  Both are formed for
+    the last c asked, which a run's time step fixes.
 
     Round-off model: normwise.  An FFT errs normwise, not componentwise
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
@@ -396,10 +414,11 @@ class SineStiffness:
     c eps = 2 eps = 4 u scales: c = 4 covers every measured case and sits
     7.5 times below the worst case.  M's eigenvalues are the m_k, so
     |e|_{M^-1} <= |e|_2 / sqrt(min m) carries the 2-norm into the floor's
-    M^-1 norm.
+    M^-1 norm.  shifted_inverse takes the same model with diag(1 / (c m +
+    mu)) for diag(mu), whose three roundings the 3 u above allows.
     """
 
-    def __init__(self, M, K, s: float):
+    def __init__(self, M, K, s: float, gap: float):
         import scipy.fftpack   # see _dst
         n = M.band[0].size
         half_angle = np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1))
@@ -408,7 +427,11 @@ class SineStiffness:
         self.mu = self.m * (self.kappa / self.m) ** s
         diag = (self.mu.sum() - scipy.fftpack.fft(np.r_[0.0, self.mu]).real[1:]) / (n + 1)
         self.band = (diag, np.zeros(n - 1))
-        self._roundoff_scale = np.log2(n + 1) * self.mu.max() / np.sqrt(self.m.min())
+        # a + 2 b, the means' symbol at theta = 0: M's entries are positive
+        self.mass_gap = 2.0 * gap * _toeplitz_symbol(M, 0.0)
+        self.m_min = float(self.m.min())
+        self._shift = (None,)
+        self._roundoff_scale = np.log2(n + 1) * self.mu.max() / np.sqrt(self.m_min)
 
     def __matmul__(self, x):
         mu = self.mu if np.ndim(x) == 1 else self.mu[:, None]
@@ -416,6 +439,22 @@ class SineStiffness:
 
     def rest_apply(self, x):
         return self @ x - self.band[0] * x
+
+    def _shifted(self, c):
+        """(c, c m + mu, shifted_floor(c)) for the last c asked."""
+        if self._shift[0] != c:
+            symbol = c * self.m + self.mu
+            floor = float(symbol.min()) * (1.0 - 2.0 * np.finfo(float).eps)
+            self._shift = (c, symbol, floor - c * self.mass_gap)
+        return self._shift
+
+    def shifted_inverse(self, c, r):
+        """(c M + A_s)^-1 r = S diag(1 / (c m + mu)) S r, two DSTs."""
+        return _dst(_dst(r) / self._shifted(c)[1])
+
+    def shifted_floor(self, c) -> float:
+        """A lower bound on the eigenvalues of c M + A_s, c >= 0."""
+        return self._shifted(c)[2]
 
     def roundoff(self, w):
         return 0.0, self._roundoff_scale * float(np.linalg.norm(w))
@@ -447,9 +486,12 @@ class OperatorSet:
     SineStiffness at fractional s on a uniform line with both ends fixed
     and a SpectralStiffness otherwise; each provides products (@), the
     (d, e) diagonals of a tridiagonal band part B, rest_apply for
-    R = A_s - B (None where R = 0) and roundoff(w), the entrywise and
-    normwise terms of its round-off model for the product with w (see each
-    class), and spectrum(M, K) for the eigenpairs.  mass_chol holds the
+    R = A_s - B (None where R = 0), shifted_inverse(c, r) for
+    (c M + A_s)^-1 r in closed form (None but on the sine backend, which
+    also gives shifted_floor(c), a lower bound on its eigenvalues),
+    roundoff(w), the entrywise and normwise terms of its round-off model
+    for the product with w (see each class), and spectrum(M, K) for the
+    eigenpairs.  mass_chol holds the
     factors (d, e) of M's tridiagonal LDL^T factorization (LAPACK dpttrf:
     D = diag(d), L unit lower bidiagonal with subdiagonal e).  The spectrum (lam, Phi) is
     computed on first use, and kept.  lift_load and lift_const carry the
@@ -508,9 +550,16 @@ class OperatorSet:
         return math.sqrt(max(float(r @ self.solve_mass(r)), 0.0))
 
 
+def _toeplitz_tol(mesh: Mesh1D) -> float:
+    """The relative spread _is_toeplitz admits in a diagonal."""
+    nodes = mesh.nodes
+    return 16 * np.finfo(float).eps * np.abs(nodes).max() / np.diff(nodes).min()
+
+
 def _is_toeplitz(mesh: Mesh1D, *forms) -> bool:
     """Whether each diagonal of each form is constant to within the
-    rounding of the node coordinates.  A node rounds by up to u |x_j|, so
+    rounding of the node coordinates (_toeplitz_tol).  A node rounds by up
+    to u |x_j|, so
     a width h_j by up to about 2 u max|x|, and an entry formed from the
     widths varies by that over min h, relatively: meshes built by
     build_mesh vary by at most 2.5 eps max|x| / min h (measured on
@@ -518,8 +567,7 @@ def _is_toeplitz(mesh: Mesh1D, *forms) -> bool:
     16 eps max|x| / min h, admits them with room to spare; the Toeplitz
     pair of SineStiffness then differs from the assembled one by a few
     times the round-off the nodes carry into it."""
-    nodes = mesh.nodes
-    tol = 16 * np.finfo(float).eps * np.abs(nodes).max() / np.diff(nodes).min()
+    tol = _toeplitz_tol(mesh)
     for A in forms:
         for diag in A.band:
             if diag.size and np.abs(diag - diag.mean()).max() > tol * abs(diag.mean()):
@@ -566,7 +614,7 @@ def build_operators(mesh: Mesh1D, s: float) -> OperatorSet:
         A_s = K if s else M
     elif (mesh.geometry == "line" and None not in mesh.dirichlet
           and _is_toeplitz(mesh, M, K)):
-        A_s = SineStiffness(M, K, s)
+        A_s = SineStiffness(M, K, s, _toeplitz_tol(mesh))
     else:
         A_s = SpectralStiffness(M, K, s)
     return OperatorSet(

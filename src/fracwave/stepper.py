@@ -22,8 +22,14 @@ otherwise take a Newton step.  Each iteration takes the Hessian
 
 at the current iterate, pins the active nodes (those the linearized
 gradient pushes below g) to g, and solves the Newton system on the other
-nodes.  A_s splits into its tridiagonal band part B (A_s.band) and the
-rest R (A_s.rest_apply).  The tridiagonal P = M / tau^2 + B +
+nodes.  On the sine backend (operators.SineStiffness), a step with no
+node pinned whose H the symbol bound proves positive definite is first
+solved exactly for its quadratic part, x = (M / tau^2 + A_s)^-1 (-grad J)
+in two DSTs, and kept when its residual -m W'' x meets CG's stop
+(_newton_step); from the cubic warm start most steps of a smooth run are,
+with no tridiagonal factorization and no CG.  Every other step takes the
+banded path.  A_s splits into its tridiagonal band part B (A_s.band) and
+the rest R (A_s.rest_apply).  The tridiagonal P = M / tau^2 + B +
 diag(m_j W''(u_j)) is factored as L D L^T by LAPACK's symmetric positive
 definite tridiagonal solver (dptsv), which solves the system outright where
 R = 0, as at s in {0, 1}.  Otherwise conjugate gradients preconditioned by
@@ -50,15 +56,18 @@ SolverFailure.
 At a few hundred nodes an iterate costs numpy dispatch more than
 arithmetic, so each quantity is formed where it changes.  Per run: at
 s in {0, 1} the band of |A_s| that the round-off floor reads is formed
-once and kept with the operators (Tridiagonal.abs_band).  Per step: the
+once and kept with the operators (Tridiagonal.abs_band), and on the sine
+backend the shifted symbol m / tau^2 + mu and its floor, formed for the
+run's tau on first use (SineStiffness.shifted_floor).  Per step: the
 band of M / tau^2 and the extrapolation w = 2 u_{i-1} - u_{i-2}, which
 feed the floor and every iterate's (M / tau^2) d with d = u - w, and the
 floor itself.  Per iterate, one evaluation gives J, grad J and the two
 energies from the band product (M / tau^2) d, one product A_s u and one
 potential call (Potential.evaluate) that shares u^2 between W and W', and
 at the warm start W'' too; then one mass solve for the stationarity norm,
-and a Newton step that sums the band M / tau^2 + B + diag(m W'') and makes
-one dptsv call.  Under an obstacle the projection of the gradient and the
+and a Newton step: two DSTs for a certified free step on the sine backend,
+and otherwise the band M / tau^2 + B + diag(m W'') summed for one dptsv
+call.  Under an obstacle the projection of the gradient and the
 pinning of the active nodes run only on iterates with a node at g or
 active.
 
@@ -360,8 +369,8 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
             active = tau**2 * density > slack
             if not active.any():
                 active = None
-        step = _newton_step(ops, mass, curv, grad, _CG_TOL_FRACTION * tol,
-                            slack, active)
+        step = _newton_step(ops, mass, tau**-2, curv, grad,
+                            _CG_TOL_FRACTION * tol, slack, active)
         if step is None:
             raise SolverFailure(
                 "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
@@ -381,18 +390,33 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                         iterations=solver.max_iter)
 
 
-def _newton_step(ops, mass, curv, grad, stop, slack=None, active=None):
-    """The Newton step of H = M/tau^2 + A_s + diag(curv) at u, with the
-    nodes of the mask active (None: no node) pinned to g (step -slack_j =
-    g_j - u_j there), or None when H on the inactive nodes is not positive
+def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
+    """The Newton step of H = c M + A_s + diag(curv) at u, c = 1/tau^2, with
+    the nodes of the mask active (None: no node) pinned to g (step -slack_j
+    = g_j - u_j there), or None when H on the inactive nodes is not positive
     definite.
 
-    The tridiagonal P = M/tau^2 + B + diag(curv), from the band mass of
-    M/tau^2 and B = A_s.band, with the active rows and columns replaced by
-    those of the identity, is factored as L D L^T by LAPACK's dptsv.  Its
-    solution is the step where A_s = B (A_s.rest_apply is None); otherwise
-    _pcg finishes the solve to the M^-1 residual stop.
+    On the sine backend, a step with no node pinned whose H is positive
+    definite by A_s.shifted_floor(c) + min(curv) > 0 is first taken as
+    x = (c M + A_s)^-1 (-grad) by A_s.shifted_inverse.  Its residual is
+    -curv x, since H - (c M + A_s) = diag(curv), and x is the step when
+    that residual meets the M^-1 stop: first by its 2-norm over
+    sqrt(min m), M's eigenvalues being the m_k, then by a mass solve.
+    Every other step is banded: the tridiagonal P = c M + B + diag(curv),
+    from the band mass of c M and B = A_s.band, with the active rows and
+    columns replaced by those of the identity, is factored as L D L^T by
+    LAPACK's dptsv.  Its solution is the step where A_s = B
+    (A_s.rest_apply is None); otherwise _pcg finishes the solve to the
+    M^-1 residual stop.
     """
+    inverse = ops.A_s.shifted_inverse
+    if (active is None and inverse is not None
+            and ops.A_s.shifted_floor(c) + curv.min() > 0.0):
+        x = inverse(c, -grad)
+        r = curv * x
+        if (r @ r <= stop**2 * ops.A_s.m_min
+                or r @ ops.solve_mass(r) <= stop**2):
+            return x
     rest = ops.A_s.rest_apply
     b_d, b_e = ops.A_s.band
     d = mass[0] + b_d

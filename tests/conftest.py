@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -70,17 +72,22 @@ def spectral_oracle(ops):
     return SpectralStiffness(ops.M, ops.K, ops.s)
 
 
-def sine_oracle(ops, x):
-    """A_s x (x a vector or a block along axis 0) in extended precision for
-    the sine backend: S diag(mu) S x with
-    the backend's own symbol mu and S = sqrt(2/(n+1)) sin(pi j k/(n+1)),
-    each sine taken at j k reduced mod 2(n+1).  Its error is at most
-    about 4 n U_EXT max(mu) |x|_2."""
+@functools.lru_cache(maxsize=1)
+def _sine_basis(n):
+    """S = sqrt(2/(n+1)) sin(pi j k/(n+1)) in extended precision, each sine
+    taken at j k reduced mod 2(n+1); the last n asked is kept."""
     ext = np.longdouble
-    n = ops.n_free
     j = np.arange(1, n + 1)
     r = (np.outer(j, j) % (2 * (n + 1))).astype(ext)
-    S = np.sqrt(ext(2) / (n + 1)) * np.sin(np.arccos(ext(-1)) * r / (n + 1))
+    return np.sqrt(ext(2) / (n + 1)) * np.sin(np.arccos(ext(-1)) * r / (n + 1))
+
+
+def sine_oracle(ops, x):
+    """A_s x (x a vector or a block along axis 0) in extended precision for
+    the sine backend: S diag(mu) S x with the backend's own symbol mu and S
+    from _sine_basis.  Its error is at most about 4 n U_EXT max(mu) |x|_2."""
+    ext = np.longdouble
+    S = _sine_basis(ops.n_free)
     x = np.asarray(x).astype(ext)
     mu = ops.A_s.mu.astype(ext)
     return S @ ((mu if x.ndim == 1 else mu[:, None]) * (S @ x))

@@ -577,10 +577,10 @@ class TestMainExitCodes:
         # a float list entry may be nan, which no comparison with 0 admits
         (["sweep-eps", "--eps-list", "0.1,nan"], {"preset": "gl_interface"},
          "eps must be positive"),
-        # 2 span / eps overflows to inf: no mesh has that many cells; 1e-320
-        # is subnormal, stored as 9.99989e-321 to six digits
+        # 2 span / eps overflows to inf: no mesh has that many cells; the
+        # entry is named as written, not by the subnormal's stored value
         (["sweep-eps", "--eps-list", "1e-320"], {"preset": "gl_interface"},
-         "--eps-list entry 9.99989e-321: resolving eps needs 2 span / eps = inf"),
+         "--eps-list entry 1e-320: resolving eps needs 2 span / eps = inf"),
         (["run"], [{"preset": "eigenmode"}], "must be a flat JSON object"),
         (["run"], {"preset": "nope"}, "unknown preset 'nope'"),
         (["run"], {"preset": "eigenmode", "u0_kind": "x"},

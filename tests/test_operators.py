@@ -666,6 +666,53 @@ class TestSineStiffness:
                 2 * np.finfo(float).eps * ops.A_s.roundoff(w)[1]
                 + oracle_error / np.sqrt(ops.A_s.m.min()))
 
+    @pytest.mark.parametrize("c", [0.0, (768 / 0.75) ** 2])
+    @pytest.mark.parametrize("n", [1, 2, 382, 2002])
+    def test_shifted_inverse_against_extended_precision_solve(self, n, c):
+        # x = shifted_inverse(c, r) against x* = (c M + A_s)^-1 r, with the
+        # assembled M and A_s = S diag(mu) S.  n + 1 = 383 is prime, which
+        # SciPy transforms by Bluestein's algorithm; c is frac_line's
+        # 1 / tau^2.  x is S D S r in SineStiffness's normwise model, with
+        # D = diag(1 / (c m + mu)) in place of diag(mu): its scaling takes
+        # three roundings, as the model allows, so x errs from S D S r by at
+        # most 30 log2(n + 1) u max(D) |r|_2.  S D S = (c M' + A_s)^-1 with
+        # M' = S diag(m) S, within e_M = toeplitz_gap(M) of M, so S D S r
+        # lies within c e_M |r|_2 / (sigma (sigma - c e_M)) of x*, sigma =
+        # min(c m + mu) and sigma - c e_M <= lambda_min(c M + A_s).  The
+        # reference is refined until its residual, formed in extended
+        # precision by sine_oracle, carries its own error bound
+        ops = make_line_ops(n + 1, s=0.5)
+        assert isinstance(ops.A_s, SineStiffness) and ops.n_free == n
+        ext = np.longdouble
+        sym = ops.A_s
+        sigma = float((c * sym.m + sym.mu).min())
+        e_M = toeplitz_gap(ops.M)
+        lam_min = sigma - c * e_M
+        band = tuple(v.astype(ext) for v in ops.M.band)
+        lu = scipy.linalg.lu_factor(c * ops.M.toarray() + ops.A_s @ np.eye(n))
+
+        def residual(r, ref):
+            """r - (c M + A_s) ref in extended precision, and a bound on
+            its error: sine_oracle's, and gamma_8 of the terms' magnitudes
+            for the band product, its scaling and the two differences."""
+            a_ref = sine_oracle(ops, ref)
+            terms = c * operators.band_apply(band, np.abs(ref)) + np.abs(r) + np.abs(a_ref)
+            return (r - c * operators.band_apply(band, ref) - a_ref,
+                    4 * n * U_EXT * sym.mu.max() * float(np.linalg.norm(ref.astype(float)))
+                    + gamma(8, U_EXT) * float(np.linalg.norm(terms.astype(float))))
+
+        rng = np.random.default_rng(n)
+        for r in (rng.standard_normal(n), np.eye(n)[0]):
+            x = ops.A_s.shifted_inverse(c, r)
+            ref = np.zeros(n, dtype=ext)
+            for _ in range(4):
+                ref += scipy.linalg.lu_solve(lu, residual(r, ref)[0].astype(float))
+            resid, resid_error = residual(r, ref)
+            ref_error = (np.linalg.norm(resid.astype(float)) + resid_error) / lam_min
+            bound = (30 * np.log2(n + 1) * U / sigma
+                     + c * e_M / (sigma * lam_min)) * np.linalg.norm(r) + ref_error
+            assert np.linalg.norm((x - ref).astype(float)) <= bound
+
     @pytest.mark.parametrize("cols", [None, 3])
     @pytest.mark.parametrize("n", [1, 2, 382, 383, 1000, 1018])
     def test_product_equals_scipy_fft_dst_bit_for_bit(self, n, cols):

@@ -253,7 +253,8 @@ class TestPinnedNewtonSolve:
         if contact:
             g = u - np.where(rng.random(n) < 0.3, 0.0, rng.uniform(0.0, 1.0, n))
             active = tau**2 * grad / ops.lumps > u - g
-        step = stepper._newton_step(ops, stepper._scaled_mass(ops, tau), curv, grad, 0.0,
+        step = stepper._newton_step(ops, stepper._scaled_mass(ops, tau), tau**-2,
+                                    curv, grad, 0.0,
                                     *((u - g, active) if contact else ()))
 
         H = ops.M.toarray() / tau**2
@@ -307,7 +308,8 @@ class TestPinnedNewtonSolve:
         pinned = np.where(active, (g - u) if contact else 0.0, 0.0)
         rhs = np.where(free, -grad - H @ pinned, 0.0)
         stop = 1e-8 * np.sqrt(rhs @ np.linalg.solve(M, rhs))
-        step = stepper._newton_step(ops, stepper._scaled_mass(ops, tau), curv, grad, stop,
+        step = stepper._newton_step(ops, stepper._scaled_mass(ops, tau), tau**-2,
+                                    curv, grad, stop,
                                     *((u - g, active) if contact else ()))
 
         assert np.array_equal(step[active], pinned[active])
@@ -572,6 +574,69 @@ class TestNoDispatchOnTheHotPath:
                         "contact": (3, {"band": 13, "solve": 5, "dptsv": 3})}
         # an obstacle the step does not touch costs no product
         assert work["no_contact"][1]["band"] <= work["free"][1]["band"]
+
+    def test_work_per_sine_newton_step(self, monkeypatch):
+        # on the sine backend a Newton step with no node pinned, whose
+        # Hessian the symbol bound certifies, is (M/tau^2 + A_s)^-1 (-grad J)
+        # where its remainder meets the stop: one shifted_inverse call, two
+        # DSTs and no tridiagonal solve.  On frac_line's s = 1/2 line and time step at 64 cells that
+        # holds from step 3, whose cubic warm start leaves a small Newton
+        # step; the first two steps start linear, and their remainder sends
+        # them on to the banded path.  So do a step with a node pinned and
+        # one whose Hessian is not certified (the non-convex configs of
+        # test_indefinite_hessian_with_definite_preconditioner and
+        # test_non_convex_step_reports_step_and_best_iterate): each factors
+        # P by one dptsv, whose failure or CG's the SolverFailure is, and
+        # the last two never reach shifted_inverse
+        counts = dict(inverse=0, dst=0, dptsv=0, dpttrs=0)
+
+        def counted(name, fn):
+            def call(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(operators, "_dst", counted("dst", operators._dst))
+        monkeypatch.setattr(SineStiffness, "shifted_inverse",
+                            counted("inverse", SineStiffness.shifted_inverse))
+        for name in ("dptsv", "dpttrs"):
+            monkeypatch.setattr(scipy.linalg.lapack, name,
+                                counted(name, getattr(scipy.linalg.lapack, name)))
+        solves = []
+        newton_step = stepper._newton_step
+
+        def step(*args):
+            counts.update(inverse=0, dst=0, dptsv=0, dpttrs=0)
+            out = newton_step(*args)
+            solves.append((len(args) == 8 and args[7] is not None, dict(counts)))
+            return out
+
+        monkeypatch.setattr(stepper, "_newton_step", step)
+        ops = make_line_ops(64, s=0.5)
+        x = ops.mesh.nodes[ops.mesh.free]
+        traj = run(SchemeConfig(T=6 * 0.75 / 768, n_steps=6, ops=ops, potential=double_well(),
+                                u0=0.5 * np.sin(np.pi * x), v0=np.sin(np.pi * x)))
+        assert list(traj.iterations) == [1] * 6
+        assert [(work["inverse"], work["dptsv"]) for _, work in solves[:2]] == [(1, 1)] * 2
+        assert solves[2:] == [(False, {"inverse": 1, "dst": 2, "dptsv": 0, "dpttrs": 0})] * 4
+
+        solves.clear()
+        u1, u2 = -0.1 * np.sin(np.pi * x), -0.05 * np.sin(np.pi * x)
+        minimize_step(ops, double_well(), u1, u2, 0.01, obstacle=np.full(ops.n_free, -0.1))
+        pinned = [work for is_pinned, work in solves if is_pinned]
+        assert pinned and all((work["inverse"], work["dptsv"]) == (0, 1) for work in pinned)
+
+        solves.clear()
+        ops = make_line_ops(16, s=0.5)
+        u1 = 0.01 * np.sin(np.pi * ops.mesh.nodes[ops.mesh.free])
+        with pytest.raises(SolverFailure, match="more time steps"):
+            minimize_step(ops, gl_scaled(double_well(), np.sqrt(6.0 / 7.2)), u1, u1, 0.5)
+        ops = make_line_ops(8, s=0.5)
+        x = ops.mesh.nodes[ops.mesh.free]
+        with pytest.raises(SolverFailure, match="more time steps"):
+            run(SchemeConfig(T=1.0, n_steps=2, ops=ops, potential=gl_scaled(double_well(), 0.05),
+                             u0=0.01 * np.sin(np.pi * x), v0=np.zeros(ops.n_free)))
+        assert [(work["inverse"], work["dptsv"]) for _, work in solves] == [(0, 1)] * 2
 
     def test_scipy_sparse_is_never_imported(self):
         # in a fresh interpreter, since the tests import scipy.sparse for
