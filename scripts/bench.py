@@ -27,12 +27,15 @@ size runs in LADDER_PAIRS pairs, alternating which side runs first, and
 each side records the median and the minimum of its setup (parse and
 build), solve (the time loop) and peak RSS, next to every run's value: one
 run is too noisy a sample to show a scaling change, and the minimum is the
-estimate least moved by interference.  A ladder is named after a
-workload and runs its seed-0 config (perfbench's make_config) with its own
-n_steps and T, and n_cells set to each size.  The s = 1 ladder is
+estimate least moved by interference.  A ladder runs the seed-0 config
+of a workload (perfbench's make_config) with its own overrides, n_steps
+and T among them, and n_cells set to each size.  The s = 1 ladder is
 gl_interface (radial) with n_steps = 20 and T = 0.001.  The s = 1/2 ladder
 is frac_line (uniform line, double well) with n_steps = 20 at the time
 step of frac_line; its setup builds A_s, its solve runs the time loop.
+The frac_line_dense ladder is the same with the right end free, which
+takes the dense backend (operators.SpectralStiffness): its setup runs the
+eigensolve, and each product in its loop is O(n^2).
 Both checkouts run every size of the same configs, which this checkout's
 perfbench/workloads.py gives.  The workloads and the end-to-end metrics
 are the ones BENCHMARK.json lists.
@@ -71,11 +74,16 @@ METRICS = tuple(m["name"] for m in BENCHMARK["end_to_end"])
 # of them read better lower, and one that does not has no entry here
 BOUNDS = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]
           if m["better"] == "lower"}
-# workload: (its overrides of the workload's seed-0 config, the mesh sizes)
+# ladder: (its workload, its overrides of the workload's seed-0 config, the
+# mesh sizes)
 LADDERS = {
-    "gl_interface": ({"n_steps": 20, "T": 0.001}, (400, 1600, 6400, 25600, 102400)),
-    "frac_line": ({"n_steps": 20, "T": 0.75 * 20 / 768},
+    "gl_interface": ("gl_interface", {"n_steps": 20, "T": 0.001},
+                     (400, 1600, 6400, 25600, 102400)),
+    "frac_line": ("frac_line", {"n_steps": 20, "T": 0.75 * 20 / 768},
                   (400, 800, 1600, 6400, 25600, 102400)),
+    "frac_line_dense": ("frac_line", {"n_steps": 20, "T": 0.75 * 20 / 768,
+                                      "dirichlet_right": None},
+                        (400, 800, 1600)),
 }
 LADDER_PAIRS = 5
 # name: (cli command, its config, its list argument)
@@ -106,8 +114,8 @@ def ladder_configs() -> dict:
     use_workloads(ROOT)
     from workloads import make_config
 
-    return {name: dict(make_config(name, 0), **overrides)
-            for name, (overrides, _) in LADDERS.items()}
+    return {name: dict(make_config(workload, 0), **overrides)
+            for name, (workload, overrides, _) in LADDERS.items()}
 
 
 def ladder_point(root: Path, config: str) -> dict:
@@ -277,7 +285,7 @@ def main(argv=None):
 
     ladders = {}
     configs = ladder_configs()
-    for name, (_, sizes) in LADDERS.items():
+    for name, (_, _, sizes) in LADDERS.items():
         points = {side: [] for side in sides}
         for n in sizes:
             runs = {side: [] for side in sides}

@@ -238,7 +238,7 @@ class Tridiagonal:
     its band part B is all of it, so R = A_s - B = 0 and rest_apply is None.
 
     Round-off model: componentwise.  roundoff(w) gives the entrywise term
-    |A_s| w, band_apply on (|d|, |e|), and no normwise term.  A row of A_s w
+    |A_s| |w|, band_apply on (|d|, |e|), and no normwise term.  A row of A_s w
     has three terms and errs by gamma_3 ~ 1.5 eps relative to |A_s| |w|, so
     the worst case of the round-off floor's t (stepper._roundoff_floor) is
     2.5 to 3 eps per entry, which roundings of either sign seldom reach;
@@ -273,7 +273,7 @@ class Tridiagonal:
         return np.abs(d), np.abs(e)
 
     def roundoff(self, w):
-        return band_apply(self.abs_band, w), 0.0
+        return band_apply(self.abs_band, np.abs(w)), 0.0
 
     def spectrum(self, M, K):
         """The eigenpairs of (K, M), computed here on request."""
@@ -296,7 +296,7 @@ class SpectralStiffness:
     radial, free-end and nonuniform meshes, and is the small-n oracle.
 
     Round-off model: componentwise.  roundoff(w) gives no normwise term and
-    the entrywise term |A_s| w = 2 A_s^+ w - A_s w, from
+    the entrywise term |A_s| |w| = 2 A_s^+ |w| - A_s |w|, from
     |a| = 2 max(a, 0) - a, with A_s^+ = max(A_s, 0) built here and held as
     the coordinates plus = (rows, cols, vals) of its nonzero entries in row
     order: O(n^2), one Newton product, with no second dense array held.
@@ -333,6 +333,7 @@ class SpectralStiffness:
         return self.matrix @ x - self.band[0] * x
 
     def roundoff(self, w):
+        w = np.abs(w)
         rows, cols, vals = self.plus
         return (2.0 * np.bincount(rows, vals * w[cols], minlength=w.size)
                 - self.matrix @ w, 0.0)
@@ -343,16 +344,21 @@ class SpectralStiffness:
 
 
 def _dst(x):
-    """The orthonormal DST-I S along axis 0; S is symmetric and S S = I.
+    """The orthonormal DST-I S along axis 0 of the float array x; S is
+    symmetric and S S = I.
 
-    scipy.fftpack.dst calls the same pocketfft kernel as scipy.fft.dst, with
-    bit-identical output, but skips scipy.fft's backend dispatch, which at a
-    few hundred nodes costs more than the transform (about 7 us per call
-    against 13 us at 383 nodes).  SineStiffness.__init__ imports it, not
-    this module, so that the import lands in setup and only where it is
-    needed: scipy's FFT modules add about 5 MB of resident memory, which
-    only the sine backend needs."""
-    return scipy.fftpack.dst(x, type=1, norm="ortho", axis=0)
+    A direct call of pocketfft's kernel, scipy.fft._pocketfft.pypocketfft.dst,
+    with the arguments scipy.fft.dst(x, type=1, norm="ortho", axis=0) passes
+    it (inorm 1, one thread), so the output is the same bits.  Both public
+    wrappers, scipy.fft.dst and scipy.fftpack.dst, check and convert their
+    arguments first, which at a few hundred nodes costs more than the
+    transform: at 383 nodes the kernel takes about 3.3 us per call,
+    scipy.fftpack.dst 6.0 us and scipy.fft.dst, with its backend dispatch,
+    more still.  SineStiffness.__init__ imports the kernel, not this
+    module, so that the import lands in setup and only where it is needed:
+    scipy's FFT modules add about 5 MB of resident memory, which only the
+    sine backend needs."""
+    return scipy.fft._pocketfft.pypocketfft.dst(x, 1, (0,), 1, None, 1, None)
 
 
 def _toeplitz_symbol(A, half_angle):
@@ -374,7 +380,7 @@ class SineStiffness:
     diag(m^-1/2) and A_s = S diag(mu) S with mu_k = m_k lambda_k^s.  Only
     the symbol (m, kappa, mu) is held, O(n), with m_min = min m; m and
     kappa come from the assembled diagonals of M and K.  A product is two
-    DSTs (_dst, through scipy.fftpack), O(n log n); x may be a block of
+    DSTs (_dst, pocketfft's kernel), O(n log n); x may be a block of
     vectors along axis 0.
     B is the diagonal of A_s, d_j = sum_k mu_k s_jk^2 = (sum mu -
     Re F_(n+1)([0, mu])_j) / (n + 1), one FFT of length n + 1; rest_apply
@@ -419,13 +425,13 @@ class SineStiffness:
     """
 
     def __init__(self, M, K, s: float, gap: float):
-        import scipy.fftpack   # see _dst
+        import scipy.fft._pocketfft.pypocketfft   # see _dst
         n = M.band[0].size
         half_angle = np.sin(0.5 * np.pi * np.arange(1, n + 1) / (n + 1))
         self.m = _toeplitz_symbol(M, half_angle)
         self.kappa = _toeplitz_symbol(K, half_angle)
         self.mu = self.m * (self.kappa / self.m) ** s
-        diag = (self.mu.sum() - scipy.fftpack.fft(np.r_[0.0, self.mu]).real[1:]) / (n + 1)
+        diag = (self.mu.sum() - scipy.fft.fft(np.r_[0.0, self.mu]).real[1:]) / (n + 1)
         self.band = (diag, np.zeros(n - 1))
         # a + 2 b, the means' symbol at theta = 0: M's entries are positive
         self.mass_gap = 2.0 * gap * _toeplitz_symbol(M, 0.0)
@@ -457,14 +463,22 @@ class SineStiffness:
         return self._shifted(c)[2]
 
     def roundoff(self, w):
-        return 0.0, self._roundoff_scale * float(np.linalg.norm(w))
+        # |w|_2 as np.linalg.norm forms it, bit for bit, without its
+        # argument handling
+        return 0.0, self._roundoff_scale * math.sqrt(w @ w)
+
+    @cached_property
+    def lam(self):
+        """The eigenvalues kappa / m in closed form, O(n), ascending with k:
+        m_k falls and kappa_k rises."""
+        return self.kappa / self.m
 
     def spectrum(self, M, K):
-        """The eigenpairs in closed form, under spectral_decompose's sign
-        rule.  lam = kappa / m ascends with k: m_k falls and kappa_k rises.
-        S is built from sin(pi q / (n + 1)) at the integer q = j k reduced
-        to [0, (n + 1) / 2], so entries of equal magnitude are equal bits and
-        the sign rule's tie-break is reproducible."""
+        """The eigenpairs in closed form, (lam, Phi), under
+        spectral_decompose's sign rule.  S is built from sin(pi q / (n + 1))
+        at the integer q = j k reduced to [0, (n + 1) / 2], so entries of
+        equal magnitude are equal bits and the sign rule's tie-break is
+        reproducible."""
         n = self.m.size
         j = np.arange(1, n + 1)
         r = np.outer(j, j) % (2 * (n + 1))
@@ -473,7 +487,7 @@ class SineStiffness:
         phi[r > n + 1] *= -1.0
         phi *= np.sqrt(2.0 / (n + 1)) / np.sqrt(self.m)
         _fix_signs(phi)
-        return self.kappa / self.m, phi
+        return self.lam, phi
 
 
 @dataclass(frozen=True)
@@ -497,7 +511,7 @@ class OperatorSet:
     computed on first use, and kept.  lift_load and lift_const carry the
     coupling of free nodes to fixed endpoint values through the order-1
     stiffness, so build_operators admits nonzero Dirichlet data only at
-    s = 1; both are zero when the data vanish.
+    s = 1; both are zero when the data vanish, and lifted is then False.
     """
 
     mesh: Mesh1D
@@ -520,8 +534,19 @@ class OperatorSet:
 
     @property
     def lam(self) -> np.ndarray:
-        """Generalized eigenvalues of (K, M), ascending."""
+        """Generalized eigenvalues of (K, M), ascending.  On the sine
+        backend they are the closed form SineStiffness.lam, and no
+        eigenvector is formed."""
+        if isinstance(self.A_s, SineStiffness):
+            return self.A_s.lam
         return self._spectrum[0]
+
+    @cached_property
+    def lifted(self) -> bool:
+        """Whether nonzero Dirichlet data enter the free nodes' equations:
+        where they do not (always at fractional s), lift_load and
+        lift_const are zero and the time step skips them."""
+        return bool(self.lift_load.any() or self.lift_const)
 
     @property
     def Phi(self) -> np.ndarray:
@@ -639,7 +664,7 @@ def seminorm_s(ops: OperatorSet, u: np.ndarray) -> float:
 
         2 eps (|u| . t_A + |u|_M a) + gamma_n |u| . |y|
 
-    with (t_A, a) = A_s.roundoff(|u|) and |u|_M = sqrt(u . M u).  The
+    with (t_A, a) = A_s.roundoff(u) and |u|_M = sqrt(u . M u).  The
     product errs by at most 2 eps t_A entrywise or 2 eps a in the M^-1
     norm, the model each class of A_s states for the round-off floor
     (c = 2); u . e <= |u|_M |e|_M^-1 carries the normwise term.  The dot
@@ -664,7 +689,7 @@ def _form_roundoff(ops: OperatorSet, u, y) -> float:
     eps = np.finfo(float).eps
     gamma_n = u.size * eps / 2.0 / (1.0 - u.size * eps / 2.0)
     abs_u = np.abs(u)
-    t_a, a = ops.A_s.roundoff(abs_u)
+    t_a, a = ops.A_s.roundoff(u)
     norm_m = np.sqrt(max(float(u @ (ops.M @ u)), 0.0))
     return (2.0 * eps * (float(np.sum(abs_u * t_a)) + norm_m * a)
             + gamma_n * float(abs_u @ np.abs(y)))

@@ -37,9 +37,8 @@ P finish the solve in a few products with A_s (at fractional s, B is the
 diagonal of A_s, and each product costs O(n log n) on a uniform line with
 both ends fixed and O(n^2) elsewhere): no n x n array is factored or
 copied.  M x, and A_s x at s in {0, 1}, are band products on the held
-diagonals (operators.Tridiagonal); the sine backend takes its DSTs through
-scipy.fftpack, which skips scipy.fft's dispatch, at a few hundred nodes
-costlier than the transform (operators.SineStiffness).
+diagonals (operators.Tridiagonal); the sine backend calls pocketfft's DST
+kernel directly (operators._dst).
 Without an obstacle the active set is empty and the iteration is plain
 Newton.  The time loop starts steps 1 and 2 from the inertial
 extrapolation 2 u_{i-1} - u_{i-2} and every later step from the cubic
@@ -67,9 +66,18 @@ potential call (Potential.evaluate) that shares u^2 between W and W', and
 at the warm start W'' too; then one mass solve for the stationarity norm,
 and a Newton step: two DSTs for a certified free step on the sine backend,
 and otherwise the band M / tau^2 + B + diag(m W'') summed for one dptsv
-call.  Under an obstacle the projection of the gradient and the
-pinning of the active nodes run only on iterates with a node at g or
-active.
+call.  The warm start's evaluation makes no product: A_s is linear, so
+run passes it the same combination of the last states' products as the
+start is of the states, one gemv over a ring of those four products, each
+from its step's last evaluation.  A start clipped by the obstacle takes a direct
+product, and a start that meets tol on the combination is evaluated again
+on a direct one before it is accepted, so round-off cannot build up from
+step to step.  A step of one Newton iterate on the sine backend thus makes
+four DSTs, two for the Newton step and two for its last evaluation, and
+its round-off floor none.  Where the Dirichlet data vanish (ops.lifted
+false, always at fractional s) the lift's terms are skipped.  Under an
+obstacle the projection of the gradient and the pinning of the active
+nodes run only on iterates with a node at g or active.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
@@ -212,6 +220,7 @@ class StepResult:
     j_path: tuple  # functional values at the Newton iterates
     frac_energy: float  # 0.5 u.A_s u + u.lift_load + lift_const at u
     pot_energy: float   # lumps . W(u) at u
+    product: np.ndarray  # A_s u, a direct product from the last evaluation
 
 
 def _scaled_mass(ops: OperatorSet, tau: float):
@@ -230,9 +239,12 @@ def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
 
 def _state_energies(ops, u, au, value):
     """(fractional, potential) energy of the state u, with au = A_s u and
-    value = W(u): 0.5 u.A_s u + u.lift_load + lift_const, and lumps . W(u)."""
-    return (0.5 * float(u @ au) + float(u @ ops.lift_load) + ops.lift_const,
-            float(ops.lumps @ value))
+    value = W(u): 0.5 u.A_s u + u.lift_load + lift_const, and lumps . W(u).
+    The lift's terms are zero, and skipped, unless ops.lifted."""
+    frac = 0.5 * float(u @ au)
+    if ops.lifted:
+        frac = frac + float(u @ ops.lift_load) + ops.lift_const
+    return frac, float(ops.lumps @ value)
 
 
 def _energy_row(ops, v, frac, pot):
@@ -242,23 +254,25 @@ def _energy_row(ops, v, frac, pot):
     return kin, frac, pot, kin + frac + pot
 
 
-def _evaluate(ops, potential, mass, u, w, curvature=False):
+def _evaluate(ops, potential, mass, u, w, curvature=False, product=None):
     """(J(u), grad J(u), fractional energy, potential energy, m W''(u) if
-    curvature else None) for the step with inertial extrapolation w =
-    2 u1 - u2 and the band mass of M / tau^2, from d = u - w and one
-    potential evaluation; the energies are the terms of J that energy()
-    reports, formed once here."""
+    curvature else None, A_s u) for the step with inertial extrapolation
+    w = 2 u1 - u2 and the band mass of M / tau^2, from d = u - w, the
+    product A_s u (product where given, else formed here) and one potential
+    evaluation; the energies are the terms of J that energy() reports,
+    formed once here."""
     d = u - w
     md = band_apply(mass, d)
-    au = ops.A_s @ u
+    au = ops.A_s @ u if product is None else product
     value, slope, curv = potential.evaluate(u, curvature)
     frac, pot = _state_energies(ops, u, au, value)
     j = 0.5 * float(d @ md) + frac + pot
     grad = md  # (M / tau^2) d, summed into in place
     grad += au
-    grad += ops.lift_load
+    if ops.lifted:
+        grad += ops.lift_load
     grad += ops.lumps * slope
-    return j, grad, frac, pot, None if curv is None else ops.lumps * curv
+    return j, grad, frac, pot, None if curv is None else ops.lumps * curv, au
 
 
 def _stationarity(ops, grad, slack=None, density=None) -> float:
@@ -299,31 +313,42 @@ def _roundoff_floor(ops, potential, mass, u1, u2, w) -> float:
     err relative to (M / tau^2) |d|, a smaller term.  Summing the four
     terms adds up to 1.5 eps of t.  The round-off of A_s w follows the
     model of A_s's class (operators.Tridiagonal, SineStiffness,
-    SpectralStiffness), which gives (t_A, a) = A_s.roundoff(|w|): an
+    SpectralStiffness), which gives (t_A, a) = A_s.roundoff(w): an
     entrywise term, |A_s| |w| for a product that errs componentwise, and a
     normwise bound a on the M^-1 norm for one that errs normwise.  The class
-    also gives the grounds for c = 2 and the cost of the term.
+    also gives the grounds for c = 2 and the cost of the term.  The lift's
+    term is zero, and skipped, unless ops.lifted.
     """
-    t_a, a = ops.A_s.roundoff(np.abs(w))
-    t = (band_apply(mass, 2.0 * np.abs(u1) + np.abs(u2))
-         + t_a + np.abs(ops.lift_load)
-         + ops.lumps * np.abs(potential.gradient(w)))
+    t_a, a = ops.A_s.roundoff(w)
+    t = band_apply(mass, 2.0 * np.abs(u1) + np.abs(u2))
+    t += t_a
+    if ops.lifted:
+        t += np.abs(ops.lift_load)
+    t += ops.lumps * np.abs(potential.gradient(w))
     return _AUTO_TOL_ROUNDOFF * (ops.dual_norm(t) + a)
 
 
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
-                  warm_start=None) -> StepResult:
+                  warm_start=None, warm_product=None) -> StepResult:
     """Minimize the step functional by semismooth Newton from a feasible
     warm start (default u1).
+
+    warm_product, where given, stands for A_s warm_start in the first
+    evaluation only (run passes the same combination of the last states'
+    products as the start is of the states).  A warm start that meets tol
+    with it is evaluated again with a direct product before it is accepted,
+    so a returned state, its residual, energies and product always come
+    from a direct product.
 
     Under an obstacle, a node is active when the linearized gradient would
     push it below g, i.e. tau^2 * grad_j / m_j > u_j - g_j; active nodes are
     pinned to g and the Newton system is solved on the rest.  Iterates are
     projected onto u >= g, so every iterate is feasible.
 
-    The result carries the fractional and potential energies of the final
-    iterate, from the functional's last evaluation.
+    The result carries the fractional and potential energies and the
+    product A_s u of the final iterate, from the functional's last
+    evaluation.
 
     Raises SolverFailure (carrying the iterate of least residual) if max_iter
     is reached above tolerance or the Hessian on the inactive nodes is not
@@ -342,24 +367,30 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     best, best_res = u, np.inf
     j_path = []
     slack = density = None
-    for iters in range(solver.max_iter + 1):
+    product = warm_product
+    iters = 0
+    while True:
         # the curvature from the same pass at the warm start, whose Newton
         # step most steps take
-        j, grad, frac, pot, curv = _evaluate(ops, potential, mass, u, w,
-                                             curvature=not iters)
+        j, grad, frac, pot, curv, au = _evaluate(ops, potential, mass, u, w,
+                                                 curvature=not iters, product=product)
         if not (math.isfinite(j) and np.isfinite(grad).all()):
             where = "during Newton iteration" if iters else "at warm start"
             raise BlowupError(f"non-finite functional or gradient {where}")
         if obstacle is not None:
             slack, density = u - obstacle, grad / ops.lumps
         res = _stationarity(ops, grad, slack, density)
+        if product is not None:
+            product = None
+            if res <= tol:
+                continue   # accepted only from a direct product
         j_path.append(j)
         if res < best_res:
             best, best_res = u, res
         if res <= tol:
             return StepResult(u=u, iterations=iters, residual=res, tol=tol,
                               j_path=tuple(j_path), frac_energy=frac,
-                              pot_energy=pot)
+                              pot_energy=pot, product=au)
         if iters == solver.max_iter:
             break
         if curv is None:
@@ -379,6 +410,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
         u = u + step
         if obstacle is not None:
             u = np.maximum(u, obstacle)
+        iters += 1
     message = (f"no convergence in {solver.max_iter} iterations "
                f"(residual {best_res:.3e} > tol {tol:.3e})")
     if solver.tol is not None:
@@ -504,6 +536,23 @@ def effective_v0(config: SchemeConfig) -> np.ndarray:
     return ops.Phi[:, :k] @ coeff[:k]
 
 
+def _ring_weights(coef):
+    """The (4, 4) array w with w[r] @ ring = sum_j coef[j] ring[(r - j) % 4]:
+    the combination coef, newest row first, of the rows of a ring of four
+    that holds row k at k % 4, with its newest at r; one gemv, where the
+    combination's own expression would take six passes over the rows."""
+    w = np.zeros((4, 4))
+    for j, c in enumerate(coef):
+        w[np.arange(4), (np.arange(4) - j) % 4] = c
+    return w
+
+
+# run's warm starts, as weights on its ring of the last states' products:
+# the linear extrapolation at steps 1 and 2, then the cubic
+_LINEAR_WEIGHTS = _ring_weights((2.0, -1.0))
+_CUBIC_WEIGHTS = _ring_weights((4.0, -6.0, 4.0, -1.0))
+
+
 def run(config: SchemeConfig) -> Trajectory:
     """Execute the time loop and return the full trajectory.
 
@@ -524,6 +573,12 @@ def run(config: SchemeConfig) -> Trajectory:
     residuals = np.zeros(n)
     tols = np.zeros(n)
     energies = np.empty((n + 1, 4))
+    # the ring of _ring_weights: A_s states[k] at row k % 4 for the last four
+    # states, each from its step's last evaluation; a row not yet written is
+    # 0, which the linear steps weigh by 0
+    products = np.zeros((4, nf))
+    products[0] = ops.A_s @ states[0]
+    products[1] = ops.A_s @ states[1]
 
     for i in range(1, n + 1):
         if i >= 3:
@@ -531,19 +586,27 @@ def run(config: SchemeConfig) -> Trajectory:
             # trajectory, where the linear start is O(tau^2) away
             start = (4.0 * states[i] - 6.0 * states[i - 1] + 4.0 * states[i - 2]
                      - states[i - 3])
+            weights = _CUBIC_WEIGHTS
         else:
             start = 2.0 * states[i] - states[i - 1]
-        if config.obstacle is not None:
+            weights = _LINEAR_WEIGHTS
+        if config.obstacle is not None and (start < config.obstacle).any():
             start = np.maximum(start, config.obstacle)
+            product = None   # a clipped start is no combination of the states
+        else:
+            # A_s is linear: the same combination of the states' products
+            product = weights[i % 4] @ products
         try:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
-                obstacle=config.obstacle, solver=config.solver, warm_start=start)
+                obstacle=config.obstacle, solver=config.solver, warm_start=start,
+                warm_product=product)
         except (SolverFailure, BlowupError) as exc:
             exc.step = i
             exc.args = (f"step {i}: {exc}",)
             raise
         states[i + 1] = result.u
+        products[(i + 1) % 4] = result.product
         iterations[i - 1] = result.iterations
         residuals[i - 1] = result.residual
         tols[i - 1] = result.tol

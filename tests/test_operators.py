@@ -716,10 +716,12 @@ class TestSineStiffness:
     @pytest.mark.parametrize("cols", [None, 3])
     @pytest.mark.parametrize("n", [1, 2, 382, 383, 1000, 1018])
     def test_product_equals_scipy_fft_dst_bit_for_bit(self, n, cols):
-        # the backend takes its DST-I through scipy.fftpack, which runs
-        # scipy.fft's pocketfft kernel without its backend dispatch; a SciPy
-        # release that splits the two kernels fails here.  n + 1 = 383 and
-        # 1019 are prime, which SciPy transforms by Bluestein's algorithm
+        # the backend calls pocketfft's kernel,
+        # scipy.fft._pocketfft.pypocketfft.dst, directly, with the arguments
+        # scipy.fft.dst passes it; a SciPy release that moves the kernel,
+        # changes its signature or changes what scipy.fft.dst passes it
+        # fails here.  n + 1 = 383 and 1019 are prime, which SciPy
+        # transforms by Bluestein's algorithm
         ops = make_line_ops(n + 1, s=0.5)
         assert isinstance(ops.A_s, SineStiffness) and ops.n_free == n
         x = np.random.default_rng(n).standard_normal((n,) if cols is None else (n, cols))
@@ -750,6 +752,29 @@ class TestSineStiffness:
         assert np.all(ops.Phi[first, np.arange(ops.n_free)] > 0)
         assert signs[0] > 0
 
+    @pytest.mark.parametrize("n_cells", [2, 17, 48])
+    def test_eigenvalues_are_the_spectrum_s_without_eigenvectors(self, n_cells):
+        # ops.lam is the closed form kappa / m, the lam of spectrum bit for
+        # bit, and reading it forms no eigenvector
+        ops = make_line_ops(n_cells, s=0.5)
+        lam = ops.lam
+        assert "_spectrum" not in vars(ops)
+        assert same_bits(lam, ops.A_s.spectrum(ops.M, ops.K)[0])
+
+    def test_poincare_constant_memory_is_linear(self):
+        # 2,000 cells at s = 1/2: Phi alone would take 1,999 doubles per
+        # node.  The constant reads lam_1 of the closed form, one array of
+        # n (measured: 1.0 doubles per node)
+        ops = make_line_ops(2000, s=0.5)
+        tracemalloc.start()
+        try:
+            c = poincare_constant(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert c == ops.lam[0] ** -0.25
+        assert peak <= 4 * 8 * ops.n_free
+
     def test_a_fractional_line_run_needs_no_eigensolve(self, monkeypatch):
         # a 384-cell s = 1/2 line with sine data and a double well is built
         # and run with the eigensolve disabled; the spectrum is read in
@@ -769,8 +794,9 @@ class TestSineStiffness:
 
     def test_setup_and_loop_memory_is_linear(self):
         # 25,600 cells at s = 1/2: one n x n array would take 5.2 GB.  Build
-        # and run stay within 64 doubles per node (measured: 29 for the
-        # build, 46 with three steps)
+        # and run stay within 64 doubles per node (measured: 31 for the
+        # build, 61 with three steps, of which the time loop's four held
+        # products A_s u_k and the warm start's combination of them take 5)
         tracemalloc.start()
         try:
             ops = make_line_ops(25600, s=0.5)

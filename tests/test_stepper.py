@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.fft
+import scipy.fftpack
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -16,12 +17,13 @@ from fracwave import (BlowupError, ConfigurationError, Mesh1D, SchemeConfig,
                       SolverFailure, SolverParams, build_mesh, build_operators,
                       el_residual, energy, eval_interpolants, minimize_step, operators,
                       run, step_functional, step_gradient, stepper, vi_residuals)
-from fracwave.operators import OperatorSet, SineStiffness, Tridiagonal
+from fracwave.operators import OperatorSet, SineStiffness, SpectralStiffness, Tridiagonal
 from fracwave.potentials import double_well, gl_scaled, quadratic, zero_potential
 from fracwave.stepper import effective_v0
 
 from conftest import (RESIDUAL_ROUNDING, U, assert_tridiagonal_backward_error,
-                      dense_A_s, eigenmode_config, make_line_ops, make_radial_ops, meshes)
+                      dense_A_s, eigenmode_config, gamma, make_line_ops, make_radial_ops,
+                      meshes)
 
 
 ONE_FREE_NODE = Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0))
@@ -509,10 +511,11 @@ class TestRun:
 
 
 class TestNoDispatchOnTheHotPath:
-    # minimize_step takes the sine backend's DSTs through scipy.fftpack: with
-    # scipy.fft.dst made to raise, a step still runs, with and without nodes
-    # pinned to the obstacle.  No product goes through scipy.sparse, which
-    # no module imports (test_scipy_sparse_is_never_imported)
+    # minimize_step takes the sine backend's DSTs from pocketfft's kernel
+    # (operators._dst): with the public wrappers scipy.fft.dst and
+    # scipy.fftpack.dst made to raise, a step still runs, with and without
+    # nodes pinned to the obstacle.  No product goes through scipy.sparse,
+    # which no module imports (test_scipy_sparse_is_never_imported)
     @pytest.mark.parametrize("contact", [False, True])
     @pytest.mark.parametrize("s, backend", [(1.0, Tridiagonal),
                                             (0.5, SineStiffness)])
@@ -528,9 +531,10 @@ class TestNoDispatchOnTheHotPath:
         def refuse(*args, **kwargs):
             raise AssertionError("scipy.fft dispatch on the hot path")
 
-        monkeypatch.setattr(scipy.fft, "dst", refuse)
-        with pytest.raises(AssertionError, match="hot path"):
-            scipy.fft.dst(x, type=1)
+        for wrapper in (scipy.fft, scipy.fftpack):
+            monkeypatch.setattr(wrapper, "dst", refuse)
+            with pytest.raises(AssertionError, match="hot path"):
+                wrapper.dst(x, type=1)
         result = minimize_step(ops, double_well(), u1, u2, 0.01, obstacle=g)
         assert result.iterations >= 1 and result.residual <= result.tol
         assert contact == (g is not None and np.any(result.u == g))
@@ -749,6 +753,132 @@ class TestCubicWarmStart:
         run(cfg)
 
 
+class TestWarmProduct:
+    # run passes each step's start its A_s product as the same combination
+    # of the last states' products (2, -1, then 4, -6, 4, -1), which those
+    # steps' last evaluations formed; a start clipped by the obstacle takes
+    # a direct product, and a start that meets tol on the combination is
+    # evaluated again on a direct one (TestStepEnergies' loose_tol case)
+
+    @staticmethod
+    def record_warm_starts(monkeypatch):
+        """The (warm_start, warm_product) run passes each step, as a list
+        that fills while run runs."""
+        given = []
+        real = stepper.minimize_step
+
+        def record(*args, warm_start, warm_product, **kwargs):
+            given.append((warm_start, warm_product))
+            return real(*args, warm_start=warm_start, warm_product=warm_product, **kwargs)
+
+        monkeypatch.setattr(stepper, "minimize_step", record)
+        return given
+
+    @pytest.mark.parametrize("s, right, backend", [(1.0, 0.0, Tridiagonal),
+                                                   (0.5, 0.0, SineStiffness),
+                                                   (0.5, None, SpectralStiffness)])
+    def test_combined_product_agrees_with_the_direct_one(self, monkeypatch, s, right,
+                                                         backend):
+        # with E(x) = fl(A_s x) - A_s x, the combination sum c_k fl(A_s u_k)
+        # differs from fl(A_s start) by sum c_k E(u_k) - E(start), less
+        # A_s times the rounding of start and plus that of the combination,
+        # each at most gamma_4 sum |c_k| |x_k|.  Each class's round-off
+        # model bounds E: componentwise, |E(x)| <= gamma_t |A_s| |x| for t
+        # terms per row; normwise on the sine backend, |E(x)|_2 <= 30
+        # log2(n + 1) u max(mu) |x|_2, its worst case.  The sum over the
+        # states is at most sum |c_k| = 15 times the largest of their bounds
+        given = self.record_warm_starts(monkeypatch)
+        ops = build_operators(build_mesh(0.0, 1.0, 64, dirichlet=(0.0, right)), s)
+        assert type(ops.A_s) is backend
+        x = ops.mesh.nodes[ops.mesh.free]
+        traj = run(SchemeConfig(T=0.05, n_steps=8, ops=ops, potential=double_well(),
+                                u0=0.5 * np.sin(np.pi * x), v0=np.sin(np.pi * x)))
+        ext = np.longdouble
+        n = ops.n_free
+        abs_A = np.abs(dense_A_s(ops)).astype(ext)
+        terms = int(np.count_nonzero(abs_A, axis=1).max())
+        mu_max = ops.A_s.mu.max() if backend is SineStiffness else None
+        for i, (start, combined) in enumerate(given, start=1):
+            coef = (4.0, 6.0, 4.0, 1.0) if i >= 3 else (2.0, 1.0)
+            rows = [traj.states[i - j] for j in range(len(coef))]
+            prods = [ops.A_s @ row for row in rows]
+            gap = combined.astype(ext) - (ops.A_s @ start).astype(ext)
+            rows_mag = sum(c * np.abs(row.astype(ext)) for c, row in zip(coef, rows))
+            prods_mag = sum(c * np.abs(p.astype(ext)) for c, p in zip(coef, prods))
+            if mu_max is None:
+                bound = (gamma(terms) * abs_A @ (rows_mag + np.abs(start))
+                         + gamma(4) * (prods_mag + abs_A @ rows_mag))
+                assert np.all(np.abs(gap) <= bound)
+            else:
+                def norm(v):
+                    return float(np.linalg.norm(np.asarray(v, dtype=float)))
+                model = 30 * np.log2(n + 1) * U * mu_max
+                bound = (model * (sum(c * norm(row) for c, row in zip(coef, rows))
+                                  + norm(start))
+                         + gamma(4) * (norm(prods_mag) + mu_max * norm(rows_mag)))
+                assert norm(gap) <= bound
+
+    def test_sine_run_makes_four_dsts_per_step(self, monkeypatch):
+        # frac_line's s = 1/2 line and time step at 64 cells: from step 3
+        # each step takes one Newton iterate (test_work_per_sine_newton_step).
+        # Its warm start is evaluated on the combined product, with no DST;
+        # its Newton step is one shifted_inverse, two DSTs; its last
+        # evaluation one product, two DSTs; the round-off floor's normwise
+        # term takes none.  Past the steps, the run makes the products of
+        # u_{-1} and u_0 before step 1 and row 0's energy
+        dst = [0]
+        real_dst, real_evaluate, real_minimize = (
+            operators._dst, stepper._evaluate, stepper.minimize_step)
+
+        def counted(x):
+            dst[0] += 1
+            return real_dst(x)
+
+        evaluations, steps = [], []
+
+        def evaluate(*args, **kwargs):
+            before = dst[0]
+            out = real_evaluate(*args, **kwargs)
+            evaluations.append((kwargs.get("product") is not None, dst[0] - before))
+            return out
+
+        def minimize(*args, **kwargs):
+            before, first = dst[0], len(evaluations)
+            result = real_minimize(*args, **kwargs)
+            steps.append((dst[0] - before, evaluations[first:]))
+            return result
+
+        monkeypatch.setattr(operators, "_dst", counted)
+        monkeypatch.setattr(stepper, "_evaluate", evaluate)
+        monkeypatch.setattr(stepper, "minimize_step", minimize)
+        ops = make_line_ops(64, s=0.5)
+        x = ops.mesh.nodes[ops.mesh.free]
+        traj = run(SchemeConfig(T=6 * 0.75 / 768, n_steps=6, ops=ops, potential=double_well(),
+                                u0=0.5 * np.sin(np.pi * x), v0=np.sin(np.pi * x)))
+        assert list(traj.iterations) == [1] * 6
+        assert steps[2:] == [(4, [(True, 0), (False, 2)])] * 4
+        assert dst[0] == 4 + sum(count for count, _ in steps) + 2
+
+    def test_clipped_warm_start_takes_its_product_directly(self, monkeypatch):
+        # TestStepEnergies' obstacle run on the sine backend: a step whose
+        # extrapolation crosses g gets no warm product, every other step its
+        # combination
+        given = self.record_warm_starts(monkeypatch)
+        ops = make_line_ops(32, s=0.5)
+        assert isinstance(ops.A_s, SineStiffness)
+        x = ops.mesh.nodes[ops.mesh.free]
+        g = np.full(ops.n_free, -0.3)
+        traj = run(SchemeConfig(T=0.5, n_steps=32, ops=ops, potential=double_well(),
+                                u0=0.2 * np.sin(np.pi * x), v0=-4.0 * np.sin(np.pi * x),
+                                obstacle=g))
+        u = traj.states
+        clipped = [bool(np.any((4.0 * u[i] - 6.0 * u[i - 1] + 4.0 * u[i - 2] - u[i - 3]
+                                if i >= 3 else 2.0 * u[i] - u[i - 1]) < g))
+                   for i in range(1, traj.n_steps + 1)]
+        assert [product is None for _, product in given] == clipped
+        assert any(clipped) and not all(clipped)
+
+
 class TestSmoothedInit:
     def test_band_limited_velocity_unchanged(self, ops64):
         cfg = eigenmode_config(ops64, k=1, n_steps=8, init_mode="smoothed")
@@ -880,6 +1010,12 @@ class TestStepEnergies:
             assert np.any(traj.states[2:] == g)
         if case == "loose_tol":
             assert np.any(traj.iterations == 0) and np.any(traj.iterations > 0)
+            # warm starts accepted at iterate 0 met tol on run's combined
+            # product A_s start, and were evaluated again on a direct one,
+            # from which the combination of rounded products differs in the
+            # last bits
+            assert isinstance(ops.A_s, SineStiffness if s == 0.5 else Tridiagonal)
+            assert np.any(traj.iterations[2:] == 0)
 
 
 class TestResiduals:
