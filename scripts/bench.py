@@ -35,7 +35,13 @@ is frac_line (uniform line, double well) with n_steps = 20 at the time
 step of frac_line; its setup builds A_s, its solve runs the time loop.
 The frac_line_dense ladder is the same with the right end free, which
 takes the dense backend (operators.SpectralStiffness): its setup runs the
-eigensolve, and each product in its loop is O(n^2).
+eigensolve, and each product in its loop is O(n^2).  The obstacle_frac
+ladder is obstacle_wave (the flat obstacle, 512 steps) at s = 1/2 with the
+double well, on the sine backend: its steps with a node pinned take the
+banded path and PCG, the others start from the exact sine step, with CG
+on it where its remainder misses the stop.  A ladder whose
+config has an obstacle records the steps that end in contact, which must
+be the same in every run and not zero.
 Both checkouts run every size of the same configs, which this checkout's
 perfbench/workloads.py gives.  The workloads and the end-to-end metrics
 are the ones BENCHMARK.json lists.
@@ -84,6 +90,8 @@ LADDERS = {
     "frac_line_dense": ("frac_line", {"n_steps": 20, "T": 0.75 * 20 / 768,
                                       "dirichlet_right": None},
                         (400, 800, 1600)),
+    "obstacle_frac": ("obstacle_wave", {"s": 0.5, "potential": "double_well"},
+                      (256, 1024, 4096)),
 }
 LADDER_PAIRS = 5
 # name: (cli command, its config, its list argument)
@@ -136,21 +144,30 @@ def ladder_point(root: Path, config: str) -> dict:
         t1 = perf_counter()
         traj = run(scheme)
         t2 = perf_counter()
-    return {"n_cells": json.loads(config)["n_cells"], "setup_s": round(t1 - t0, 4),
-            "solve_s": round(t2 - t1, 4),
-            "newton_iters": int(traj.iterations.sum()),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-                                 / 1024, 1)}
+    point = {"n_cells": json.loads(config)["n_cells"], "setup_s": round(t1 - t0, 4),
+             "solve_s": round(t2 - t1, 4),
+             "newton_iters": int(traj.iterations.sum()),
+             "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+                                  / 1024, 1)}
+    if scheme.obstacle is not None:
+        point["contact_steps"] = int((traj.states[2:] == scheme.obstacle).any(axis=1).sum())
+    return point
 
 
 def ladder_summary(runs: list) -> dict:
     """One side's runs of one ladder size: the median, minimum and every
-    value of setup, solve and peak RSS, and the Newton iterations, which
-    must be the same in every run."""
+    value of setup, solve and peak RSS, the Newton iterations, which must
+    be the same in every run, and under an obstacle the contact steps,
+    which must be too, and not zero."""
     iters = {r["newton_iters"] for r in runs}
     if len(iters) != 1:
         sys.exit(f"ladder size {runs[0]['n_cells']}: Newton iterations differ: {iters}")
     stats = {}
+    if "contact_steps" in runs[0]:
+        contact = {r["contact_steps"] for r in runs}
+        if len(contact) != 1 or 0 in contact:
+            sys.exit(f"ladder size {runs[0]['n_cells']}: contact steps {contact}")
+        stats["contact_steps"] = contact.pop()
     for metric in ("setup_s", "solve_s", "peak_rss_mb"):
         values = [r[metric] for r in runs]
         stats[metric] = {"median": statistics.median(values), "min": min(values),

@@ -17,18 +17,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
-from .operators import Mesh1D
+from .operators import Mesh1D, rounding_gamma
 from .potentials import DoubleWellPotential, Potential, ScaledPotential
 from .stepper import SchemeConfig, Trajectory, effective_v0, run, step_gradient
-
-_GRONWALL_SLACK = 1e-12
 
 
 def discrete_gronwall_bound(A: float, B: float, N: int) -> float:
     """Bound A * exp(B) for sequences with y_0 = 0 and
     y_n <= A + (B/N) * sum_{j<n} y_j."""
-    if A < 0 or B < 0:
-        raise ConfigurationError("Gronwall constants must be non-negative")
+    if not (A >= 0 and B >= 0):
+        raise ConfigurationError("Gronwall constants must be non-negative numbers")
     if N < 1:
         raise ConfigurationError("need N >= 1")
     return float(A) * float(np.exp(B))
@@ -40,21 +38,39 @@ def check_gronwall_sequence(y, A: float, B: float) -> float:
     Returns A * exp(B).  Raises with the index of the first violation if the
     hypothesis fails; raises NumericError if the bound itself were exceeded
     (impossible for a genuine hypothesis-satisfying sequence).
+
+    Each test allows the rounding of its own arithmetic and nothing more
+    (operators.rounding_gamma).  The right-hand side A + (B/N) sum_{j<n} y_j
+    of y_n has nonnegative terms and takes at most N + 2 roundings (the
+    cumulative sum's N - 1, B/N, the product and the sum), so its computed
+    value lies within gamma_(N+2) of the exact one, and y_n breaks the
+    hypothesis where it exceeds the computed value over 1 - gamma, with
+    gamma = gamma_(N+4) for the two roundings of that quotient.  A
+    sequence that passes meets the hypothesis with A and B/N scaled by
+    1 + theta, theta = 2 gamma / (1 - gamma), so by induction
+    y_n <= (1 + theta) A (1 + (1 + theta) B/N)^(n-1)
+    <= (1 + theta) e^(theta B) A e^B.  The computed A e^B lies within
+    gamma_3 of the exact one (exp within one ulp, the product), and that
+    limit takes six roundings more, so y exceeds its bound where it
+    exceeds the computed bound times (1 + theta) e^(theta B) / (1 - gamma_9).
     """
     y = np.asarray(y, dtype=float)
     N = y.size - 1
     bound = discrete_gronwall_bound(A, B, N)
     if y[0] != 0.0:
         raise ConfigurationError("hypothesis violated at index 0: y_0 must be 0")
-    if np.any(y < 0):
+    if not np.all(y >= 0):
         raise ConfigurationError(
-            f"hypothesis violated at index {int(np.argmax(y < 0))}: negative term")
+            f"hypothesis violated at index {int(np.argmax(~(y >= 0)))}: "
+            "negative or NaN term")
     partial = np.concatenate(([0.0], np.cumsum(y)[:-1]))
     rhs = A + (B / N) * partial
-    bad = y > rhs + _GRONWALL_SLACK * (1.0 + np.abs(rhs))
+    gamma = rounding_gamma(N + 4)
+    bad = y > rhs / (1.0 - gamma)
     if np.any(bad):
         raise ConfigurationError(f"hypothesis violated at index {int(np.argmax(bad))}")
-    if np.any(y > bound + _GRONWALL_SLACK * (1.0 + bound)):
+    theta = 2.0 * gamma / (1.0 - gamma)
+    if np.any(y > bound * (1.0 + theta) * np.exp(theta * B) / (1.0 - rounding_gamma(9))):
         raise NumericError("sequence exceeds its Gronwall bound")
     return bound
 

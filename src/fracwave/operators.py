@@ -28,6 +28,22 @@ import scipy.linalg
 
 from .errors import ConfigurationError, NumericError
 
+# c eps with c = 2: the scale that each order-s class's round-off model is
+# argued for (Tridiagonal, SpectralStiffness, SineStiffness), applied to
+# its terms by the time step's round-off floor (stepper._roundoff_floor)
+# and by seminorm_s's bound
+ROUNDOFF_SCALE = 2.0 * np.finfo(float).eps
+
+
+def rounding_gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u), u = eps / 2: a result of k roundings,
+    each of nonnegative terms or factors, errs by at most gamma_k relative
+    to its exact value (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.1); a sum of k + 1 terms, in any order,
+    by at most gamma_k times the sum of their magnitudes."""
+    ku = k * np.finfo(float).eps / 2.0
+    return ku / (1.0 - ku)
+
 
 @dataclass(frozen=True)
 class Mesh1D:
@@ -662,16 +678,15 @@ def seminorm_s(ops: OperatorSet, u: np.ndarray) -> float:
     A_s as held is positive semidefinite, so the computed form q = u . y,
     y = fl(A_s u), falls below 0 by round-off alone, and by at most
 
-        2 eps (|u| . t_A + |u|_M a) + gamma_n |u| . |y|
+        c eps (|u| . t_A + |u|_M a) + gamma_n |u| . |y|
 
     with (t_A, a) = A_s.roundoff(u) and |u|_M = sqrt(u . M u).  The
-    product errs by at most 2 eps t_A entrywise or 2 eps a in the M^-1
-    norm, the model each class of A_s states for the round-off floor
-    (c = 2); u . e <= |u|_M |e|_M^-1 carries the normwise term.  The dot
-    product of n terms, in any order, errs by at most gamma_n |u| . |y|,
-    gamma_n = n eps/2 / (1 - n eps/2) (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., sec. 3.1).  A q below minus this bound
-    (_form_roundoff) raises NumericError.
+    product errs by at most c eps t_A entrywise or c eps a in the M^-1
+    norm, the model each class of A_s states, with c eps = ROUNDOFF_SCALE;
+    u . e <= |u|_M |e|_M^-1 carries the normwise term.  The dot product of
+    n terms, in any order, errs by at most gamma_n |u| . |y|
+    (rounding_gamma).  A q below minus this bound (_form_roundoff) raises
+    NumericError.
     """
     u = np.asarray(u, dtype=float)
     y = fractional_apply(ops, u)
@@ -686,13 +701,11 @@ def seminorm_s(ops: OperatorSet, u: np.ndarray) -> float:
 
 def _form_roundoff(ops: OperatorSet, u, y) -> float:
     """seminorm_s's bound on the round-off of u . y, y = fl(A_s u)."""
-    eps = np.finfo(float).eps
-    gamma_n = u.size * eps / 2.0 / (1.0 - u.size * eps / 2.0)
     abs_u = np.abs(u)
     t_a, a = ops.A_s.roundoff(u)
     norm_m = np.sqrt(max(float(u @ (ops.M @ u)), 0.0))
-    return (2.0 * eps * (float(np.sum(abs_u * t_a)) + norm_m * a)
-            + gamma_n * float(abs_u @ np.abs(y)))
+    return (ROUNDOFF_SCALE * (float(np.sum(abs_u * t_a)) + norm_m * a)
+            + rounding_gamma(u.size) * float(abs_u @ np.abs(y)))
 
 
 def poincare_constant(ops: OperatorSet) -> float:

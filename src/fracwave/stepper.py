@@ -22,32 +22,37 @@ otherwise take a Newton step.  Each iteration takes the Hessian
 
 at the current iterate, pins the active nodes (those the linearized
 gradient pushes below g) to g, and solves the Newton system on the other
-nodes.  On the sine backend (operators.SineStiffness), a step with no
-node pinned whose H the symbol bound proves positive definite is first
-solved exactly for its quadratic part, x = (M / tau^2 + A_s)^-1 (-grad J)
-in two DSTs, and kept when its residual -m W'' x meets CG's stop
-(_newton_step); from the cubic warm start most steps of a smooth run are,
-with no tridiagonal factorization and no CG.  Every other step takes the
-banded path.  A_s splits into its tridiagonal band part B (A_s.band) and
-the rest R (A_s.rest_apply).  The tridiagonal P = M / tau^2 + B +
-diag(m_j W''(u_j)) is factored as L D L^T by LAPACK's symmetric positive
-definite tridiagonal solver (dptsv), which solves the system outright where
-R = 0, as at s in {0, 1}.  Otherwise conjugate gradients preconditioned by
-P finish the solve in a few products with A_s (at fractional s, B is the
-diagonal of A_s, and each product costs O(n log n) on a uniform line with
-both ends fixed and O(n^2) elsewhere): no n x n array is factored or
-copied.  M x, and A_s x at s in {0, 1}, are band products on the held
-diagonals (operators.Tridiagonal); the sine backend calls pocketfft's DST
-kernel directly (operators._dst).
+nodes: x0 solves a part of H exactly, and where the rest of H leaves a
+residual above CG's stop, conjugate gradients preconditioned by that
+solve go on from x0 and its residual (_newton_step, _pcg).  On the sine
+backend (operators.SineStiffness), a step with no node pinned whose H the
+symbol bound proves positive definite starts from the exact solve of its
+quadratic part, x0 = (M / tau^2 + A_s)^-1 (-grad J) in two DSTs, whose
+residual is -m W'' x0, and CG goes on, preconditioned by that inverse,
+only where the residual misses CG's stop: from the cubic warm start most
+steps of a smooth run stop at x0, with no tridiagonal factorization.
+Every other step takes the banded path.  A_s splits into its tridiagonal
+band part B (A_s.band) and the rest R (A_s.rest_apply).  The tridiagonal
+P = M / tau^2 + B + diag(m_j W''(u_j)) is factored as L D L^T by LAPACK's
+symmetric positive definite tridiagonal solver (dptsv), which solves the
+system outright where R = 0, as at s in {0, 1}.  Otherwise CG
+preconditioned by P goes on from x0 = P^-1 (-grad J), whose residual is
+-R x0, in a few products with A_s (at fractional s, B is the diagonal of
+A_s, and each product costs O(n log n) on a uniform line with both ends
+fixed and O(n^2) elsewhere): no n x n array is factored or copied.  M x,
+and A_s x at s in {0, 1}, are band products on the held diagonals
+(operators.Tridiagonal); the sine backend calls pocketfft's DST kernel
+directly (operators._dst).
 Without an obstacle the active set is empty and the iteration is plain
 Newton.  The time loop starts steps 1 and 2 from the inertial
-extrapolation 2 u_{i-1} - u_{i-2} and every later step from the cubic
-4 u_{i-1} - 6 u_{i-2} + 4 u_{i-3} - u_{i-4} through the last four states,
-each projected onto u >= g.  On a smooth trajectory the cubic is O(tau^4)
-from the minimizer, where the linear start is O(tau^2) away, so one Newton
-iteration usually suffices: 899 of the 900 steps of the gl_interface preset
-take one, against two from the linear start.  At contact onset the cubic
-overshoots, and the active set may take more iterations to settle.  H is
+extrapolation through the last two states and every later step from the
+cubic through the last four (_LINEAR and _CUBIC, one table of
+coefficients), each projected onto u >= g.  On a smooth trajectory the
+cubic is O(tau^4) from the minimizer, where the linear start is O(tau^2)
+away, so one Newton iteration usually suffices: 899 of the 900 steps of
+the gl_interface preset take one, against two from the linear start.  At
+contact onset the cubic overshoots, and the active set may take more
+iterations to settle.  H is
 positive definite whenever 1/tau^2 outweighs max(-W''); when P does not
 factor or CG meets a direction of non-positive curvature, the step raises
 SolverFailure.
@@ -64,12 +69,16 @@ floor itself.  Per iterate, one evaluation gives J, grad J and the two
 energies from the band product (M / tau^2) d, one product A_s u and one
 potential call (Potential.evaluate) that shares u^2 between W and W', and
 at the warm start W'' too; then one mass solve for the stationarity norm,
-and a Newton step: two DSTs for a certified free step on the sine backend,
-and otherwise the band M / tau^2 + B + diag(m W'') summed for one dptsv
-call.  The warm start's evaluation makes no product: A_s is linear, so
-run passes it the same combination of the last states' products as the
-start is of the states, one gemv over a ring of those four products, each
-from its step's last evaluation.  A start clipped by the obstacle takes a direct
+and a Newton step: two DSTs for a certified free step on the sine backend
+whose x0 meets the stop, and otherwise the band M / tau^2 + B +
+diag(m W'') summed for one dptsv call; a CG iteration adds one
+preconditioner solve (two DSTs, or one dpttrs), one product with A_s and
+one mass solve.  The warm start's evaluation makes no product: A_s is
+linear, so run passes it the same combination of the last states'
+products as the start is of the states.  Both are one gemv with the same
+coefficients, the products' from a buffer of the last four, oldest
+first, each from its step's last evaluation, which also gives energy
+row 0 its A_s u_0.  A start clipped by the obstacle takes a direct
 product, and a start that meets tol on the combination is evaluated again
 on a direct one before it is accepted, so round-off cannot build up from
 step to step.  A step of one Newton iterate on the sine backend thus makes
@@ -81,8 +90,9 @@ nodes run only on iterates with a node at g or active.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
-smoothed initialization is selected.  run writes each step's energy row
-as the step finishes, from v_i and the functional's last evaluation.  The
+smoothed initialization is selected.  run writes energy row 0 before
+step 1 and each later row as its step finishes, from v_i and the
+functional's last evaluation.  The
 checks of a finished trajectory (el_residual, vi_residuals,
 diagnostics.no_contact_check) take the step's gradient grad J_i(u_i) from
 step_gradient.
@@ -97,11 +107,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import BlowupError, ConfigurationError, SolverFailure
-from .operators import OperatorSet, band_apply, pt_args
+from .operators import ROUNDOFF_SCALE, OperatorSet, band_apply, pt_args
 from .potentials import Potential
 
 _AUTO_TOL_FLOOR = 1e-9
-_AUTO_TOL_ROUNDOFF = 2.0 * np.finfo(float).eps
 # CG on a Newton system stops once its residual, which is the linearized
 # gradient at the new iterate, is at most this fraction of the step's tol in
 # the M^-1 norm of the stationarity test.  The inexact solve then moves the
@@ -180,8 +189,8 @@ class Trajectory:
     """States u_i (i = -1..n), derived velocities, and per-step records.
 
     energies[i] is (kinetic, fractional, potential, total) at step i, equal
-    bit for bit to energy(self, i).  run fills rows 1..n as each step
-    finishes; row 0 is computed here.
+    bit for bit to energy(self, i), which run fills: row 0 before step 1,
+    and each later row as its step finishes.
     """
 
     def __init__(self, config: SchemeConfig, tau: float, states: np.ndarray,
@@ -194,7 +203,6 @@ class Trajectory:
         self.residuals = residuals
         self.tols = tols
         self.energies = energies          # (n + 1, 4)
-        self.energies[0] = energy(self, 0)
 
     @property
     def n_steps(self) -> int:
@@ -293,8 +301,8 @@ def _stationarity(ops, grad, slack=None, density=None) -> float:
 
 
 def _roundoff_floor(ops, potential, mass, u1, u2, w) -> float:
-    """c eps (|t|_{M^-1} + a): the level of round-off in the computed
-    residual.
+    """c eps (|t|_{M^-1} + a), c eps = operators.ROUNDOFF_SCALE: the level
+    of round-off in the computed residual.
 
     The step's minimizer u lies near the inertial extrapolation w =
     2 u1 - u2, formed once per step, and every evaluation takes the second
@@ -325,7 +333,7 @@ def _roundoff_floor(ops, potential, mass, u1, u2, w) -> float:
     if ops.lifted:
         t += np.abs(ops.lift_load)
     t += ops.lumps * np.abs(potential.gradient(w))
-    return _AUTO_TOL_ROUNDOFF * (ops.dual_norm(t) + a)
+    return ROUNDOFF_SCALE * (ops.dual_norm(t) + a)
 
 
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
@@ -429,26 +437,26 @@ def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
     definite.
 
     On the sine backend, a step with no node pinned whose H is positive
-    definite by A_s.shifted_floor(c) + min(curv) > 0 is first taken as
+    definite by A_s.shifted_floor(c) + min(curv) > 0 starts from
     x = (c M + A_s)^-1 (-grad) by A_s.shifted_inverse.  Its residual is
     -curv x, since H - (c M + A_s) = diag(curv), and x is the step when
-    that residual meets the M^-1 stop: first by its 2-norm over
-    sqrt(min m), M's eigenvalues being the m_k, then by a mass solve.
-    Every other step is banded: the tridiagonal P = c M + B + diag(curv),
-    from the band mass of c M and B = A_s.band, with the active rows and
-    columns replaced by those of the identity, is factored as L D L^T by
-    LAPACK's dptsv.  Its solution is the step where A_s = B
-    (A_s.rest_apply is None); otherwise _pcg finishes the solve to the
-    M^-1 residual stop.
+    that residual's 2-norm over sqrt(min m), M's eigenvalues being the m_k,
+    meets the stop; otherwise _pcg goes on from x, preconditioned by
+    shifted_inverse.  Every other step is banded: the tridiagonal
+    P = c M + B + diag(curv), from the band mass of c M and B = A_s.band,
+    with the active rows and columns replaced by those of the identity, is
+    factored as L D L^T by LAPACK's dptsv.  Its solution is the step where
+    A_s = B (A_s.rest_apply is None); otherwise _pcg goes on from it,
+    preconditioned by P (LAPACK's dpttrs on the factors).
     """
     inverse = ops.A_s.shifted_inverse
     if (active is None and inverse is not None
             and ops.A_s.shifted_floor(c) + curv.min() > 0.0):
         x = inverse(c, -grad)
-        r = curv * x
-        if (r @ r <= stop**2 * ops.A_s.m_min
-                or r @ ops.solve_mass(r) <= stop**2):
+        r = -curv * x
+        if r @ r <= stop**2 * ops.A_s.m_min:
             return x
+        return _pcg(ops, mass, lambda v: inverse(c, v), x, r, None, curv, stop)
     rest = ops.A_s.rest_apply
     b_d, b_e = ops.A_s.band
     d = mass[0] + b_d
@@ -468,41 +476,41 @@ def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
         d[active] = 1.0
     # LAPACK's ptsv directly: a wrapper's argument handling costs more than
     # the O(n) solve at a few hundred nodes
-    *factor, step, info = scipy.linalg.lapack.dptsv(
+    *factor, x, info = scipy.linalg.lapack.dptsv(
         *pt_args(d, e), rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
     if info > 0:
         return None
     if rest is None:
-        return step
-    return _pcg(ops, mass, factor, step, None if active is None else ~active,
-                curv, stop)
-
-
-def _pcg(ops, mass, factor, x, free, curv, stop):
-    """Solve H_FF x_F = b_F on the inactive nodes F (mask free) by conjugate
-    gradients preconditioned with P_FF, starting from x = P^-1 b, the solve
-    by the tridiagonal LDL^T factors (d, e) of P with the active nodes pinned;
-    each preconditioner solve is one LAPACK dpttrs with those factors.
-
-    H = P + R, so the first residual is r = b - H x = -R_FF x_F, with R x
-    from A_s.rest_apply; the caller skips the call where R = 0.  Stops
-    once |r|_{M^-1} <= stop, or after |F| iterations, where CG terminates in
-    exact arithmetic.  Every vector is zero off F.  free is None when no
-    node is pinned: F is every node, and no vector needs masking.  Returns
-    None at a direction p with p^T H p <= 0: there H_FF is not positive
-    definite.
-    """
-    if free is None:
-        r = -ops.A_s.rest_apply(x)
+        return x
+    # H = P + R, so the residual of x = P^-1 b is -R x on the free nodes
+    if active is None:
+        free, r = None, -rest(x)
     else:
-        r = np.where(free, -ops.A_s.rest_apply(np.where(free, x, 0.0)), 0.0)
+        free = ~active
+        r = np.where(free, -rest(np.where(free, x, 0.0)), 0.0)
+    return _pcg(ops, mass, lambda v: scipy.linalg.lapack.dpttrs(*factor, v)[0],
+                x, r, free, curv, stop)
+
+
+def _pcg(ops, mass, precondition, x, r, free, curv, stop):
+    """Solve H_FF x_F = b_F on the inactive nodes F (mask free) by conjugate
+    gradients from x, whose residual b - H x is r, with the preconditioner
+    solve precondition (_newton_step's: the shifted inverse, or the LDL^T
+    factors of the band part P by dpttrs).
+
+    Stops once |r|_{M^-1} <= stop, or after |F| iterations, where CG
+    terminates in exact arithmetic.  Every vector is zero off F.  free is
+    None when no node is pinned: F is every node, and no vector needs
+    masking.  Returns None at a direction p with p^T H p <= 0: there H_FF
+    is not positive definite.
+    """
     p = rz = None
     for _ in range(x.size if free is None else np.count_nonzero(free)):
         if r @ ops.solve_mass(r) <= stop**2:
             break
-        z = scipy.linalg.lapack.dpttrs(*factor, r)[0]
+        z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
         hp = band_apply(mass, p) + ops.A_s @ p + curv * p
@@ -536,21 +544,10 @@ def effective_v0(config: SchemeConfig) -> np.ndarray:
     return ops.Phi[:, :k] @ coeff[:k]
 
 
-def _ring_weights(coef):
-    """The (4, 4) array w with w[r] @ ring = sum_j coef[j] ring[(r - j) % 4]:
-    the combination coef, newest row first, of the rows of a ring of four
-    that holds row k at k % 4, with its newest at r; one gemv, where the
-    combination's own expression would take six passes over the rows."""
-    w = np.zeros((4, 4))
-    for j, c in enumerate(coef):
-        w[np.arange(4), (np.arange(4) - j) % 4] = c
-    return w
-
-
-# run's warm starts, as weights on its ring of the last states' products:
-# the linear extrapolation at steps 1 and 2, then the cubic
-_LINEAR_WEIGHTS = _ring_weights((2.0, -1.0))
-_CUBIC_WEIGHTS = _ring_weights((4.0, -6.0, 4.0, -1.0))
+# run's warm starts, as coefficients on the last states, oldest first: the
+# linear extrapolation at steps 1 and 2, then the cubic
+_LINEAR = np.array([-1.0, 2.0])
+_CUBIC = np.array([-1.0, 4.0, -6.0, 4.0])
 
 
 def run(config: SchemeConfig) -> Trajectory:
@@ -573,29 +570,25 @@ def run(config: SchemeConfig) -> Trajectory:
     residuals = np.zeros(n)
     tols = np.zeros(n)
     energies = np.empty((n + 1, 4))
-    # the ring of _ring_weights: A_s states[k] at row k % 4 for the last four
-    # states, each from its step's last evaluation; a row not yet written is
-    # 0, which the linear steps weigh by 0
+    # A_s of the last four states, oldest first, each from its step's last
+    # evaluation; the rows before u_{-1} are never read
     products = np.zeros((4, nf))
-    products[0] = ops.A_s @ states[0]
-    products[1] = ops.A_s @ states[1]
+    products[2] = ops.A_s @ states[0]
+    products[3] = ops.A_s @ states[1]
+    energies[0] = _energy_row(ops, (states[1] - states[0]) / tau, *_state_energies(
+        ops, states[1], products[3], config.potential.value(states[1])))
 
     for i in range(1, n + 1):
-        if i >= 3:
-            # the cubic through u_{i-4}..u_{i-1}: O(tau^4) from u_i on a smooth
-            # trajectory, where the linear start is O(tau^2) away
-            start = (4.0 * states[i] - 6.0 * states[i - 1] + 4.0 * states[i - 2]
-                     - states[i - 3])
-            weights = _CUBIC_WEIGHTS
-        else:
-            start = 2.0 * states[i] - states[i - 1]
-            weights = _LINEAR_WEIGHTS
+        # the cubic through u_{i-4}..u_{i-1} is O(tau^4) from u_i on a smooth
+        # trajectory, where the linear start is O(tau^2) away
+        coef = _CUBIC if i >= 3 else _LINEAR
+        start = coef @ states[i + 1 - coef.size:i + 1]
         if config.obstacle is not None and (start < config.obstacle).any():
             start = np.maximum(start, config.obstacle)
             product = None   # a clipped start is no combination of the states
         else:
             # A_s is linear: the same combination of the states' products
-            product = weights[i % 4] @ products
+            product = coef @ products[4 - coef.size:]
         try:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
@@ -606,7 +599,8 @@ def run(config: SchemeConfig) -> Trajectory:
             exc.args = (f"step {i}: {exc}",)
             raise
         states[i + 1] = result.u
-        products[(i + 1) % 4] = result.product
+        products[:-1] = products[1:]
+        products[-1] = result.product
         iterations[i - 1] = result.iterations
         residuals[i - 1] = result.residual
         tols[i - 1] = result.tol

@@ -59,6 +59,21 @@ class TestGronwall:
         with pytest.raises(ConfigurationError):
             check_gronwall_sequence(np.array([0.0, 0.1, 0.0]), 0.0, 5.0)
 
+    def test_growth_above_a_zero_bound_is_a_violation(self):
+        # with A = B = 0 the hypothesis is y_n <= 0 and the bound is 0: a
+        # fixed absolute slack such as 1e-12 would pass this sequence, which
+        # breaks both
+        with pytest.raises(ConfigurationError, match="index 1"):
+            check_gronwall_sequence([0.0, 5e-13, 9e-13], 0.0, 0.0)
+
+    def test_nan_is_no_pass(self):
+        # every comparison with NaN is false, so tests of the form y < 0 and
+        # y > rhs would pass a NaN term or constant
+        with pytest.raises(ConfigurationError, match="index 1: negative or NaN"):
+            check_gronwall_sequence([0.0, float("nan"), 1.0], 1.0, 1.0)
+        with pytest.raises(ConfigurationError, match="non-negative numbers"):
+            check_gronwall_sequence([0.0, 1.0], float("nan"), 1.0)
+
     def test_greedy_envelope_matches_closed_form(self):
         A, B, N = 2.0, 3.0, 40
         y = np.zeros(N + 1)

@@ -21,9 +21,9 @@ from fracwave.operators import OperatorSet, SineStiffness, SpectralStiffness, Tr
 from fracwave.potentials import double_well, gl_scaled, quadratic, zero_potential
 from fracwave.stepper import effective_v0
 
-from conftest import (RESIDUAL_ROUNDING, U, assert_tridiagonal_backward_error,
+from conftest import (RESIDUAL_ROUNDING, U, U_EXT, assert_tridiagonal_backward_error,
                       dense_A_s, eigenmode_config, gamma, make_line_ops, make_radial_ops,
-                      meshes)
+                      meshes, sine_oracle, toeplitz_gap)
 
 
 ONE_FREE_NODE = Mesh1D(nodes=np.array([0.0, 0.5, 1.0]), dirichlet=(0.0, 0.0))
@@ -325,6 +325,95 @@ class TestPinnedNewtonSolve:
         assert np.sqrt(resid @ np.linalg.solve(M, resid)) <= stop + allowance
 
 
+class TestSineNewtonStep:
+    # a certified free step on the sine backend starts from the exact
+    # x0 = (M/tau^2 + A_s)^-1 (-grad J); where the remainder -m W'' x0
+    # misses the stop, CG goes on from x0 preconditioned by the same
+    # inverse, and no such step factors the band part
+
+    @staticmethod
+    def record_newton_steps(monkeypatch):
+        """The arguments of each _newton_step call, and its shifted_inverse
+        and dptsv calls, as a list that fills while a run runs."""
+        calls, steps = [], []
+        real_inverse, real_dptsv = SineStiffness.shifted_inverse, scipy.linalg.lapack.dptsv
+        real_step = stepper._newton_step
+
+        def inverse(*args):
+            calls.append("inverse")
+            return real_inverse(*args)
+
+        def dptsv(*args, **kwargs):
+            calls.append("dptsv")
+            return real_dptsv(*args, **kwargs)
+
+        def step(*args):
+            calls.clear()
+            out = real_step(*args)
+            steps.append((args, tuple(calls)))
+            return out
+
+        monkeypatch.setattr(SineStiffness, "shifted_inverse", inverse)
+        monkeypatch.setattr(scipy.linalg.lapack, "dptsv", dptsv)
+        monkeypatch.setattr(stepper, "_newton_step", step)
+        return steps
+
+    @pytest.mark.parametrize("n_cells", [128, 1000])
+    def test_no_step_solves_twice_on_the_obstacle_scenario(self, monkeypatch, n_cells):
+        # test_obstacle_scenario_takes_fewer_iterations' s = 1/2 run: 31
+        # of its Newton steps have no node pinned, and their remainder
+        # misses the stop.  They once took the inverse, discarded it and
+        # solved again by dptsv; now each step takes one path
+        steps = self.record_newton_steps(monkeypatch)
+        ops = make_line_ops(n_cells, s=0.5)
+        assert isinstance(ops.A_s, SineStiffness)
+        x = ops.mesh.nodes[ops.mesh.free]
+        run(SchemeConfig(T=1.0, n_steps=256, ops=ops, potential=double_well(),
+                         u0=np.zeros(ops.n_free), v0=-4.0 * np.sin(np.pi * x),
+                         obstacle=np.full(ops.n_free, -0.5)))
+        paths = {frozenset(calls) for _, calls in steps}
+        assert paths == {frozenset({"inverse"}), frozenset({"dptsv"})}
+
+    def test_remainder_above_the_stop_is_met_by_cg_on_the_inverse(self, monkeypatch):
+        # frac_line's s = 1/2 line and time step at 64 cells: the two
+        # linear-start steps leave a remainder above the stop.  The step
+        # returned meets it: its residual, taken in extended precision with
+        # the assembled M and the sine oracle's A_s, is at most the stop
+        # plus what separates it from CG's updated residual.  That is the
+        # start's: x0's residual is -m W'' x0 for the Toeplitz M' that
+        # shifted_inverse inverts, and |c (M - M') x0|_2 <= c
+        # toeplitz_gap(M) |x0|_2; and the rounding of each update, as in
+        # test_pcg_meets_its_stop_on_the_dense_pinned_system (one CG
+        # iteration, so 1 + 2 of them), with the sine product's normwise
+        # 30 log2(n + 1) u max(mu) |x|_2 (its class's worst case) for A_s's
+        # rows.  M^-1 norms are at most 2-norms over sqrt(lambda_min(M))
+        steps = self.record_newton_steps(monkeypatch)
+        ops = make_line_ops(64, s=0.5)
+        x = ops.mesh.nodes[ops.mesh.free]
+        traj = run(SchemeConfig(T=2 * 0.75 / 768, n_steps=2, ops=ops, potential=double_well(),
+                                u0=0.5 * np.sin(np.pi * x), v0=np.sin(np.pi * x)))
+        assert list(traj.iterations) == [1, 1]
+        assert [calls for _, calls in steps] == [("inverse", "inverse")] * 2
+        monkeypatch.undo()
+        ext = np.longdouble
+        n = ops.n_free
+        A = sine_oracle(ops, np.eye(n))
+        M = ops.M.toarray()
+        for (_, mass, c, curv, grad, stop, *_), _ in steps:
+            x0 = ops.A_s.shifted_inverse(c, -grad)
+            remainder = curv * x0
+            assert remainder @ ops.solve_mass(remainder) > stop**2
+            step = stepper._newton_step(ops, mass, c, curv, grad, stop)
+            H = c * M.astype(ext) + A + np.diag(curv.astype(ext))
+            resid = (-grad.astype(ext) - H @ step.astype(ext)).astype(float)
+            rows = np.abs(grad) + (c * M + np.diag(np.abs(curv))) @ np.abs(step)
+            sine = 30 * np.log2(n + 1) * U * ops.A_s.mu.max() * np.linalg.norm(step)
+            allowance = ((c * toeplitz_gap(ops.M) * np.linalg.norm(x0)
+                          + (1 + 2) * (gamma(n + 4) * np.linalg.norm(rows) + sine))
+                         / np.sqrt(np.linalg.eigvalsh(M)[0]))
+            assert np.sqrt(resid @ ops.solve_mass(resid)) <= stop + allowance
+
+
 class TestRun:
     def test_stationary_zero_run(self, ops64):
         z = np.zeros(ops64.n_free)
@@ -585,13 +674,15 @@ class TestNoDispatchOnTheHotPath:
         # where its remainder meets the stop: one shifted_inverse call, two
         # DSTs and no tridiagonal solve.  On frac_line's s = 1/2 line and time step at 64 cells that
         # holds from step 3, whose cubic warm start leaves a small Newton
-        # step; the first two steps start linear, and their remainder sends
-        # them on to the banded path.  So do a step with a node pinned and
-        # one whose Hessian is not certified (the non-convex configs of
+        # step; the first two steps start linear, and their remainder takes
+        # one CG iteration preconditioned by shifted_inverse: a second
+        # inverse call and one product, six DSTs, two mass solves (dpttrs)
+        # for CG's stop, and still no tridiagonal solve.  A step with a node pinned and one whose Hessian is not
+        # certified (the non-convex configs of
         # test_indefinite_hessian_with_definite_preconditioner and
-        # test_non_convex_step_reports_step_and_best_iterate): each factors
-        # P by one dptsv, whose failure or CG's the SolverFailure is, and
-        # the last two never reach shifted_inverse
+        # test_non_convex_step_reports_step_and_best_iterate) take the
+        # banded path: each factors P by one dptsv, whose failure or CG's
+        # the SolverFailure is, and the last two never reach shifted_inverse
         counts = dict(inverse=0, dst=0, dptsv=0, dpttrs=0)
 
         def counted(name, fn):
@@ -621,7 +712,7 @@ class TestNoDispatchOnTheHotPath:
         traj = run(SchemeConfig(T=6 * 0.75 / 768, n_steps=6, ops=ops, potential=double_well(),
                                 u0=0.5 * np.sin(np.pi * x), v0=np.sin(np.pi * x)))
         assert list(traj.iterations) == [1] * 6
-        assert [(work["inverse"], work["dptsv"]) for _, work in solves[:2]] == [(1, 1)] * 2
+        assert solves[:2] == [(False, {"inverse": 2, "dst": 6, "dptsv": 0, "dpttrs": 2})] * 2
         assert solves[2:] == [(False, {"inverse": 1, "dst": 2, "dptsv": 0, "dpttrs": 0})] * 4
 
         solves.clear()
@@ -713,12 +804,17 @@ class TestCubicWarmStart:
 
         monkeypatch.setattr(stepper, "minimize_step", record)
         traj = run(eigenmode_config(ops64, n_steps=6, potential=double_well()))
-        u = traj.u
-        assert np.array_equal(starts[0], 2.0 * u(0) - u(-1))
-        assert np.array_equal(starts[1], 2.0 * u(1) - u(0))
-        for i in range(3, 7):
-            assert np.array_equal(starts[i - 1], 4.0 * u(i - 1) - 6.0 * u(i - 2)
-                                  + 4.0 * u(i - 3) - u(i - 4))
+        # the start is one gemv of at most four terms, which errs by at most
+        # gamma_4 sum |c_k| |u_k|; the extrapolation here is taken in
+        # extended precision, and errs by at most that at its own u
+        ext = np.longdouble
+        for i in range(1, 7):
+            coef = (-1.0, 4.0, -6.0, 4.0) if i >= 3 else (-1.0, 2.0)
+            rows = [traj.u(i - len(coef) + k).astype(ext) for k in range(len(coef))]
+            exact = sum(c * row for c, row in zip(coef, rows))
+            terms = sum(abs(c) * np.abs(row) for c, row in zip(coef, rows))
+            gap = np.abs(starts[i - 1].astype(ext) - exact)
+            assert np.all(gap <= (gamma(4) + gamma(4, U_EXT)) * terms)
 
     def test_one_newton_iteration_per_step_on_the_interface(self):
         # the stiff eps-scaled well took 2.0 iterations per step from the
@@ -825,7 +921,7 @@ class TestWarmProduct:
         # its Newton step is one shifted_inverse, two DSTs; its last
         # evaluation one product, two DSTs; the round-off floor's normwise
         # term takes none.  Past the steps, the run makes the products of
-        # u_{-1} and u_0 before step 1 and row 0's energy
+        # u_{-1} and u_0 before step 1, which row 0's energy reads
         dst = [0]
         real_dst, real_evaluate, real_minimize = (
             operators._dst, stepper._evaluate, stepper.minimize_step)
@@ -857,7 +953,7 @@ class TestWarmProduct:
                                 u0=0.5 * np.sin(np.pi * x), v0=np.sin(np.pi * x)))
         assert list(traj.iterations) == [1] * 6
         assert steps[2:] == [(4, [(True, 0), (False, 2)])] * 4
-        assert dst[0] == 4 + sum(count for count, _ in steps) + 2
+        assert dst[0] == 4 + sum(count for count, _ in steps)
 
     def test_clipped_warm_start_takes_its_product_directly(self, monkeypatch):
         # TestStepEnergies' obstacle run on the sine backend: a step whose
@@ -872,9 +968,13 @@ class TestWarmProduct:
                                 u0=0.2 * np.sin(np.pi * x), v0=-4.0 * np.sin(np.pi * x),
                                 obstacle=g))
         u = traj.states
-        clipped = [bool(np.any((4.0 * u[i] - 6.0 * u[i - 1] + 4.0 * u[i - 2] - u[i - 3]
-                                if i >= 3 else 2.0 * u[i] - u[i - 1]) < g))
-                   for i in range(1, traj.n_steps + 1)]
+        clipped = []
+        for i, (start, _) in enumerate(given, start=1):
+            # run's own combination, by the same table and gemv
+            coef = stepper._CUBIC if i >= 3 else stepper._LINEAR
+            combination = coef @ u[i + 1 - coef.size:i + 1]
+            assert np.array_equal(start, np.maximum(combination, g))
+            clipped.append(bool(np.any(combination < g)))
         assert [product is None for _, product in given] == clipped
         assert any(clipped) and not all(clipped)
 
