@@ -9,7 +9,9 @@ Each potential implements one method, `evaluate(u, curvature=False)`, which
 gives (W(u), W'(u), W''(u) or None) in one pass that forms the shared
 subexpressions (u^2, 1 + u^2) once: the time step takes its potential terms
 from it.  `value`, `gradient` and `curvature` read one entry of it, so every
-route to W and its derivatives gives the same bits.
+route to W and its derivatives gives the same bits.  `factored()` splits off
+a constant factor, W = f p.W (f = 1/eps^2 for the eps-scaled well), so that
+the time step folds f into its lumped weights once per run.
 """
 
 from __future__ import annotations
@@ -26,6 +28,11 @@ class Potential:
     def evaluate(self, u, curvature=False):
         """(W(u), W'(u), W''(u) if curvature else None)."""
         raise NotImplementedError
+
+    def factored(self):
+        """(p, f) with W = f p.W for a constant f: (self, 1.0) unless the
+        potential scales another."""
+        return self, 1.0
 
     def value(self, u):
         return self.evaluate(u)[0]
@@ -69,14 +76,31 @@ class DoubleWellPotential(Potential):
         """With q = u^2 and p = 1 + q: W = (1 - q)^2 / p, W' = -2 (1 - q)
         (3 + q) / p^2 u and W'' = (2q^3 + 6q^2 + 30q - 6) / p^3, the
         numerator in Horner form and the powers as products (p * p * p),
-        not float powers."""
+        not float powers.  Each formula after its first operation runs in
+        place, in the order the expression would round it, so the time
+        step's temporaries stay few on long lines."""
         u = np.asarray(u, dtype=float)
         q = u * u
         p = 1.0 + q
+        pp = p * p
+        curv = None
+        if curvature:
+            curv = 2.0 * q
+            curv += 6.0
+            curv *= q
+            curv += 30.0
+            curv *= q
+            curv -= 6.0
+            curv /= pp * p
         a = 1.0 - q
-        curv = ((((2.0 * q + 6.0) * q + 30.0) * q - 6.0) / (p * p * p)
-                if curvature else None)
-        return a * a / p, -2.0 * a * (3.0 + q) / (p * p) * u, curv
+        value = a * a
+        value /= p
+        slope = -2.0 * a
+        q += 3.0
+        slope *= q
+        slope /= pp
+        slope *= u
+        return value, slope, curv
 
 
 class ScaledPotential(Potential):
@@ -99,6 +123,9 @@ class ScaledPotential(Potential):
         scale = self.eps**2
         return (value / scale, slope / scale,
                 None if curv is None else curv / scale)
+
+    def factored(self):
+        return self.inner, 1.0 / self.eps**2
 
 
 def zero_potential() -> ZeroPotential:

@@ -13,9 +13,10 @@ nodal max with g the exact projection in the lumped metric.
 Minimization uses one semismooth-Newton method, the primal-dual active-set
 iteration, for both admissible sets (Hintermueller, Ito & Kunisch, SIAM J.
 Optim. 13 (2002) 865-888), in one loop (minimize_step): evaluate J and
-grad J at the iterate, check that both are finite, measure stationarity
-(the M^-1 norm of the projected gradient, ops.dual_norm, and under an
-obstacle the dual-sign term), stop below the step's tolerance, and
+grad J at the iterate, measure stationarity (the M^-1 norm of the
+projected gradient, ops.dual_norm, and under an obstacle the dual-sign
+term), check that J and the measure are finite (a NaN or infinity in
+grad J reaches the measure), stop below the step's tolerance, and
 otherwise take a Newton step.  Each iteration takes the Hessian
 
     H = M / tau^2 + A_s + diag(m_j W''(u_j))
@@ -58,35 +59,43 @@ factor or CG meets a direction of non-positive curvature, the step raises
 SolverFailure.
 
 At a few hundred nodes an iterate costs numpy dispatch more than
-arithmetic, so each quantity is formed where it changes.  Per run: at
-s in {0, 1} the band of |A_s| that the round-off floor reads is formed
-once and kept with the operators (Tridiagonal.abs_band), and on the sine
-backend the shifted symbol m / tau^2 + mu and its floor, formed for the
-run's tau on first use (SineStiffness.shifted_floor).  Per step: the
-band of M / tau^2 and the extrapolation w = 2 u_{i-1} - u_{i-2}, which
-feed the floor and every iterate's (M / tau^2) d with d = u - w, and the
-floor itself.  Per iterate, one evaluation gives J, grad J and the two
-energies from the band product (M / tau^2) d, one product A_s u and one
-potential call (Potential.evaluate) that shares u^2 between W and W', and
-at the warm start W'' too; then one mass solve for the stationarity norm,
-and a Newton step: two DSTs for a certified free step on the sine backend
-whose x0 meets the stop, and otherwise the band M / tau^2 + B +
-diag(m W'') summed for one dptsv call; a CG iteration adds one
-preconditioner solve (two DSTs, or one dpttrs), one product with A_s and
-one mass solve.  The warm start's evaluation makes no product: A_s is
-linear, so run passes it the same combination of the last states'
-products as the start is of the states.  Both are one gemv with the same
-coefficients, the products' from a buffer of the last four, oldest
-first, each from its step's last evaluation, which also gives energy
-row 0 its A_s u_0.  A start clipped by the obstacle takes a direct
-product, and a start that meets tol on the combination is evaluated again
-on a direct one before it is accepted, so round-off cannot build up from
-step to step.  A step of one Newton iterate on the sine backend thus makes
-four DSTs, two for the Newton step and two for its last evaluation, and
-its round-off floor none.  Where the Dirichlet data vanish (ops.lifted
-false, always at fractional s) the lift's terms are skipped.  Under an
-obstacle the projection of the gradient and the pinning of the active
-nodes run only on iterates with a node at g or active.
+arithmetic, so each quantity is formed where it changes.  Per run: the
+step context (_StepContext), which run builds once and passes to every
+step: the band of M / tau^2, the lumped weights m f for the potential's
+constant factor f (Potential.factored; 1 / eps^2 for the eps-scaled well,
+whose evaluations then divide nothing by eps^2), and on first use the
+Newton band M / tau^2 + B, |lift_load|, and at s in {0, 1} the round-off
+floor's two bands stacked into one; the band of |A_s| the floor reads is
+kept with the operators (Tridiagonal.abs_band), and on the sine backend
+the shifted symbol m / tau^2 + mu and its floor, formed for the run's tau
+on first use (SineStiffness.shifted_floor).  A call of minimize_step on
+its own builds its own context.  Per step: the extrapolation
+w = 2 u_{i-1} - u_{i-2} (_extrapolation), which feeds the floor and every
+iterate's (M / tau^2) d with d = u - w, and the floor itself, whose
+potential term m W'(u_{i-1}) the last evaluation of the step before
+formed (StepResult.slope; at step 1, energy row 0's evaluation at u0).
+Per iterate, one evaluation gives J, grad J and the two energies from the
+band product (M / tau^2) d, one product A_s u and one potential call
+(Potential.evaluate) that shares u^2 between W and W', and at the warm
+start W'' too; then one mass solve for the stationarity norm, and a
+Newton step: two DSTs for a certified free step on the sine backend whose
+x0 meets the stop, and otherwise diag(m W'') added to the Newton band for
+one dptsv call; a CG iteration adds one preconditioner solve (two DSTs,
+or one dpttrs), one product with A_s and one mass solve.  The warm
+start's evaluation makes no product: A_s is linear, so run passes it the
+same combination of the last states' products as the start is of the
+states.  Both are one gemv with the same coefficients, the products' from
+a buffer of the last four, oldest first, each from its step's last
+evaluation, which also gives energy row 0 its A_s u_0.  A start clipped
+by the obstacle takes a direct product, and a start that meets tol on the
+combination is evaluated again on a direct one before it is accepted, so
+round-off cannot build up from step to step.  A step of one Newton
+iterate on the sine backend thus makes four DSTs, two for the Newton step
+and two for its last evaluation, and its round-off floor none and no
+potential call.  Where the Dirichlet data vanish (ops.lifted false,
+always at fractional s) the lift's terms are skipped.  Under an obstacle
+the projection of the gradient and the pinning of the active nodes run
+only on iterates with a node at g or active.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
@@ -102,12 +111,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
 
 from .errors import BlowupError, ConfigurationError, SolverFailure
-from .operators import ROUNDOFF_SCALE, OperatorSet, band_apply, pt_args
+from .operators import ROUNDOFF_SCALE, OperatorSet, Tridiagonal, band_apply, pt_args
 from .potentials import Potential
 
 _AUTO_TOL_FLOOR = 1e-9
@@ -229,30 +239,74 @@ class StepResult:
     frac_energy: float  # 0.5 u.A_s u + u.lift_load + lift_const at u
     pot_energy: float   # lumps . W(u) at u
     product: np.ndarray  # A_s u, a direct product from the last evaluation
+    slope: np.ndarray    # m W'(u), from the last evaluation
 
 
-def _scaled_mass(ops: OperatorSet, tau: float):
-    """The tridiagonal diagonals (d, e) of M / tau^2."""
-    d, e = ops.M.band
-    return d / tau**2, e / tau**2
+class _StepContext:
+    """The constants of a run's steps, formed once: by run for the whole
+    time loop, and per call where minimize_step, step_functional,
+    step_gradient or energy is called on its own.
+
+    mass is the band (d, e) of M / tau^2 and c = 1 / tau^2.  The potential
+    enters as W = f p.W (Potential.factored): potential is p, evaluated per
+    iterate, and weights = m f, so that m W' = weights p.W' with no division
+    by eps^2 per evaluation.  Formed on first use: newton_band, the band of
+    M / tau^2 + B (B = A_s.band) that the banded Newton step sums with
+    diag(m W''); abs_lift, |lift_load| for the round-off floor (read only
+    where ops.lifted); and at s in {0, 1}, floor_band, the band of the
+    block diagonal diag(M / tau^2, |A_s|), whose two blocks the zero entry
+    between them decouples, so that the floor takes both of its band
+    products in one band_apply of twice the length.
+    """
+
+    def __init__(self, ops: OperatorSet, potential: Potential, tau: float):
+        self.ops = ops
+        self.c = tau**-2
+        d, e = ops.M.band
+        self.mass = (d / tau**2, e / tau**2)
+        self.potential, factor = potential.factored()
+        # the lumps themselves where f = 1: the same bits, one array fewer
+        self.weights = ops.lumps if factor == 1.0 else ops.lumps * factor
+
+    @cached_property
+    def newton_band(self):
+        b_d, b_e = self.ops.A_s.band
+        return self.mass[0] + b_d, self.mass[1] + b_e
+
+    @cached_property
+    def abs_lift(self):
+        return np.abs(self.ops.lift_load)
+
+    @cached_property
+    def floor_band(self):
+        if not isinstance(self.ops.A_s, Tridiagonal):
+            return None
+        (m_d, m_e), (a_d, a_e) = self.mass, self.ops.A_s.abs_band
+        return np.concatenate((m_d, a_d)), np.concatenate((m_e, [0.0], a_e))
+
+
+def _extrapolation(u1, u2):
+    """The step functional's inertial extrapolation w = 2 u1 - u2."""
+    return 2.0 * np.asarray(u1, dtype=float) - np.asarray(u2, dtype=float)
 
 
 def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
                     tau: float) -> float:
     """J(u) for inertia history (u1, u2) = (previous, one before)."""
-    u1 = np.asarray(u1, dtype=float)
-    return _evaluate(ops, potential, _scaled_mass(ops, tau), np.asarray(u, dtype=float),
-                     2.0 * u1 - np.asarray(u2, dtype=float))[0]
+    return _evaluate(_StepContext(ops, potential, tau), np.asarray(u, dtype=float),
+                     _extrapolation(u1, u2))[0]
 
 
-def _state_energies(ops, u, au, value):
+def _state_energies(ctx, u, au, value):
     """(fractional, potential) energy of the state u, with au = A_s u and
-    value = W(u): 0.5 u.A_s u + u.lift_load + lift_const, and lumps . W(u).
-    The lift's terms are zero, and skipped, unless ops.lifted."""
+    value = p.W(u) (ctx.potential): 0.5 u.A_s u + u.lift_load + lift_const,
+    and weights . p.W(u) = lumps . W(u).  The lift's terms are zero, and
+    skipped, unless ops.lifted."""
+    ops = ctx.ops
     frac = 0.5 * float(u @ au)
     if ops.lifted:
         frac = frac + float(u @ ops.lift_load) + ops.lift_const
-    return frac, float(ops.lumps @ value)
+    return frac, float(ctx.weights @ value)
 
 
 def _energy_row(ops, v, frac, pot):
@@ -262,25 +316,27 @@ def _energy_row(ops, v, frac, pot):
     return kin, frac, pot, kin + frac + pot
 
 
-def _evaluate(ops, potential, mass, u, w, curvature=False, product=None):
+def _evaluate(ctx, u, w, curvature=False, product=None):
     """(J(u), grad J(u), fractional energy, potential energy, m W''(u) if
-    curvature else None, A_s u) for the step with inertial extrapolation
-    w = 2 u1 - u2 and the band mass of M / tau^2, from d = u - w, the
-    product A_s u (product where given, else formed here) and one potential
-    evaluation; the energies are the terms of J that energy() reports,
-    formed once here."""
+    curvature else None, A_s u, m W'(u)) for the step of the context ctx
+    with inertial extrapolation w, from d = u - w, its product with the
+    band of M / tau^2, the product A_s u (product where given, else formed
+    here) and one potential evaluation; the energies are the terms of J
+    that energy() reports, formed once here."""
+    ops = ctx.ops
     d = u - w
-    md = band_apply(mass, d)
+    md = band_apply(ctx.mass, d)
     au = ops.A_s @ u if product is None else product
-    value, slope, curv = potential.evaluate(u, curvature)
-    frac, pot = _state_energies(ops, u, au, value)
+    value, slope, curv = ctx.potential.evaluate(u, curvature)
+    frac, pot = _state_energies(ctx, u, au, value)
     j = 0.5 * float(d @ md) + frac + pot
+    slope = ctx.weights * slope
     grad = md  # (M / tau^2) d, summed into in place
     grad += au
     if ops.lifted:
         grad += ops.lift_load
-    grad += ops.lumps * slope
-    return j, grad, frac, pot, None if curv is None else ops.lumps * curv, au
+    grad += slope
+    return j, grad, frac, pot, None if curv is None else ctx.weights * curv, au, slope
 
 
 def _stationarity(ops, grad, slack=None, density=None) -> float:
@@ -300,16 +356,16 @@ def _stationarity(ops, grad, slack=None, density=None) -> float:
     return max(ops.dual_norm(pg), -float(density.min()), 0.0)
 
 
-def _roundoff_floor(ops, potential, mass, u1, u2, w) -> float:
+def _roundoff_floor(ctx, u1, u2, w, slope) -> float:
     """c eps (|t|_{M^-1} + a), c eps = operators.ROUNDOFF_SCALE: the level
-    of round-off in the computed residual.
+    of round-off in the computed residual of the step of the context ctx,
+    with inertia history (u1, u2), w = 2 u1 - u2 and slope = m W'(u1).
 
-    The step's minimizer u lies near the inertial extrapolation w =
-    2 u1 - u2, formed once per step, and every evaluation takes the second
-    difference as d = u - w and its product with the pre-scaled band
-    M / tau^2 (mass).  With
+    The step's minimizer u lies near w, and every evaluation takes the
+    second difference as d = u - w and its product with the pre-scaled
+    band M / tau^2 (ctx.mass).  With
 
-        t = (M / tau^2) (2|u1| + |u2|) + t_A + |lift_load| + m |W'(w)|
+        t = (M / tau^2) (2|u1| + |u2|) + t_A + |lift_load| + m |W'(u1)|
 
     the sum of the magnitudes of the gradient's terms (M is entrywise
     nonnegative), each term is formed with a few roundings, each of at
@@ -324,21 +380,38 @@ def _roundoff_floor(ops, potential, mass, u1, u2, w) -> float:
     SpectralStiffness), which gives (t_A, a) = A_s.roundoff(w): an
     entrywise term, |A_s| |w| for a product that errs componentwise, and a
     normwise bound a on the M^-1 norm for one that errs normwise.  The class
-    also gives the grounds for c = 2 and the cost of the term.  The lift's
-    term is zero, and skipped, unless ops.lifted.
+    also gives the grounds for c = 2 and the cost of the term.  At
+    s in {0, 1}, where t_A = |A_s| |w| and a = 0, the two band products are
+    one band_apply on ctx.floor_band, the same bits: each row of a block
+    gains at most a term 0 x_j = +0.0, which band_apply's final + 0.0 adds
+    anyway.  The potential term m W'(u) rounds relative to m |W'(u)|, which
+    the floor takes at u1: the floor is a scale, and u1 lies within O(tau)
+    of the minimizer, as w does.  There the last evaluation of the step
+    before (run), or one potential call (minimize_step called on its own),
+    has formed m W'(u1).  The floor thus depends on (u1, u2, tau) alone,
+    not on the warm start.  The lift's term is zero, and skipped, unless
+    ops.lifted.
     """
-    t_a, a = ops.A_s.roundoff(w)
-    t = band_apply(mass, 2.0 * np.abs(u1) + np.abs(u2))
-    t += t_a
+    ops = ctx.ops
+    x = 2.0 * np.abs(u1) + np.abs(u2)
+    band = ctx.floor_band
+    if band is None:
+        t_a, a = ops.A_s.roundoff(w)
+        t = band_apply(ctx.mass, x)
+        t += t_a
+    else:
+        y = band_apply(band, np.concatenate((x, np.abs(w))))
+        t, a = y[:x.size] + y[x.size:], 0.0
     if ops.lifted:
-        t += np.abs(ops.lift_load)
-    t += ops.lumps * np.abs(potential.gradient(w))
+        t += ctx.abs_lift
+    t += np.abs(slope)
     return ROUNDOFF_SCALE * (ops.dual_norm(t) + a)
 
 
 def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                   obstacle=None, solver: SolverParams = SolverParams(),
-                  warm_start=None, warm_product=None) -> StepResult:
+                  warm_start=None, warm_product=None, *, _context=None,
+                  _slope=None) -> StepResult:
     """Minimize the step functional by semismooth Newton from a feasible
     warm start (default u1).
 
@@ -347,29 +420,38 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     products as the start is of the states).  A warm start that meets tol
     with it is evaluated again with a direct product before it is accepted,
     so a returned state, its residual, energies and product always come
-    from a direct product.
+    from a direct product.  run also passes its _StepContext for
+    (ops, potential, tau) and, as _slope, m W'(u1) from the last
+    evaluation of the step before; a call on its own forms both here.
 
     Under an obstacle, a node is active when the linearized gradient would
     push it below g, i.e. tau^2 * grad_j / m_j > u_j - g_j; active nodes are
     pinned to g and the Newton system is solved on the rest.  Iterates are
     projected onto u >= g, so every iterate is feasible.
 
-    The result carries the fractional and potential energies and the
-    product A_s u of the final iterate, from the functional's last
-    evaluation.
+    The result carries the fractional and potential energies, the product
+    A_s u and the potential term m W'(u) of the final iterate, from the
+    functional's last evaluation.
 
     Raises SolverFailure (carrying the iterate of least residual) if max_iter
     is reached above tolerance or the Hessian on the inactive nodes is not
-    positive definite, and BlowupError on NaN in the functional or gradient.
+    positive definite, and BlowupError on NaN or infinity in the functional,
+    the gradient or the round-off floor.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
     if obstacle is not None and (u < obstacle).any():
         raise ConfigurationError("warm start is infeasible for the obstacle")
-    mass = _scaled_mass(ops, tau)
-    w = 2.0 * u1 - u2
-    floor = _roundoff_floor(ops, potential, mass, u1, u2, w)
+    ctx = _StepContext(ops, potential, tau) if _context is None else _context
+    if _slope is None:
+        _slope = ctx.weights * ctx.potential.evaluate(u1)[1]
+    w = _extrapolation(u1, u2)
+    floor = _roundoff_floor(ctx, u1, u2, w, _slope)
+    if not math.isfinite(floor):
+        # a floor of inf would accept any residual: the slope at u1 or a
+        # term of the step's history is not finite
+        raise BlowupError("non-finite round-off floor of the step's history")
     tol = _AUTO_TOL_FLOOR + floor if solver.tol is None else solver.tol
 
     best, best_res = u, np.inf
@@ -380,14 +462,18 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     while True:
         # the curvature from the same pass at the warm start, whose Newton
         # step most steps take
-        j, grad, frac, pot, curv, au = _evaluate(ops, potential, mass, u, w,
-                                                 curvature=not iters, product=product)
-        if not (math.isfinite(j) and np.isfinite(grad).all()):
-            where = "during Newton iteration" if iters else "at warm start"
-            raise BlowupError(f"non-finite functional or gradient {where}")
+        j, grad, frac, pot, curv, au, slope = _evaluate(
+            ctx, u, w, curvature=not iters, product=product)
         if obstacle is not None:
             slack, density = u - obstacle, grad / ops.lumps
         res = _stationarity(ops, grad, slack, density)
+        # a NaN or infinity in grad J makes res non-finite through the mass
+        # solve, save +inf at a node at g, which the projection drops and
+        # density's max shows
+        if not (math.isfinite(j) and math.isfinite(res)) or (
+                density is not None and not math.isfinite(density.max())):
+            where = "during Newton iteration" if iters else "at warm start"
+            raise BlowupError(f"non-finite functional or gradient {where}")
         if product is not None:
             product = None
             if res <= tol:
@@ -398,18 +484,17 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
         if res <= tol:
             return StepResult(u=u, iterations=iters, residual=res, tol=tol,
                               j_path=tuple(j_path), frac_energy=frac,
-                              pot_energy=pot, product=au)
+                              pot_energy=pot, product=au, slope=slope)
         if iters == solver.max_iter:
             break
         if curv is None:
-            curv = ops.lumps * potential.curvature(u)
+            curv = ctx.weights * ctx.potential.curvature(u)
         active = None
         if obstacle is not None:
             active = tau**2 * density > slack
             if not active.any():
                 active = None
-        step = _newton_step(ops, mass, tau**-2, curv, grad,
-                            _CG_TOL_FRACTION * tol, slack, active)
+        step = _newton_step(ctx, curv, grad, _CG_TOL_FRACTION * tol, slack, active)
         if step is None:
             raise SolverFailure(
                 "the step Hessian M/tau^2 + A_s + diag(m W'') is not positive "
@@ -430,11 +515,11 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
                         iterations=solver.max_iter)
 
 
-def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
-    """The Newton step of H = c M + A_s + diag(curv) at u, c = 1/tau^2, with
-    the nodes of the mask active (None: no node) pinned to g (step -slack_j
-    = g_j - u_j there), or None when H on the inactive nodes is not positive
-    definite.
+def _newton_step(ctx, curv, grad, stop, slack=None, active=None):
+    """The Newton step of H = c M + A_s + diag(curv) at u, with c = 1/tau^2
+    and the operators of the context ctx, with the nodes of the mask active
+    (None: no node) pinned to g (step -slack_j = g_j - u_j there), or None
+    when H on the inactive nodes is not positive definite.
 
     On the sine backend, a step with no node pinned whose H is positive
     definite by A_s.shifted_floor(c) + min(curv) > 0 starts from
@@ -443,12 +528,13 @@ def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
     that residual's 2-norm over sqrt(min m), M's eigenvalues being the m_k,
     meets the stop; otherwise _pcg goes on from x, preconditioned by
     shifted_inverse.  Every other step is banded: the tridiagonal
-    P = c M + B + diag(curv), from the band mass of c M and B = A_s.band,
-    with the active rows and columns replaced by those of the identity, is
-    factored as L D L^T by LAPACK's dptsv.  Its solution is the step where
-    A_s = B (A_s.rest_apply is None); otherwise _pcg goes on from it,
-    preconditioned by P (LAPACK's dpttrs on the factors).
+    P = c M + B + diag(curv), from the run's band of c M + B
+    (ctx.newton_band), with the active rows and columns replaced by those
+    of the identity, is factored as L D L^T by LAPACK's dptsv.  Its solution
+    is the step where A_s = B (A_s.rest_apply is None); otherwise _pcg goes
+    on from it, preconditioned by P (LAPACK's dpttrs on the factors).
     """
+    ops, c = ctx.ops, ctx.c
     inverse = ops.A_s.shifted_inverse
     if (active is None and inverse is not None
             and ops.A_s.shifted_floor(c) + curv.min() > 0.0):
@@ -456,12 +542,10 @@ def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
         r = -curv * x
         if r @ r <= stop**2 * ops.A_s.m_min:
             return x
-        return _pcg(ops, mass, lambda v: inverse(c, v), x, r, None, curv, stop)
+        return _pcg(ctx, lambda v: inverse(c, v), x, r, None, curv, stop)
     rest = ops.A_s.rest_apply
-    b_d, b_e = ops.A_s.band
-    d = mass[0] + b_d
-    d += curv
-    e = mass[1] + b_e
+    d, e = ctx.newton_band
+    d = d + curv
     rhs = -grad
     if active is not None:
         # pin the active nodes to g: their columns of H = P + R move to the
@@ -475,9 +559,10 @@ def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
         e = np.where(active[1:] | active[:-1], 0.0, e)
         d[active] = 1.0
     # LAPACK's ptsv directly: a wrapper's argument handling costs more than
-    # the O(n) solve at a few hundred nodes
+    # the O(n) solve at a few hundred nodes.  e is the run's band unless a
+    # node is pinned, so dptsv works on a copy of it
     *factor, x, info = scipy.linalg.lapack.dptsv(
-        *pt_args(d, e), rhs, overwrite_d=1, overwrite_e=1, overwrite_b=1)
+        *pt_args(d, e), rhs, overwrite_d=1, overwrite_e=0, overwrite_b=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
     if info > 0:
@@ -490,11 +575,11 @@ def _newton_step(ops, mass, c, curv, grad, stop, slack=None, active=None):
     else:
         free = ~active
         r = np.where(free, -rest(np.where(free, x, 0.0)), 0.0)
-    return _pcg(ops, mass, lambda v: scipy.linalg.lapack.dpttrs(*factor, v)[0],
+    return _pcg(ctx, lambda v: scipy.linalg.lapack.dpttrs(*factor, v)[0],
                 x, r, free, curv, stop)
 
 
-def _pcg(ops, mass, precondition, x, r, free, curv, stop):
+def _pcg(ctx, precondition, x, r, free, curv, stop):
     """Solve H_FF x_F = b_F on the inactive nodes F (mask free) by conjugate
     gradients from x, whose residual b - H x is r, with the preconditioner
     solve precondition (_newton_step's: the shifted inverse, or the LDL^T
@@ -506,6 +591,7 @@ def _pcg(ops, mass, precondition, x, r, free, curv, stop):
     masking.  Returns None at a direction p with p^T H p <= 0: there H_FF
     is not positive definite.
     """
+    ops = ctx.ops
     p = rz = None
     for _ in range(x.size if free is None else np.count_nonzero(free)):
         if r @ ops.solve_mass(r) <= stop**2:
@@ -513,7 +599,7 @@ def _pcg(ops, mass, precondition, x, r, free, curv, stop):
         z = precondition(r)
         rz, rz_old = r @ z, rz
         p = z if p is None else z + (rz / rz_old) * p
-        hp = band_apply(mass, p) + ops.A_s @ p + curv * p
+        hp = band_apply(ctx.mass, p) + ops.A_s @ p + curv * p
         if free is not None:
             hp = np.where(free, hp, 0.0)
         php = p @ hp
@@ -570,13 +656,19 @@ def run(config: SchemeConfig) -> Trajectory:
     residuals = np.zeros(n)
     tols = np.zeros(n)
     energies = np.empty((n + 1, 4))
+    ctx = _StepContext(ops, config.potential, tau)
     # A_s of the last four states, oldest first, each from its step's last
     # evaluation; the rows before u_{-1} are never read
     products = np.zeros((4, nf))
     products[2] = ops.A_s @ states[0]
     products[3] = ops.A_s @ states[1]
+    # m W'(u_{i-1}) for step i's round-off floor: from row 0's evaluation,
+    # then from each step's last
+    value, slope, _ = ctx.potential.evaluate(states[1])
     energies[0] = _energy_row(ops, (states[1] - states[0]) / tau, *_state_energies(
-        ops, states[1], products[3], config.potential.value(states[1])))
+        ctx, states[1], products[3], value))
+    del value   # not held through the loop
+    slope = ctx.weights * slope
 
     for i in range(1, n + 1):
         # the cubic through u_{i-4}..u_{i-1} is O(tau^4) from u_i on a smooth
@@ -593,7 +685,7 @@ def run(config: SchemeConfig) -> Trajectory:
             result = minimize_step(
                 ops, config.potential, u1=states[i], u2=states[i - 1], tau=tau,
                 obstacle=config.obstacle, solver=config.solver, warm_start=start,
-                warm_product=product)
+                warm_product=product, _context=ctx, _slope=slope)
         except (SolverFailure, BlowupError) as exc:
             exc.step = i
             exc.args = (f"step {i}: {exc}",)
@@ -601,6 +693,7 @@ def run(config: SchemeConfig) -> Trajectory:
         states[i + 1] = result.u
         products[:-1] = products[1:]
         products[-1] = result.product
+        slope = result.slope
         iterations[i - 1] = result.iterations
         residuals[i - 1] = result.residual
         tols[i - 1] = result.tol
@@ -613,9 +706,10 @@ def energy(traj: Trajectory, i: int):
     """(kinetic, fractional, potential, total) at step i (0 <= i <= n),
     recomputed from the states."""
     ops = traj.config.ops
+    ctx = _StepContext(ops, traj.config.potential, traj.tau)
     u = traj.u(i)
     return _energy_row(ops, traj.v(i), *_state_energies(
-        ops, u, ops.A_s @ u, traj.config.potential.value(u)))
+        ctx, u, ops.A_s @ u, ctx.potential.value(u)))
 
 
 def eval_interpolants(traj: Trajectory, t: float):
@@ -646,8 +740,8 @@ def step_gradient(ops: OperatorSet, potential: Potential, traj: Trajectory,
     discrete Euler-Lagrange residual of step i (1 <= i <= n)."""
     if not 1 <= i <= traj.n_steps:
         raise ConfigurationError(f"step index {i} out of range")
-    return _evaluate(ops, potential, _scaled_mass(ops, traj.tau), traj.u(i),
-                     2.0 * traj.u(i - 1) - traj.u(i - 2))[1]
+    return _evaluate(_StepContext(ops, potential, traj.tau), traj.u(i),
+                     _extrapolation(traj.u(i - 1), traj.u(i - 2)))[1]
 
 
 def el_residual(ops: OperatorSet, potential: Potential, traj: Trajectory,
