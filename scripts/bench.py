@@ -39,9 +39,15 @@ eigensolve, and each product in its loop is O(n^2).  The obstacle_frac
 ladder is obstacle_wave (the flat obstacle, 512 steps) at s = 1/2 with the
 double well, on the sine backend: its steps with a node pinned take the
 banded path and PCG, the others start from the exact sine step, with CG
-on it where its remainder misses the stop.  A ladder whose
+on it where its remainder misses the stop.  The obstacle_linear ladder is
+obstacle_wave's config as it is (s = 1, W = 0, the linear obstacle
+problem): its steps make no potential call and one band product per
+direct evaluation.  A ladder whose
 config has an obstacle records the steps that end in contact, which must
-be the same in every run and not zero.
+be the same in every run and not zero.  A size whose run raises
+SolverFailure or BlowupError records the error's message in place of its
+solve: at 4,096 cells the obstacle_linear run stops at the active-set
+iteration's cap (ROADMAP item 1).
 Both checkouts run every size of the same configs, which this checkout's
 perfbench/workloads.py gives.  The workloads and the end-to-end metrics
 are the ones BENCHMARK.json lists.
@@ -92,6 +98,7 @@ LADDERS = {
                         (400, 800, 1600)),
     "obstacle_frac": ("obstacle_wave", {"s": 0.5, "potential": "double_well"},
                       (256, 1024, 4096)),
+    "obstacle_linear": ("obstacle_wave", {}, (256, 1024, 4096)),
 }
 LADDER_PAIRS = 5
 # name: (cli command, its config, its list argument)
@@ -134,7 +141,7 @@ def ladder_point(root: Path, config: str) -> dict:
     import resource
     from time import perf_counter
 
-    from fracwave import cli, run
+    from fracwave import BlowupError, SolverFailure, cli, run
 
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
@@ -142,10 +149,13 @@ def ladder_point(root: Path, config: str) -> dict:
         t0 = perf_counter()
         scheme = cli.build_problem(cli.parse_config(path))
         t1 = perf_counter()
-        traj = run(scheme)
+        point = {"n_cells": json.loads(config)["n_cells"], "setup_s": round(t1 - t0, 4)}
+        try:
+            traj = run(scheme)
+        except (SolverFailure, BlowupError) as exc:
+            return {**point, "failed": str(exc)}
         t2 = perf_counter()
-    point = {"n_cells": json.loads(config)["n_cells"], "setup_s": round(t1 - t0, 4),
-             "solve_s": round(t2 - t1, 4),
+    point = {**point, "solve_s": round(t2 - t1, 4),
              "newton_iters": int(traj.iterations.sum()),
              "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
                                   / 1024, 1)}
@@ -158,7 +168,16 @@ def ladder_summary(runs: list) -> dict:
     """One side's runs of one ladder size: the median, minimum and every
     value of setup, solve and peak RSS, the Newton iterations, which must
     be the same in every run, and under an obstacle the contact steps,
-    which must be too, and not zero."""
+    which must be too, and not zero.  A size whose run fails records the
+    failure's message, which must be the same in every run, and its setup."""
+    failed = {r.get("failed") for r in runs}
+    if len(failed) != 1:
+        sys.exit(f"ladder size {runs[0]['n_cells']}: some runs fail: {failed}")
+    if None not in failed:
+        setup = [r["setup_s"] for r in runs]
+        return {"n_cells": runs[0]["n_cells"], "failed": failed.pop(),
+                "setup_s": {"median": statistics.median(setup), "min": min(setup),
+                            "runs": setup}}
     iters = {r["newton_iters"] for r in runs}
     if len(iters) != 1:
         sys.exit(f"ladder size {runs[0]['n_cells']}: Newton iterations differ: {iters}")
@@ -313,8 +332,8 @@ def main(argv=None):
                          json.dumps(dict(configs[name], n_cells=n))]))
             for side in sides:
                 points[side].append(ladder_summary(runs[side]))
-            print(name, n, {side: points[side][-1]["solve_s"] for side in sides},
-                  file=sys.stderr)
+            print(name, n, {side: points[side][-1].get("solve_s", "failed")
+                            for side in sides}, file=sys.stderr)
         ladders[name] = {"config": configs[name],
                          "sizes": list(sizes), "pairs": LADDER_PAIRS,
                          "order": "parent and change alternate first per pair",

@@ -8,9 +8,12 @@ whose functional stays convex while 1/tau^2 dominates max(-W'').
 Each potential implements one method, `evaluate(u, curvature=False)`, which
 gives (W(u), W'(u), W''(u) or None) in one pass that forms the shared
 subexpressions (u^2, 1 + u^2) once: the time step takes its potential terms
-from it.  `value`, `gradient` and `curvature` read one entry of it, so every
-route to W and its derivatives gives the same bits.  `factored()` splits off
-a constant factor, W = f p.W (f = 1/eps^2 for the eps-scaled well), so that
+from it, and writes m W' and m W'' into the arrays it returns, which must
+therefore be fresh.  The zero potential is the exception: the time step
+never evaluates it, and its one array of zeros serves all three.  `value`,
+`gradient` and `curvature` read one entry of it, so every route to W and
+its derivatives gives the same bits.  `factored()` splits off a constant
+factor, W = f p.W (f = 1/eps^2 for the eps-scaled well), so that
 the time step folds f into its lumped weights once per run.
 """
 
@@ -46,7 +49,7 @@ class Potential:
 
 class ZeroPotential(Potential):
     def evaluate(self, u, curvature=False):
-        # one array for all three: no caller writes into them
+        # one array for all three: the time step never evaluates W = 0
         zero = np.zeros_like(np.asarray(u, dtype=float))
         return zero, zero, zero if curvature else None
 
@@ -95,7 +98,8 @@ class DoubleWellPotential(Potential):
         a = 1.0 - q
         value = a * a
         value /= p
-        slope = -2.0 * a
+        slope = a   # a is not read again: -2 a in place, the same bits
+        slope *= -2.0
         q += 3.0
         slope *= q
         slope /= pp

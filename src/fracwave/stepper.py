@@ -77,7 +77,14 @@ formed (StepResult.slope; at step 1, energy row 0's evaluation at u0).
 Per iterate, one evaluation gives J, grad J and the two energies from the
 band product (M / tau^2) d, one product A_s u and one potential call
 (Potential.evaluate) that shares u^2 between W and W', and at the warm
-start W'' too; then one mass solve for the stationarity norm, and a
+start W'' too, with m W' and m W'' formed in place on its arrays.  At
+s in {0, 1} a direct evaluation takes (M / tau^2) d and A_s u as the two
+blocks of one band (_block_band), one band product.  Where W = 0 (the zero
+potential, bare or eps-scaled, as in the linear obstacle problem; decided
+once per run) no evaluation, energy row or floor calls the potential:
+the potential energy is 0.0, m W' and m W'' are one shared array of
+zeros, and neither grad J nor the floor adds a potential term.  Then one
+mass solve for the stationarity norm, and a
 Newton step: two DSTs for a certified free step on the sine backend whose
 x0 meets the stop, and otherwise diag(m W'') added to the Newton band for
 one dptsv call; a CG iteration adds one preconditioner solve (two DSTs,
@@ -94,8 +101,11 @@ iterate on the sine backend thus makes four DSTs, two for the Newton step
 and two for its last evaluation, and its round-off floor none and no
 potential call.  Where the Dirichlet data vanish (ops.lifted false,
 always at fractional s) the lift's terms are skipped.  Under an obstacle
-the projection of the gradient and the pinning of the active nodes run
-only on iterates with a node at g or active.
+each evaluation reads the minimum of u - g once: it shows an infeasible
+warm start, and whether a node is at g; the projection of the gradient
+and the check of the dual density's maximum run only on iterates with a
+node at g, and the pinning of the active nodes only on iterates with a
+node active.
 
 Velocities are backward differences v_i = (u_i - u_{i-1})/tau; the history
 starts from u_{-1} = u0 - tau*v0, or from a mode-truncated v0 when the
@@ -118,7 +128,7 @@ import scipy.linalg
 
 from .errors import BlowupError, ConfigurationError, SolverFailure
 from .operators import ROUNDOFF_SCALE, OperatorSet, Tridiagonal, band_apply, pt_args
-from .potentials import Potential
+from .potentials import Potential, ZeroPotential
 
 _AUTO_TOL_FLOOR = 1e-9
 # CG on a Newton system stops once its residual, which is the linearized
@@ -229,8 +239,14 @@ class Trajectory:
         return (self.states[i + 1] - self.states[i]) / self.tau
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StepResult:
+    """What minimize_step returns: the step's state and solve record, and the
+    terms of the functional's last evaluation that run carries on.  A plain
+    slotted record: a frozen dataclass sets each field through
+    object.__setattr__, which costs a few microseconds per step, and no
+    caller assigns to it."""
+
     u: np.ndarray
     iterations: int
     residual: float
@@ -239,7 +255,7 @@ class StepResult:
     frac_energy: float  # 0.5 u.A_s u + u.lift_load + lift_const at u
     pot_energy: float   # lumps . W(u) at u
     product: np.ndarray  # A_s u, a direct product from the last evaluation
-    slope: np.ndarray    # m W'(u), from the last evaluation
+    slope: np.ndarray    # m W'(u), from the last evaluation (W = 0: shared zeros)
 
 
 class _StepContext:
@@ -250,13 +266,18 @@ class _StepContext:
     mass is the band (d, e) of M / tau^2 and c = 1 / tau^2.  The potential
     enters as W = f p.W (Potential.factored): potential is p, evaluated per
     iterate, and weights = m f, so that m W' = weights p.W' with no division
-    by eps^2 per evaluation.  Formed on first use: newton_band, the band of
-    M / tau^2 + B (B = A_s.band) that the banded Newton step sums with
-    diag(m W''); abs_lift, |lift_load| for the round-off floor (read only
-    where ops.lifted); and at s in {0, 1}, floor_band, the band of the
-    block diagonal diag(M / tau^2, |A_s|), whose two blocks the zero entry
-    between them decouples, so that the floor takes both of its band
-    products in one band_apply of twice the length.
+    by eps^2 per evaluation.  vanishes is true where p is the zero
+    potential (W = 0, as for the linear obstacle problem): then no
+    evaluation calls p, and m W' and m W'' are zeros, one read-only array
+    of zeros shared by every step, which the Newton step, CG and the floor
+    read as they would any curvature and slope.  Formed on first use:
+    newton_band, the band of M / tau^2 + B (B = A_s.band) that the banded
+    Newton step sums with diag(m W''); abs_lift, |lift_load| for the
+    round-off floor (read only where ops.lifted); and at s in {0, 1},
+    eval_band, the band of diag(M / tau^2, A_s), and floor_band, that of
+    diag(M / tau^2, |A_s|) (_block_band), so that an evaluation and the
+    floor each take their two band products in one band_apply of twice
+    the length.
     """
 
     def __init__(self, ops: OperatorSet, potential: Potential, tau: float):
@@ -265,6 +286,10 @@ class _StepContext:
         d, e = ops.M.band
         self.mass = (d / tau**2, e / tau**2)
         self.potential, factor = potential.factored()
+        self.vanishes = isinstance(self.potential, ZeroPotential)
+        if self.vanishes:
+            self.zeros = np.zeros(ops.n_free)
+            self.zeros.flags.writeable = False
         # the lumps themselves where f = 1: the same bits, one array fewer
         self.weights = ops.lumps if factor == 1.0 else ops.lumps * factor
 
@@ -278,11 +303,30 @@ class _StepContext:
         return np.abs(self.ops.lift_load)
 
     @cached_property
+    def eval_band(self):
+        if not isinstance(self.ops.A_s, Tridiagonal):
+            return None
+        return _block_band(self.mass, self.ops.A_s.band)
+
+    @cached_property
     def floor_band(self):
         if not isinstance(self.ops.A_s, Tridiagonal):
             return None
-        (m_d, m_e), (a_d, a_e) = self.mass, self.ops.A_s.abs_band
-        return np.concatenate((m_d, a_d)), np.concatenate((m_e, [0.0], a_e))
+        return _block_band(self.mass, self.ops.A_s.abs_band)
+
+
+def _block_band(a, b):
+    """The band of the block diagonal diag(A, B) from the bands a of A and b
+    of B, with a zero entry between the blocks, so that one band_apply on
+    the concatenation (x, y) gives (A x, B y) in the same bits as two.
+
+    Each block's edge row gains one term, 0 x_j = +-0.0 for finite x_j.
+    Adding +-0.0 to a sum leaves it unchanged unless the sum is zero, and
+    then changes at most its sign, which band_apply's final + 0.0 sets to
+    +0.0 either way.  A non-finite entry of one block may make the other
+    block's edge row NaN (0 x inf), where a result is non-finite anyway."""
+    (a_d, a_e), (b_d, b_e) = a, b
+    return np.concatenate((a_d, b_d)), np.concatenate((a_e, [0.0], b_e))
 
 
 def _extrapolation(u1, u2):
@@ -297,16 +341,31 @@ def step_functional(ops: OperatorSet, potential: Potential, u, u1, u2,
                      _extrapolation(u1, u2))[0]
 
 
+def _potential_terms(ctx, u, curvature=False):
+    """(p.W(u), m W'(u), m W''(u) if curvature else None) for the potential
+    of the context ctx: m W' and m W'' are formed in place on p's fresh
+    arrays (weights * x and x * weights round alike).  Where the potential
+    vanishes, p is not called: (None, ctx.zeros, ctx.zeros or None)."""
+    if ctx.vanishes:
+        return None, ctx.zeros, ctx.zeros if curvature else None
+    value, slope, curv = ctx.potential.evaluate(u, curvature)
+    slope *= ctx.weights
+    if curv is not None:
+        curv *= ctx.weights
+    return value, slope, curv
+
+
 def _state_energies(ctx, u, au, value):
     """(fractional, potential) energy of the state u, with au = A_s u and
-    value = p.W(u) (ctx.potential): 0.5 u.A_s u + u.lift_load + lift_const,
-    and weights . p.W(u) = lumps . W(u).  The lift's terms are zero, and
-    skipped, unless ops.lifted."""
+    value = p.W(u) (ctx.potential; None where it vanishes): 0.5 u.A_s u +
+    u.lift_load + lift_const, and weights . p.W(u) = lumps . W(u), 0.0
+    where the potential vanishes.  The lift's terms are zero, and skipped,
+    unless ops.lifted."""
     ops = ctx.ops
     frac = 0.5 * float(u @ au)
     if ops.lifted:
         frac = frac + float(u @ ops.lift_load) + ops.lift_const
-    return frac, float(ctx.weights @ value)
+    return frac, 0.0 if value is None else float(ctx.weights @ value)
 
 
 def _energy_row(ops, v, frac, pot):
@@ -321,39 +380,53 @@ def _evaluate(ctx, u, w, curvature=False, product=None):
     curvature else None, A_s u, m W'(u)) for the step of the context ctx
     with inertial extrapolation w, from d = u - w, its product with the
     band of M / tau^2, the product A_s u (product where given, else formed
-    here) and one potential evaluation; the energies are the terms of J
-    that energy() reports, formed once here."""
+    here) and the potential's terms (_potential_terms: one evaluation, none
+    where the potential vanishes); the energies are the terms of J that
+    energy() reports, formed once here.  At s in {0, 1} a direct
+    evaluation takes (M / tau^2) d and A_s u in one band_apply on
+    ctx.eval_band, the same bits as two (_block_band).  Where the potential
+    vanishes, the potential energy is 0.0 and grad J has no m W' term:
+    adding zeros would change no entry, since the sum before it holds no
+    -0.0, as (M / tau^2) d, a band_apply product, holds none."""
     ops = ctx.ops
-    d = u - w
-    md = band_apply(ctx.mass, d)
-    au = ops.A_s @ u if product is None else product
-    value, slope, curv = ctx.potential.evaluate(u, curvature)
+    # the potential's terms first, so that its temporaries and the
+    # products' are not held at once
+    value, slope, curv = _potential_terms(ctx, u, curvature)
+    band = None if product is not None else ctx.eval_band
+    if band is None:
+        d = u - w
+        md = band_apply(ctx.mass, d)
+        au = ops.A_s @ u if product is None else product
+    else:
+        x = np.concatenate((u - w, u))
+        y = band_apply(band, x)
+        d, md, au = x[:u.size], y[:u.size], y[u.size:]
     frac, pot = _state_energies(ctx, u, au, value)
     j = 0.5 * float(d @ md) + frac + pot
-    slope = ctx.weights * slope
     grad = md  # (M / tau^2) d, summed into in place
     grad += au
     if ops.lifted:
         grad += ops.lift_load
-    grad += slope
-    return j, grad, frac, pot, None if curv is None else ctx.weights * curv, au, slope
+    if not ctx.vanishes:
+        grad += slope
+    return j, grad, frac, pot, curv, au, slope
 
 
 def _stationarity(ops, grad, slack=None, density=None) -> float:
     """Mass-weighted norm of the projected gradient; under an obstacle
-    (slack = u - g, density = grad / lumps) the larger of the projected
-    norm and the worst negative dual density (both must vanish at a
-    minimizer).  The projection changes nothing while no node is at g.
+    (density = grad / lumps) the larger of the projected norm and the
+    worst negative dual density (both must vanish at a minimizer).  slack =
+    u - g is needed only where a node is at g: with slack None the
+    projection is taken to change nothing, as it does while no node is at g.
 
     The normalized complementarity product |grad . slack| / (1 + |slack|_M)
     needs no term of its own: u is feasible, so the slack vanishes on the
     active set, grad . slack = pg . slack <= |pg|_{M^-1} |slack|_M, and the
     product stays below the projected norm."""
-    if slack is None:
-        return ops.dual_norm(grad)
-    pg = (grad if slack.min() > 0.0
+    pg = (grad if slack is None
           else np.where(slack > 0.0, grad, np.minimum(grad, 0.0)))
-    return max(ops.dual_norm(pg), -float(density.min()), 0.0)
+    res = ops.dual_norm(pg)
+    return res if density is None else max(res, -float(density.min()), 0.0)
 
 
 def _roundoff_floor(ctx, u1, u2, w, slope) -> float:
@@ -382,15 +455,16 @@ def _roundoff_floor(ctx, u1, u2, w, slope) -> float:
     normwise bound a on the M^-1 norm for one that errs normwise.  The class
     also gives the grounds for c = 2 and the cost of the term.  At
     s in {0, 1}, where t_A = |A_s| |w| and a = 0, the two band products are
-    one band_apply on ctx.floor_band, the same bits: each row of a block
-    gains at most a term 0 x_j = +0.0, which band_apply's final + 0.0 adds
-    anyway.  The potential term m W'(u) rounds relative to m |W'(u)|, which
+    one band_apply on ctx.floor_band, the same bits (_block_band).  The
+    potential term m W'(u) rounds relative to m |W'(u)|, which
     the floor takes at u1: the floor is a scale, and u1 lies within O(tau)
     of the minimizer, as w does.  There the last evaluation of the step
     before (run), or one potential call (minimize_step called on its own),
-    has formed m W'(u1).  The floor thus depends on (u1, u2, tau) alone,
-    not on the warm start.  The lift's term is zero, and skipped, unless
-    ops.lifted.
+    has formed m W'(u1).  Where the potential vanishes the term is zero,
+    and skipped: t, a band_apply product plus non-negative terms, holds no
+    -0.0 that adding zeros would change.  The floor thus depends on
+    (u1, u2, tau) alone, not on the warm start.  The lift's term is zero,
+    and skipped, unless ops.lifted.
     """
     ops = ctx.ops
     x = 2.0 * np.abs(u1) + np.abs(u2)
@@ -404,7 +478,8 @@ def _roundoff_floor(ctx, u1, u2, w, slope) -> float:
         t, a = y[:x.size] + y[x.size:], 0.0
     if ops.lifted:
         t += ctx.abs_lift
-    t += np.abs(slope)
+    if not ctx.vanishes:
+        t += np.abs(slope)
     return ROUNDOFF_SCALE * (ops.dual_norm(t) + a)
 
 
@@ -433,19 +508,19 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     A_s u and the potential term m W'(u) of the final iterate, from the
     functional's last evaluation.
 
-    Raises SolverFailure (carrying the iterate of least residual) if max_iter
-    is reached above tolerance or the Hessian on the inactive nodes is not
-    positive definite, and BlowupError on NaN or infinity in the functional,
-    the gradient or the round-off floor.
+    Raises ConfigurationError if the warm start lies below g at a node,
+    which the first evaluation's slack u - g shows, SolverFailure (carrying
+    the iterate of least residual) if max_iter is reached above tolerance or
+    the Hessian on the inactive nodes is not positive definite, and
+    BlowupError on NaN or infinity in the functional, the gradient or the
+    round-off floor.
     """
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
     u = np.array(u1 if warm_start is None else warm_start, dtype=float)
-    if obstacle is not None and (u < obstacle).any():
-        raise ConfigurationError("warm start is infeasible for the obstacle")
     ctx = _StepContext(ops, potential, tau) if _context is None else _context
     if _slope is None:
-        _slope = ctx.weights * ctx.potential.evaluate(u1)[1]
+        _slope = _potential_terms(ctx, u1)[1]
     w = _extrapolation(u1, u2)
     floor = _roundoff_floor(ctx, u1, u2, w, _slope)
     if not math.isfinite(floor):
@@ -457,6 +532,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
     best, best_res = u, np.inf
     j_path = []
     slack = density = None
+    at_g = False
     product = warm_product
     iters = 0
     while True:
@@ -466,12 +542,18 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
             ctx, u, w, curvature=not iters, product=product)
         if obstacle is not None:
             slack, density = u - obstacle, grad / ops.lumps
-        res = _stationarity(ops, grad, slack, density)
+            # the start's feasibility from the slack the measure needs: every
+            # later iterate is projected onto u >= g
+            low = slack.min()
+            if low < 0.0:
+                raise ConfigurationError("warm start is infeasible for the obstacle")
+            at_g = not low > 0.0
+        res = _stationarity(ops, grad, slack if at_g else None, density)
         # a NaN or infinity in grad J makes res non-finite through the mass
         # solve, save +inf at a node at g, which the projection drops and
         # density's max shows
         if not (math.isfinite(j) and math.isfinite(res)) or (
-                density is not None and not math.isfinite(density.max())):
+                at_g and not math.isfinite(density.max())):
             where = "during Newton iteration" if iters else "at warm start"
             raise BlowupError(f"non-finite functional or gradient {where}")
         if product is not None:
@@ -488,7 +570,7 @@ def minimize_step(ops: OperatorSet, potential: Potential, u1, u2, tau: float,
         if iters == solver.max_iter:
             break
         if curv is None:
-            curv = ctx.weights * ctx.potential.curvature(u)
+            curv = _potential_terms(ctx, u, curvature=True)[2]
         active = None
         if obstacle is not None:
             active = tau**2 * density > slack
@@ -664,11 +746,10 @@ def run(config: SchemeConfig) -> Trajectory:
     products[3] = ops.A_s @ states[1]
     # m W'(u_{i-1}) for step i's round-off floor: from row 0's evaluation,
     # then from each step's last
-    value, slope, _ = ctx.potential.evaluate(states[1])
+    value, slope, _ = _potential_terms(ctx, states[1])
     energies[0] = _energy_row(ops, (states[1] - states[0]) / tau, *_state_energies(
         ctx, states[1], products[3], value))
     del value   # not held through the loop
-    slope = ctx.weights * slope
 
     for i in range(1, n + 1):
         # the cubic through u_{i-4}..u_{i-1} is O(tau^4) from u_i on a smooth
@@ -709,7 +790,7 @@ def energy(traj: Trajectory, i: int):
     ctx = _StepContext(ops, traj.config.potential, traj.tau)
     u = traj.u(i)
     return _energy_row(ops, traj.v(i), *_state_energies(
-        ctx, u, ops.A_s @ u, ctx.potential.value(u)))
+        ctx, u, ops.A_s @ u, None if ctx.vanishes else ctx.potential.value(u)))
 
 
 def eval_interpolants(traj: Trajectory, t: float):

@@ -795,8 +795,11 @@ class TestSineStiffness:
     def test_setup_and_loop_memory_is_linear(self):
         # 25,600 cells at s = 1/2: one n x n array would take 5.2 GB.  Build
         # and run stay within 64 doubles per node (measured: 31 for the
-        # build, 61 with three steps, of which the time loop's four held
-        # products A_s u_k and the warm start's combination of them take 5)
+        # build, 58 with three steps, of which the time loop's four held
+        # products A_s u_k and the warm start's combination of them take 5;
+        # the peak is the double well's evaluation at the warm start, which
+        # the step takes before its products, and m W' and m W'' are formed
+        # in place on its arrays)
         tracemalloc.start()
         try:
             ops = make_line_ops(25600, s=0.5)

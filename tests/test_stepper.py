@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from fracwave import (BlowupError, ConfigurationError, Mesh1D, SchemeConfig,
                       SolverFailure, SolverParams, build_mesh, build_operators,
                       el_residual, energy, eval_interpolants, minimize_step, operators,
-                      run, step_functional, step_gradient, stepper, vi_residuals)
+                      potentials, run, step_functional, step_gradient, stepper,
+                      vi_residuals)
 from fracwave.operators import OperatorSet, SineStiffness, SpectralStiffness, Tridiagonal
 from fracwave.potentials import Potential, double_well, gl_scaled, quadratic, zero_potential
 from fracwave.stepper import effective_v0
@@ -618,8 +619,9 @@ class TestRun:
 
     def test_large_line_run_memory_is_linear(self):
         # 102,400 cells at s = 1: one n x n array would take 84 GB.  Build and
-        # run stay within 64 doubles per node (measured: 45; the trajectory
-        # alone holds 5 states)
+        # run stay within 64 doubles per node (measured: 55; the trajectory
+        # alone holds 5 states, and the run's context 4 for each of the
+        # block bands diag(M/tau^2, A_s) and diag(M/tau^2, |A_s|))
         tracemalloc.start()
         try:
             ops = make_line_ops(102400)
@@ -665,13 +667,13 @@ class TestNoDispatchOnTheHotPath:
 
     def test_work_per_newton_iterate(self, monkeypatch):
         # at s = 1, per step: the round-off floor takes one band product
-        # (M/tau^2 (2|u1| + |u2|) and |A_s| |w| as the two columns of one
-        # band) and one mass solve; each evaluation two band products
-        # (M/tau^2 (u - w) and A_s u) and one mass solve (the stationarity
-        # norm); each Newton iterate one dptsv, plus one product of the
-        # pinned values where a node is active.  So a step of k iterates
-        # makes 1 + 2 (k + 1) + (active iterates) products, 2 + k mass
-        # solves and k dptsv calls
+        # (M/tau^2 (2|u1| + |u2|) and |A_s| |w| as the two blocks of one
+        # band) and one mass solve; each evaluation one band product
+        # (M/tau^2 (u - w) and A_s u as the two blocks of one band) and one
+        # mass solve (the stationarity norm); each Newton iterate one dptsv,
+        # plus one product of the pinned values where a node is active.  So
+        # a step of k iterates makes 1 + (k + 1) + (active iterates)
+        # products, 2 + k mass solves and k dptsv calls
         ops = make_line_ops(64, s=1.0)
         x = ops.mesh.nodes[ops.mesh.free]
         u1, u2 = -0.1 * np.sin(np.pi * x), -0.05 * np.sin(np.pi * x)
@@ -698,11 +700,41 @@ class TestNoDispatchOnTheHotPath:
             counts.update(band=0, solve=0, dptsv=0)
             result = minimize_step(ops, double_well(), u1, u2, 0.01, obstacle=g)
             work[case] = (result.iterations, dict(counts))
-        assert work == {"free": (2, {"band": 7, "solve": 4, "dptsv": 2}),
-                        "no_contact": (2, {"band": 7, "solve": 4, "dptsv": 2}),
-                        "contact": (3, {"band": 12, "solve": 5, "dptsv": 3})}
+        assert work == {"free": (2, {"band": 4, "solve": 4, "dptsv": 2}),
+                        "no_contact": (2, {"band": 4, "solve": 4, "dptsv": 2}),
+                        "contact": (3, {"band": 8, "solve": 5, "dptsv": 3})}
         # an obstacle the step does not touch costs no product
         assert work["no_contact"][1]["band"] <= work["free"][1]["band"]
+
+    @pytest.mark.parametrize("potential", [zero_potential(),
+                                           gl_scaled(zero_potential(), 0.1)],
+                             ids=["zero", "scaled_zero"])
+    def test_vanishing_potential_is_never_evaluated(self, monkeypatch, potential):
+        # W = 0, bare or eps-scaled, is decided once per run: no evaluation,
+        # energy row or round-off floor calls the potential, with or
+        # without contact
+        calls = []
+
+        def counted(fn):
+            def evaluate(self, *args, **kwargs):
+                calls.append(type(self).__name__)
+                return fn(self, *args, **kwargs)
+            return evaluate
+
+        for cls in vars(potentials).values():
+            if isinstance(cls, type) and "evaluate" in vars(cls):
+                monkeypatch.setattr(cls, "evaluate", counted(vars(cls)["evaluate"]))
+        ops = make_line_ops(64, s=1.0)
+        x = ops.mesh.nodes[ops.mesh.free]
+        for g in (None, np.full(ops.n_free, -0.1)):
+            traj = run(SchemeConfig(T=0.2, n_steps=20, ops=ops, potential=potential,
+                                    u0=np.zeros(ops.n_free), v0=-np.sin(np.pi * x),
+                                    obstacle=g))
+            assert g is None or np.any(traj.states[2:] == g)
+        energy(traj, 3)
+        assert calls == []
+        potential.value(x)   # the count is live
+        assert calls
 
     def test_work_per_sine_newton_step(self, monkeypatch):
         # on the sine backend a Newton step with no node pinned, whose
@@ -798,6 +830,42 @@ print(" ".join(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "s
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == []
+
+
+class FreshZero(Potential):
+    """W = 0 through the general path: fresh arrays of zeros, like any
+    potential's evaluation."""
+
+    def evaluate(self, u, curvature=False):
+        return (np.zeros_like(u), np.zeros_like(u),
+                np.zeros_like(u) if curvature else None)
+
+
+class TestVanishingPotential:
+    @pytest.mark.parametrize("contact", [False, True], ids=["free", "contact"])
+    @pytest.mark.parametrize("s, right, backend", [(1.0, 0.0, Tridiagonal),
+                                                   (0.5, 0.0, SineStiffness),
+                                                   (0.5, None, SpectralStiffness)],
+                             ids=["tridiagonal", "sine", "spectral"])
+    def test_zero_potential_equals_the_general_path_bit_for_bit(
+            self, s, right, backend, contact):
+        # zero_potential() skips every potential term: no evaluation, a
+        # potential energy of 0.0, no m W' in grad J or in the round-off
+        # floor, shared zeros for m W''.  The general path adds fresh zeros
+        # to each; the two runs agree in every bit, with the obstacle met
+        # and without it
+        ops = make_line_ops(64, s=s, dirichlet=(0.0, right))
+        assert type(ops.A_s) is backend
+        x = ops.mesh.nodes[ops.mesh.free]
+        g = np.full(ops.n_free, -0.05) if contact else None
+        trajs = [run(SchemeConfig(T=0.2, n_steps=20, ops=ops, potential=potential,
+                                  u0=0.02 * np.sin(np.pi * x), v0=-np.sin(np.pi * x),
+                                  obstacle=g))
+                 for potential in (zero_potential(), FreshZero())]
+        assert not contact or np.any(trajs[0].states[2:] == g)
+        for name in ("states", "energies", "iterations", "residuals", "tols"):
+            a, b = (getattr(t, name) for t in trajs)
+            assert a.tobytes() == b.tobytes(), name
 
 
 def gl_front_config(n_cells, n_steps):
